@@ -10,7 +10,8 @@ group; the sign parameter distinguishes the expanding and contracting
 variants, which are not isomorphic as ordered groups.
 
 Every witness is an explicit coordinate map with named source and target
-laws; classification verifies each witness numerically before returning it.
+laws; classification verifies each witness numerically, once, and returns it
+carrying that verification.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .orders import (
     LexOrder,
     OrderedGroupSpec,
     _ordered_pairs,
-    check_translation_invariance,
+    _translation_report,
     lex_less,
 )
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
@@ -98,8 +99,15 @@ class IsoWitness:
     inverse: Callable | None = None
     map_name: str | None = None
     order_pair: tuple[LexOrder, LexOrder] | None = None
-    group_verified: bool = False
-    order_verified: bool = False
+    verification: WitnessReport | None = None
+
+    @property
+    def group_verified(self) -> bool:
+        return self.verification is not None and self.verification.group_ok
+
+    @property
+    def order_verified(self) -> bool:
+        return self.verification is not None and bool(self.verification.order_ok)
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
@@ -126,9 +134,14 @@ class IsoWitness:
 
 
 def linear_witness(source, target, matrix, order_pair=None, name=None) -> IsoWitness:
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (source.dim, target.dim):
-        m = m.reshape(source.dim, target.dim)
+    """The map a -> matrix @ a; matrix has shape (target.dim, source.dim)."""
+    try:
+        m = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"witness matrix is not a numeric matrix: {exc}") from exc
+    if source.dim != target.dim or m.shape != (target.dim, source.dim):
+        raise InputError(f"a {m.shape} witness matrix is no isomorphism from "
+                         f"dimension {source.dim} to {target.dim}")
     return IsoWitness(source=source, target=target, matrix=m,
                       order_pair=order_pair, map_name=name)
 
@@ -215,20 +228,14 @@ def verify_witness(
 
     order_ok = None
     if w.order_pair is not None:
-        src_o, tgt_o = w.order_pair
-        lo, hi = _ordered_pairs(src_o, cfg, w.source.dim)
-        order_ok = bool(np.all(lex_less(tgt_o, w.apply(lo), w.apply(hi))))
+        order_ok = _order_monotone(w, *_ordered_pairs(w.order_pair[0], cfg, w.source.dim))
 
     return WitnessReport(hom, roundtrip, invertible, group_ok, order_ok, cfg.count)
 
 
-def _verified(w: IsoWitness, cfg: SampleConfig, tol: Tolerance) -> IsoWitness:
-    rep = verify_witness(w, cfg, tol)
-    return dataclasses.replace(
-        w,
-        group_verified=rep.group_ok,
-        order_verified=bool(rep.order_ok),
-    )
+def _order_monotone(w: IsoWitness, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether w maps each source pair lo < hi to an increasing target pair."""
+    return bool(np.all(lex_less(w.order_pair[1], w.apply(lo), w.apply(hi))))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +313,7 @@ def classify_group(
 ) -> tuple[CanonicalClass, IsoWitness]:
     """Canonical group-isomorphism class plus a verified witness map."""
     cls, wit = _classify_group(law)
-    return cls, _verified(wit, cfg, tol)
+    return cls, dataclasses.replace(wit, verification=verify_witness(wit, cfg, tol))
 
 
 def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
@@ -413,7 +420,9 @@ def classify_ordered(
     samples first and a counterexample is reported on failure.
     """
     spec = OrderedGroupSpec(law, order)
-    report = check_translation_invariance(spec, cfg)
+    # one draw of h < h' pairs serves the translation check and the witness
+    pairs = _ordered_pairs(order, cfg, law.dim)
+    report = _translation_report(spec, cfg, *pairs)
     if not report.passed:
         ce = report.counterexample_left or report.counterexample_right
         side = "left" if report.counterexample_left else "right"
@@ -422,8 +431,13 @@ def classify_ordered(
             f"g={list(ce[0])}, h={list(ce[1])}, h'={list(ce[2])}"
         )
     cls, wit = _classify_ordered(law, order.significance)
+    # wit makes no order claim yet, so verify_witness checks the group claims
+    # only; the order claim is checked on the pairs drawn above
+    rep = verify_witness(wit, cfg, tol)
     wit = dataclasses.replace(wit, order_pair=(order, cls.order))
-    return cls, _verified(wit, cfg, tol)
+    if rep.invertible:
+        rep = dataclasses.replace(rep, order_ok=_order_monotone(wit, *pairs))
+    return cls, dataclasses.replace(wit, verification=rep)
 
 
 def _perm_matrix(src_sig: tuple[int, ...], dst_sig: tuple[int, ...]) -> np.ndarray:

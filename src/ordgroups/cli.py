@@ -54,6 +54,13 @@ def _law_arg(args):
     return law_from_descriptor(_parse_json(args.law))
 
 
+def _indices(text: str) -> list[int]:
+    try:
+        return [int(i) for i in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad index list {text!r}: {exc}") from exc
+
+
 def _coords(text: str) -> np.ndarray:
     try:
         return as_coords([float(v) for v in text.split(",") if v != ""])
@@ -81,6 +88,8 @@ def _tolerance(args) -> Tolerance:
 def cmd_eval(args) -> int:
     law = _law_arg(args)
     a = _coords(args.a)
+    if args.op != "inv" and args.b is None:
+        raise InputError(f"--op {args.op} needs a second element (--b)")
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if args.op == "mul":
             result = multiply(law, a, _coords(args.b))
@@ -107,7 +116,7 @@ def cmd_axioms(args) -> int:
 
 def cmd_order_check(args) -> int:
     law = _law_arg(args)
-    order = order_from_descriptor([int(i) for i in args.order.split(",")])
+    order = order_from_descriptor(_indices(args.order))
     spec = OrderedGroupSpec(law, order)
     cfg = _sample_config(args)
     rep = check_translation_invariance(spec, cfg)
@@ -115,8 +124,7 @@ def cmd_order_check(args) -> int:
                "translation": rep.to_dict()}
     ok = rep.passed
     if args.normal_coords:
-        coords = tuple(int(i) for i in args.normal_coords.split(","))
-        crep = check_conjugation_order_preserving(spec, coords, cfg)
+        crep = check_conjugation_order_preserving(spec, _indices(args.normal_coords), cfg)
         payload["conjugation"] = crep.to_dict()
         ok = ok and crep.passed
     _emit(args, payload)
@@ -144,36 +152,31 @@ def cmd_classify(args) -> int:
     cfg = _sample_config(args)
     tol = _tolerance(args)
     if args.order:
-        order = order_from_descriptor([int(i) for i in args.order.split(",")])
+        order = order_from_descriptor(_indices(args.order))
         cls, wit = classify_ordered(law, order, cfg, tol)
-        verified = wit.group_verified and wit.order_verified
     else:
         cls, wit = classify_group(law, cfg, tol)
-        verified = wit.group_verified
-    rep = verify_witness(wit, cfg, tol)
     payload = {
         "label": cls.label,
         "params": cls.param_dict,
         "canonical": cls.law.descriptor(),
         "canonical_order": None if cls.order is None else list(cls.order.significance),
         "witness": wit.to_dict(),
-        "verification": rep.to_dict(),
+        "verification": wit.verification.to_dict(),
     }
     _emit(args, payload)
-    return EXIT_OK if verified else EXIT_VERIFY
+    return EXIT_OK if wit.verification.passed else EXIT_VERIFY
 
 
 def cmd_witness_verify(args) -> int:
     source = law_from_descriptor(_parse_json(args.source))
     target = law_from_descriptor(_parse_json(args.target))
-    matrix = np.asarray(_parse_json(args.matrix), dtype=float)
-    if matrix.shape != (source.dim, target.dim):
-        raise InputError("witness matrix shape does not match the laws")
+    matrix = _parse_json(args.matrix)
     pair = None
     if args.source_order and args.target_order:
         pair = (
-            order_from_descriptor([int(i) for i in args.source_order.split(",")]),
-            order_from_descriptor([int(i) for i in args.target_order.split(",")]),
+            order_from_descriptor(_indices(args.source_order)),
+            order_from_descriptor(_indices(args.target_order)),
         )
     wit = linear_witness(source, target, matrix, order_pair=pair)
     rep = verify_witness(wit, _sample_config(args), _tolerance(args))

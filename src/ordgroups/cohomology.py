@@ -21,7 +21,7 @@ import numpy as np
 from .actions import ExpAction, act, affine_on_semidirect, scale_factors, trivial
 from .errors import DomainError, InputError
 from .groups import Additive, GroupLaw, SemidirectRR
-from .orders import LexOrder, OrderedGroupSpec, lex_less
+from .orders import LexOrder, OrderedGroupSpec, _sorted_pairs, lex_less
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
@@ -279,9 +279,7 @@ def _action_order_preserving(module: GModule, order_n: LexOrder, cfg: SampleConf
         return False
     n1 = cfg.sample(module.N.dim, stream=52, count=g.shape[0])
     n2 = cfg.sample(module.N.dim, stream=53, count=g.shape[0])
-    swap = lex_less(order_n, n2, n1)
-    lo = np.where(swap[:, None], n2, n1)
-    hi = np.where(swap[:, None], n1, n2)
-    ties = ~lex_less(order_n, lo, hi)
-    keep = ~ties
-    return bool(np.all(lex_less(order_n, factors[keep] * lo[keep], factors[keep] * hi[keep])))
+    # each element carries its image under the action as extra columns
+    lo, hi = _sorted_pairs(order_n, np.hstack([n1, factors * n1]), np.hstack([n2, factors * n2]))
+    k = module.N.dim
+    return bool(np.all(lex_less(order_n, lo[:, k:], hi[:, k:])))

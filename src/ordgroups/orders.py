@@ -61,16 +61,22 @@ def compare(order: LexOrder, a, b) -> Comparison:
     return Comparison.EQ
 
 
-def lex_less(order: LexOrder, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized strict a < b along significance; shapes (..., dim)."""
-    less = np.zeros(a.shape[:-1], dtype=bool)
-    decided = np.zeros(a.shape[:-1], dtype=bool)
+def _lex_compare(order: LexOrder, a: np.ndarray, b: np.ndarray):
+    """Row-wise (a < b, a != b) along significance, a and b broadcast together."""
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
+    less = np.zeros(shape, dtype=bool)
+    decided = np.zeros(shape, dtype=bool)
     for idx in order.significance:
         lt = a[..., idx] < b[..., idx]
         gt = a[..., idx] > b[..., idx]
         less |= ~decided & lt
         decided |= lt | gt
-    return less
+    return less, decided
+
+
+def lex_less(order: LexOrder, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vectorized strict a < b along significance; shapes (..., dim)."""
+    return _lex_compare(order, a, b)[0]
 
 
 @dataclass(frozen=True)
@@ -101,37 +107,43 @@ class InvarianceReport:
         }
 
 
+def _sorted_pairs(order: LexOrder, a: np.ndarray, b: np.ndarray):
+    """Rows of a and b (broadcast together, then flattened) sorted into lo < hi,
+    dropping ties. Columns past order.dim ride along uncompared."""
+    swap, differ = _lex_compare(order, b, a)
+    lo = np.where(swap[..., None], b, a).reshape(-1, a.shape[-1])
+    hi = np.where(swap[..., None], a, b).reshape(-1, a.shape[-1])
+    if differ.all():
+        return lo, hi
+    keep = differ.reshape(-1)
+    return lo[keep], hi[keep]
+
+
 def _ordered_pairs(order: LexOrder, cfg: SampleConfig, dim: int):
     """Sampled h < h' pairs, including pairs sharing leading significance coords.
 
     Random pairs almost surely differ in the most significant coordinate, so
-    tie-breaking coordinates are exercised with shared-prefix variants.
+    tie-breaking coordinates are exercised with shared-prefix variants: block
+    k of h' takes its k most significant coordinates from h.
     """
     h = cfg.sample(dim, stream=11)
-    hp = cfg.sample(dim, stream=12)
-    blocks = [(h, hp)]
-    for k in range(1, dim):
-        shared = hp.copy()
-        for idx in order.significance[:k]:
-            shared[:, idx] = h[:, idx]
-        blocks.append((h, shared))
-    lo, hi = [], []
-    for a, b in blocks:
-        swap = lex_less(order, b, a)
-        eq = ~swap & ~lex_less(order, a, b)
-        a2 = np.where(swap[:, None], b, a)
-        b2 = np.where(swap[:, None], a, b)
-        lo.append(a2[~eq])
-        hi.append(b2[~eq])
-    return np.concatenate(lo, axis=0), np.concatenate(hi, axis=0)
+    hp = np.empty((dim,) + h.shape)
+    hp[:] = cfg.sample(dim, stream=12)
+    for k, idx in enumerate(order.significance[:-1]):
+        hp[k + 1:, :, idx] = h[:, idx]
+    return _sorted_pairs(order, h, hp)
 
 
 def check_translation_invariance(
     spec: OrderedGroupSpec, cfg: SampleConfig = SampleConfig()
 ) -> InvarianceReport:
     """Verify g*h < g*h' (left) and h*g < h'*g (right) on sampled h < h'."""
+    return _translation_report(spec, cfg, *_ordered_pairs(spec.order, cfg, spec.law.dim))
+
+
+def _translation_report(spec: OrderedGroupSpec, cfg: SampleConfig, lo, hi) -> InvarianceReport:
+    """check_translation_invariance on pairs the caller drew with _ordered_pairs."""
     law, order = spec.law, spec.order
-    lo, hi = _ordered_pairs(order, cfg, law.dim)
     g = cfg.sample(law.dim, stream=13, count=lo.shape[0])
 
     left_bad = ~lex_less(order, law.mul(g, lo), law.mul(g, hi))
@@ -182,10 +194,7 @@ def check_conjugation_order_preserving(
 
     n1 = _supported(cfg, law.dim, coords, stream=23)
     n2 = _supported(cfg, law.dim, coords, stream=24)
-    swap = lex_less(order, n2, n1)
-    eq = ~swap & ~lex_less(order, n1, n2)
-    lo = np.where(swap[:, None], n2, n1)[~eq]
-    hi = np.where(swap[:, None], n1, n2)[~eq]
+    lo, hi = _sorted_pairs(order, n1, n2)
     g = cfg.sample(law.dim, stream=25, count=lo.shape[0])
     ginv = law.inv(g)
     c_lo = law.mul(law.mul(g, lo), ginv)

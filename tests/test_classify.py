@@ -402,3 +402,62 @@ def test_battery_separates_the_whole_catalog_pairwise():
                     OrderedGroupSpec(law_a, ord_a), OrderedGroupSpec(law_b, ord_b), CFG)
                 assert isinstance(ev, Evidence), (cls_a.label, cls_a.params,
                                                   cls_b.label, cls_b.params)
+
+
+# --- one pair draw and one verification per classification --------------------------
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Count the calls made through the name `name` in each of the modules."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("law, sig", [
+    (Ec(-4.0), (0, 1, 2)),
+    (GCd(1.0, 2.0), (1, 0, 2)),
+    (Tk(1.0), (2, 1, 0)),
+    (SUT3(), (0, 1, 2)),
+    (SemidirectRR(2.0), (1, 0)),
+])
+def test_classify_ordered_draws_pairs_once_and_verifies_once(monkeypatch, law, sig):
+    from ordgroups import classify as classify_mod
+
+    pairs = _count_calls(monkeypatch, "_ordered_pairs", classify_mod)
+    verifies = _count_calls(monkeypatch, "verify_witness", classify_mod)
+    _, wit = classify_ordered(law, LexOrder(sig), CFG)
+    assert len(pairs) == 1 and len(verifies) == 1
+    # the shared pairs give the report a fresh, full verification would give
+    assert wit.verification == verify_witness(wit, CFG)
+    assert wit.group_verified and wit.order_verified
+
+
+def test_cli_classify_reports_the_classification_s_own_verification(monkeypatch, capsys):
+    import json
+
+    from ordgroups import classify as classify_mod
+    from ordgroups import cli, jsonio
+
+    verifies = _count_calls(monkeypatch, "verify_witness", classify_mod, cli)
+    desc = '{"family":"k_cd","params":{"c":2,"d":-3}}'
+    law = jsonio.law_from_descriptor(json.loads(desc))
+    cfg = SampleConfig(seed=5, count=700)
+    for order in ("0,1,2", None):
+        verifies.clear()
+        argv = ["classify", "--law", desc, "--seed", "5", "--samples", "700"]
+        code = cli.main(argv + (["--order", order] if order else []))
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and len(verifies) == 1
+        if order:
+            _, wit = classify_ordered(law, LexOrder((0, 1, 2)), cfg)
+        else:
+            _, wit = classify_group(law, cfg)
+        assert payload["verification"] == verify_witness(wit, cfg).to_dict()

@@ -247,3 +247,42 @@ def test_installed_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"result": [3.0]}
+
+
+# --- input errors exit 2 without a traceback -------------------------------------
+
+_SD = '{"family":"semidirect_rr","params":{"c":1}}'
+_R3 = '{"family":"additive","params":{"n":3}}'
+
+
+def _assert_input_error(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("order-check", "--law", _SD, "--order", "0,x"),
+    ("classify", "--law", _SD, "--order", "1,x"),
+    ("order-check", "--law", _R3, "--order", "0,1,2", "--normal-coords", "1,y"),
+    ("witness-verify", "--source", _SD, "--target", _SD, "--matrix", "[[1,0],[0,1]]",
+     "--source-order", "1,0.5", "--target-order", "1,0"),
+    ("witness-verify", "--source", _SD, "--target", _SD, "--matrix", "[[1,0],[0,1]]",
+     "--source-order", "1,0", "--target-order", "one,0"),
+], ids=["order", "classify-order", "normal-coords", "source-order", "target-order"])
+def test_non_integer_index_list_is_an_input_error(capsys, argv):
+    _assert_input_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("op", ["mul", "conj", "comm"])
+def test_eval_binary_op_without_b_is_an_input_error(capsys, op):
+    _assert_input_error(capsys, "eval", "--law", _SD, "--op", op, "--a", "1,0")
+
+
+@pytest.mark.parametrize("matrix", ["[[1,0],[0,1],[0,0]]", "[[1,0,0],[0,1,0]]", "[[1,0],[0]]"])
+def test_witness_between_dimensions_is_an_input_error(capsys, matrix):
+    # a 2 -> 3 map is never an isomorphism, whichever way the matrix is laid out
+    _assert_input_error(capsys, "witness-verify", "--source", _SD, "--target", _R3,
+                        "--matrix", matrix)
+

@@ -1,5 +1,7 @@
 """Lexicographic comparison and ordered-group verification."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from ordgroups import (
     multiply,
     verify_witness,
 )
+from ordgroups.orders import _ordered_pairs
 
 RNG = np.random.default_rng(11)
 
@@ -159,3 +162,49 @@ def test_ordered_property_transports_through_verified_witness():
     assert wit.order_verified and verify_witness(wit, cfg).passed
     target = OrderedGroupSpec(cls.law, cls.order)
     assert check_translation_invariance(target, cfg).passed
+
+
+# --- the sampled pair builder ------------------------------------------------------
+
+
+def _reference_ordered_pairs(order, cfg, dim):
+    """The per-block construction: one sort and tie mask per shared-prefix block."""
+    h = cfg.sample(dim, stream=11)
+    hp = cfg.sample(dim, stream=12)
+    blocks = [(h, hp)]
+    for k in range(1, dim):
+        shared = hp.copy()
+        for idx in order.significance[:k]:
+            shared[:, idx] = h[:, idx]
+        blocks.append((h, shared))
+    lo, hi = [], []
+    for a, b in blocks:
+        swap = lex_less(order, b, a)
+        eq = ~swap & ~lex_less(order, a, b)
+        a2 = np.where(swap[:, None], b, a)
+        b2 = np.where(swap[:, None], a, b)
+        lo.append(a2[~eq])
+        hi.append(b2[~eq])
+    return np.concatenate(lo, axis=0), np.concatenate(hi, axis=0)
+
+
+class _CoarseSamples(SampleConfig):
+    """Samples rounded to a coarse grid, so coordinates and whole rows tie."""
+
+    def sample(self, dim, stream=0, count=None):
+        return np.round(super().sample(dim, stream, count))
+
+
+@pytest.mark.parametrize("cfg", [SampleConfig(seed=4, count=300), _CoarseSamples(seed=4, count=300)],
+                         ids=["continuous", "coarse"])
+def test_ordered_pairs_match_the_per_block_construction(cfg):
+    for dim in (1, 2, 3):
+        for sig in permutations(range(dim)):
+            order = LexOrder(sig)
+            lo, hi = _ordered_pairs(order, cfg, dim)
+            ref_lo, ref_hi = _reference_ordered_pairs(order, cfg, dim)
+            assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi), sig
+            assert lex_less(order, lo, hi).all()
+            if isinstance(cfg, _CoarseSamples):
+                # ties were dropped, so the tie-removal branch ran
+                assert lo.shape[0] < dim * cfg.count
