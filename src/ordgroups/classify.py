@@ -44,7 +44,7 @@ from .orders import (
     _translation_report,
     lex_less,
 )
-from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
+from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, first_row, row_blocks
 
 _SIGN_TOL = 1e-9
 
@@ -218,11 +218,17 @@ def verify_witness(
     if not invertible:
         return WitnessReport(float("inf"), float("inf"), False, False, None, cfg.count)
 
-    fa, fb = w.apply(a), w.apply(b)
-    prod_t = w.target.mul(fa, fb)
-    hom = float(np.max(np.abs(w.apply(w.source.mul(a, b)) - prod_t)))
-    roundtrip = float(np.max(np.abs(w.apply_inverse(fa) - a)))
-    scale = max(1.0, float(np.max(np.abs(prod_t))))
+    # per block: max |w(ab) - w(a)w(b)|, max |w^-1(w(a)) - a|, max |w(a)w(b)|
+    worst = np.full(3, -np.inf)
+    for rows in row_blocks(cfg.count):
+        x, y = a[rows], b[rows]
+        fx = w.apply(x)
+        prod_t = w.target.mul(fx, w.apply(y))
+        worst = np.maximum(worst, [np.max(np.abs(w.apply(w.source.mul(x, y)) - prod_t)),
+                                   np.max(np.abs(w.apply_inverse(fx) - x)),
+                                   np.max(np.abs(prod_t))])
+    hom, roundtrip, top = (float(v) for v in worst)
+    scale = max(1.0, top)
     cap = tol.bound(scale)
     group_ok = hom <= cap and roundtrip <= cap
 
@@ -235,7 +241,8 @@ def verify_witness(
 
 def _order_monotone(w: IsoWitness, lo: np.ndarray, hi: np.ndarray) -> bool:
     """Whether w maps each source pair lo < hi to an increasing target pair."""
-    return bool(np.all(lex_less(w.order_pair[1], w.apply(lo), w.apply(hi))))
+    return first_row(lo.shape[0], lambda rows: ~lex_less(
+        w.order_pair[1], w.apply(lo[rows]), w.apply(hi[rows]))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +435,7 @@ def classify_ordered(
         side = "left" if report.counterexample_left else "right"
         raise DomainError(
             f"pair is not an ordered group: {side} translation fails at "
-            f"g={list(ce[0])}, h={list(ce[1])}, h'={list(ce[2])}"
+            f"g={ce[0].tolist()}, h={ce[1].tolist()}, h'={ce[2].tolist()}"
         )
     cls, wit = _classify_ordered(law, order.significance)
     # wit makes no order claim yet, so verify_witness checks the group claims

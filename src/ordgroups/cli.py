@@ -283,7 +283,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # an unreadable --json or unwritable --out: a missing file, a directory
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
 

@@ -22,7 +22,7 @@ from .actions import ExpAction, act, affine_on_semidirect, scale_factors, trivia
 from .errors import DomainError, InputError
 from .groups import Additive, GroupLaw, SemidirectRR
 from .orders import LexOrder, OrderedGroupSpec, _sorted_pairs, lex_less
-from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
+from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, row_blocks
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,8 @@ def cocycle_residual(f: Cochain, cfg: SampleConfig = SampleConfig()) -> float:
     g = cfg.sample(dim, stream=31)
     h = cfg.sample(dim, stream=32)
     k = cfg.sample(dim, stream=33)
-    return float(np.max(np.abs(df.fn(g, h, k))))
+    return float(np.max([np.max(np.abs(df.fn(g[rows], h[rows], k[rows])))
+                         for rows in row_blocks(cfg.count)]))
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,8 @@ def verify_coboundary_witness(
     dg = coboundary(g)
     u = cfg.sample(f.module.H.dim, stream=41)
     v = cfg.sample(f.module.H.dim, stream=42)
-    residual = float(np.max(np.abs(dg.fn(u, v) - f.fn(u, v))))
+    residual = float(np.max([np.max(np.abs(dg.fn(u[rows], v[rows]) - f.fn(u[rows], v[rows])))
+                             for rows in row_blocks(cfg.count)]))
     return CoboundaryReport(passed=residual <= tol.bound(1.0), residual=residual)
 
 

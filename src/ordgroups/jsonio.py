@@ -38,7 +38,7 @@ def law_from_descriptor(desc: dict) -> GroupLaw:
     def need(key):
         if key not in params:
             raise InputError(f"family {family!r} needs parameter {key!r}")
-        return float(params[key])
+        return _finite(params[key], key)
 
     if family == "additive":
         n = int(params.get("n", desc.get("dim", 1)))
@@ -64,13 +64,25 @@ def law_from_descriptor(desc: dict) -> GroupLaw:
     raise InputError(f"unknown law family {family!r}")
 
 
+def _finite(value, key: str) -> float:
+    """A law parameter as a float; non-numeric and non-finite values are input
+    errors, since a NaN or infinite law has no meaningful samples."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"parameter {key!r} is not a number: {value!r}") from exc
+    if not math.isfinite(x):
+        raise InputError(f"parameter {key!r} must be finite, got {value!r}")
+    return x
+
+
 def _cocycle_law_from_params(params: dict) -> GroupLaw:
     name = params.get("cocycle")
     if name == "heis":
-        f = heis_cocycle(float(params.get("c", 0.5)))
+        f = heis_cocycle(_finite(params.get("c", 0.5), "c"))
         return extension_from_cocycle(heis_module(), f)
     if name == "g3":
-        f = g3_cocycle(float(params.get("k", 1.0)))
+        f = g3_cocycle(_finite(params.get("k", 1.0), "k"))
         return extension_from_cocycle(g3_module(1.0), f)
     raise InputError("from_cocycle descriptors support the named cocycles 'heis' and 'g3'")
 

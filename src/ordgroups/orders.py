@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .groups import GroupLaw, as_coords
-from .tolerance import SampleConfig
+from .tolerance import SampleConfig, first_row, row_blocks
 
 
 class Comparison(enum.Enum):
@@ -144,24 +144,22 @@ def check_translation_invariance(
 def _translation_report(spec: OrderedGroupSpec, cfg: SampleConfig, lo, hi) -> InvarianceReport:
     """check_translation_invariance on pairs the caller drew with _ordered_pairs."""
     law, order = spec.law, spec.order
-    g = cfg.sample(law.dim, stream=13, count=lo.shape[0])
+    n = lo.shape[0]
+    g = cfg.sample(law.dim, stream=13, count=n)
 
-    left_bad = ~lex_less(order, law.mul(g, lo), law.mul(g, hi))
-    right_bad = ~lex_less(order, law.mul(lo, g), law.mul(hi, g))
+    def first(translate):
+        i = first_row(n, lambda rows: ~lex_less(
+            order, translate(g[rows], lo[rows]), translate(g[rows], hi[rows])))
+        return None if i is None else (g[i].copy(), lo[i].copy(), hi[i].copy())
 
-    def first(bad):
-        idx = np.flatnonzero(bad)
-        if idx.size == 0:
-            return None
-        i = int(idx[0])
-        return (g[i].copy(), lo[i].copy(), hi[i].copy())
-
+    left = first(law.mul)
+    right = first(lambda x, h: law.mul(h, x))
     return InvarianceReport(
-        left_ok=not bool(left_bad.any()),
-        right_ok=not bool(right_bad.any()),
-        checked=int(lo.shape[0]),
-        counterexample_left=first(left_bad),
-        counterexample_right=first(right_bad),
+        left_ok=left is None,
+        right_ok=right is None,
+        checked=int(n),
+        counterexample_left=left,
+        counterexample_right=right,
     )
 
 
@@ -187,24 +185,27 @@ def check_conjugation_order_preserving(
 
     probe_a = _supported(cfg, law.dim, coords, stream=21)
     probe_b = _supported(cfg, law.dim, coords, stream=22)
-    prod = law.mul(probe_a, probe_b)
     outside = [i for i in range(law.dim) if i not in coords]
-    if outside and np.max(np.abs(prod[:, outside])) > 1e-12:
+    if outside and np.max([np.max(np.abs(law.mul(probe_a[rows], probe_b[rows])[:, outside]))
+                           for rows in row_blocks(cfg.count)]) > 1e-12:
         raise InputError(f"coordinates {coords} are not closed under multiplication")
 
     n1 = _supported(cfg, law.dim, coords, stream=23)
     n2 = _supported(cfg, law.dim, coords, stream=24)
     lo, hi = _sorted_pairs(order, n1, n2)
-    g = cfg.sample(law.dim, stream=25, count=lo.shape[0])
-    ginv = law.inv(g)
-    c_lo = law.mul(law.mul(g, lo), ginv)
-    c_hi = law.mul(law.mul(g, hi), ginv)
-    bad = ~lex_less(order, c_lo, c_hi)
-    idx = np.flatnonzero(bad)
-    ce = None if idx.size == 0 else (g[int(idx[0])], lo[int(idx[0])], hi[int(idx[0])])
+    n = lo.shape[0]
+    g = cfg.sample(law.dim, stream=25, count=n)
+
+    def bad(rows):
+        gb = g[rows]
+        ginv = law.inv(gb)
+        return ~lex_less(order, law.mul(law.mul(gb, lo[rows]), ginv),
+                         law.mul(law.mul(gb, hi[rows]), ginv))
+
+    i = first_row(n, bad)
     return InvarianceReport(
-        left_ok=not bool(bad.any()),
+        left_ok=i is None,
         right_ok=True,
-        checked=int(lo.shape[0]),
-        counterexample_left=ce,
+        checked=int(n),
+        counterexample_left=None if i is None else (g[i], lo[i], hi[i]),
     )

@@ -1,4 +1,4 @@
-"""Tolerance policy and seeded sampling shared by all checks."""
+"""Tolerance policy, seeded sampling and row blocks shared by all checks."""
 
 from __future__ import annotations
 
@@ -23,12 +23,22 @@ class Tolerance:
     def bound(self, scale: float = 0.0) -> float:
         return self.abs_tol + self.rel_tol * abs(scale)
 
-    def close(self, u, v) -> bool:
+    def residual(self, u, v) -> tuple[float, bool]:
+        """One pass over u and v: the largest normalized gap
+        |u - v| / (1 + max(|u|, |v|)), and whether every coordinate is close.
+
+        The gap is NaN when u or v holds a non-finite value, and inf when u
+        and v are finite but u - v overflows.
+        """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         gap = np.abs(u - v)
-        cap = self.abs_tol + self.rel_tol * np.maximum(np.abs(u), np.abs(v))
-        return bool(np.all(gap <= cap))
+        scale = np.maximum(np.abs(u), np.abs(v))
+        worst = np.max(gap / (1.0 + scale), initial=-np.inf)
+        return worst, bool(np.all(gap <= self.abs_tol + self.rel_tol * scale))
+
+    def close(self, u, v) -> bool:
+        return self.residual(u, v)[1]
 
 
 @dataclass(frozen=True)
@@ -57,3 +67,32 @@ class SampleConfig:
 
 
 DEFAULT_TOL = Tolerance()
+
+# Rows per block of a sampled check. A block of 3 float64 coordinates is
+# 768 KiB, so the few temporaries a check holds per block stay in a 4 MiB L2.
+BLOCK_ROWS = 1 << 15
+
+
+def row_blocks(n: int):
+    """Consecutive slices of at most BLOCK_ROWS rows covering rows 0..n-1.
+
+    Sampled checks evaluate their row-wise work one block at a time and reduce
+    across blocks by max, all or first row, which gives the whole-array result
+    bit for bit. Maxima are reduced with np.max/np.maximum, never Python's
+    max, so a NaN in any block propagates as it does through a whole-array
+    np.max.
+    """
+    for start in range(0, n, BLOCK_ROWS):
+        yield slice(start, min(start + BLOCK_ROWS, n))
+
+
+def first_row(n: int, bad) -> int | None:
+    """The first row below n where the row-wise mask bad(rows) is true, or None.
+
+    Evaluates bad block by block and stops at the first block with a hit.
+    """
+    for rows in row_blocks(n):
+        hits = np.flatnonzero(bad(rows))
+        if hits.size:
+            return rows.start + int(hits[0])
+    return None

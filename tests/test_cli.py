@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, deterministic JSON output."""
 
 import json
+import math
+import re
 import subprocess
 import sys
 
@@ -286,3 +288,32 @@ def test_witness_between_dimensions_is_an_input_error(capsys, matrix):
     _assert_input_error(capsys, "witness-verify", "--source", _SD, "--target", _R3,
                         "--matrix", matrix)
 
+
+
+def test_json_naming_a_directory_is_an_input_error(tmp_path, capsys):
+    _assert_input_error(capsys, "axioms", "--json", str(tmp_path))
+
+
+def test_out_naming_a_directory_is_an_input_error(tmp_path, capsys):
+    _assert_input_error(capsys, "catalog", "--dim", "1", "--out", str(tmp_path))
+
+
+# JSON strings and the NaN/Infinity literals Python's json module accepts
+@pytest.mark.parametrize("value", ['"nan"', "NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("law", [
+    '{"family":"semidirect_rr","params":{"c":%s}}',
+    '{"family":"from_cocycle","params":{"cocycle":"heis","c":%s}}',
+], ids=["semidirect_rr", "from_cocycle"])
+def test_non_finite_law_parameter_is_an_input_error(capsys, law, value):
+    _assert_input_error(capsys, "order-check", "--law", law % value, "--order", "1,0")
+
+
+def test_not_an_ordered_group_message_prints_plain_floats(capsys):
+    code = main(["classify", "--law", _SD, "--order", "0,1"])
+    err = capsys.readouterr().err
+    assert code == 3 and "np.float64" not in err
+    m = re.fullmatch(r"domain error: pair is not an ordered group: (left|right) translation "
+                     r"fails at g=\[(.*)\], h=\[(.*)\], h'=\[(.*)\]\n", err)
+    assert m is not None
+    for coords in m.groups()[1:]:
+        assert all(math.isfinite(float(v)) for v in coords.split(", "))

@@ -1,0 +1,75 @@
+"""Golden digests of whole CLI reports: the exit code and the stdout bytes.
+
+Every sampled check evaluates its rows in blocks of tolerance.BLOCK_ROWS and
+reduces across blocks with max/any/first, which must give the bytes the
+whole-array evaluation gave. The requests are the benchmark's 10^6-sample
+commands run at 40003 samples, so each check spans several blocks and ends
+in a ragged one, plus the overflow, NaN and non-ordered cases. The digests
+were recorded from the whole-array evaluation.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from ordgroups.cli import main
+
+SAMPLES = "40003"
+
+
+def _law(family, **params):
+    return json.dumps({"family": family, "params": params}, sort_keys=True)
+
+
+_SD300 = _law("semidirect_rr", c=300.0)
+
+REQUESTS = {
+    "axioms t_k": ("axioms", "--law", _law("t_k", k=1.0)),
+    "order-check k_cd conj": ("order-check", "--law", _law("k_cd", c=1.0, d=1.0),
+                              "--order", "0,1,2", "--normal-coords", "1,2"),
+    "order-check semidirect_rr": ("order-check", "--law", _law("semidirect_rr", c=1.0),
+                                  "--order", "1,0"),
+    "classify e_c": ("classify", "--law", _law("e_c", c=-4.0), "--order", "0,1,2"),
+    "classify g_cd": ("classify", "--law", _law("g_cd", c=1.0, d=2.0), "--order", "0,1,2"),
+    "classify t_k": ("classify", "--law", _law("t_k", k=1.0), "--order", "2,1,0"),
+    "witness-verify": ("witness-verify", "--source", _law("semidirect_rr", c=2.0),
+                       "--target", _law("semidirect_rr", c=1.0), "--matrix", "[[1,0],[0,2]]",
+                       "--source-order", "1,0", "--target-order", "1,0"),
+    "cocycle-check g3": ("cocycle-check", "--cocycle", '{"cocycle":"g3","k":1}'),
+    # the non-ordered control: its counterexample is the first failing pair
+    "order-check control": ("order-check", "--law", _law("semidirect_rr", c=1.0),
+                            "--order", "0,1"),
+    # e^{300 y} overflows: the axioms report overflow, the witness a NaN residual
+    "axioms overflow": ("axioms", "--law", _SD300),
+    "witness-verify nan": ("witness-verify", "--source", _SD300, "--target", _SD300,
+                           "--matrix", "[[1,0],[0,1]]"),
+}
+
+DIGESTS = {
+    "axioms overflow": (4, "7a80f0ca49b67656bc262d3927e0419d6849264729940623cb741c9b343794ca"),
+    "axioms t_k": (0, "fef5a09e7abf41ddca2023e9f13008c7c2b42d408990bd88319260c75e40787b"),
+    "classify e_c": (0, "20d8326b5ba3670887f379f25391fed164f8ae8acd3d2362ee77111e17ef9253"),
+    "classify g_cd": (0, "343e3174908ab99075c7b5c610c7371e2e7123ca304192a7adff6851f2631b68"),
+    "classify t_k": (0, "2151eb6cd9c356ca2a0bd74c29caa42418692c968d7e664493cc22cfdbaae478"),
+    "cocycle-check g3": (0, "5b9bdc9cca3e24e4e0af8e6f0adbc239ab5c839cabfbdf9a017fdf0a12a8ba54"),
+    "order-check control": (4, "079c5c6147b1507571e398428c4d80c91d836bb9d6734a8b3f55a5b12faf9256"),
+    "order-check k_cd conj": (0, "9c8168924f3fe1b818b6b82b69bb8b109ab600a55d073c8670d1166c398d76c7"),
+    "order-check semidirect_rr": (0, "3aa392208fcea10ad30eb135c589c185ce5110d0961929330e90c6f0e42775eb"),
+    "witness-verify": (0, "0c6fbdc109aad97f462cb8d21e8ce481cb7fc8b14ddc6ab902289831b19ceec6"),
+    "witness-verify nan": (4, "930cdf3c8f006ba435fd835d7d4439591a61ee6820607cbb97319d3aff76618b"),
+}
+
+
+def _report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--samples", SAMPLES, "--seed", "4242"])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_report_bytes_match_the_recorded_digest(name):
+    assert _report(REQUESTS[name]) == DIGESTS[name]

@@ -55,3 +55,24 @@ def test_law_descriptor_requires_family():
         law_from_descriptor({"params": {}})
     with pytest.raises(InputError):
         law_from_descriptor({"family": "g_cd", "params": {"c": 1.0}})  # missing d
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("desc", [
+    {"family": "e_c", "params": {"c": None}},
+    {"family": "g_cd", "params": {"c": 1.0, "d": None}},
+    {"family": "t_k", "params": {"k": None}},
+    {"family": "from_cocycle", "params": {"cocycle": "heis", "c": None}},
+    {"family": "from_cocycle", "params": {"cocycle": "g3", "k": None}},
+], ids=["e_c", "g_cd", "t_k", "from_cocycle-heis", "from_cocycle-g3"])
+def test_law_parameters_must_be_finite(desc, value):
+    params = {k: (value if v is None else v) for k, v in desc["params"].items()}
+    with pytest.raises(InputError, match="must be finite"):
+        law_from_descriptor({**desc, "params": params})
+
+
+def test_law_parameters_must_be_numbers():
+    with pytest.raises(InputError, match="not a number"):
+        law_from_descriptor({"family": "semidirect_rr", "params": {"c": "one"}})
+    with pytest.raises(InputError, match="not a number"):
+        law_from_descriptor({"family": "from_cocycle", "params": {"cocycle": "g3", "k": [1]}})
