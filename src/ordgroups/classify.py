@@ -33,6 +33,8 @@ from .groups import (
     SemidirectRR,
     SUT3,
     Tk,
+    commutator,
+    conjugate,
     heis_to_sut3,
     heisenberg,
     sut3_to_heis,
@@ -626,19 +628,16 @@ def _invariant_values(spec: OrderedGroupSpec, cfg: SampleConfig) -> dict:
             -box, box, size=count)
         return v
 
-    def conj(g, h):
-        return law.mul(law.mul(g, h), law.inv(g))
-
     values: dict = {}
     if dim >= 2:
         if dim == 2:
             a = rng.uniform(-box, box, size=(count, dim))
             b = rng.uniform(-box, box, size=(count, dim))
-            comm = law.mul(law.mul(law.mul(a, b), law.inv(a)), law.inv(b))
+            comm = commutator(law, a, b)
             values["abelian"] = bool(np.max(np.abs(comm)) <= _SIGN_TOL * 1e3)
             g = rand_g()
             h = supported(sig[1], positive=True)
-            delta = conj(g, h)[:, sig[1]] - h[:, sig[1]]
+            delta = conjugate(law, g, h)[:, sig[1]] - h[:, sig[1]]
             values["fiber_conjugation_direction"] = _mixed_sign_profile(
                 delta, float(np.max(np.abs(h))))
             return values
@@ -650,7 +649,7 @@ def _invariant_values(spec: OrderedGroupSpec, cfg: SampleConfig) -> dict:
         for idx in plane:
             pa[:, idx] = rng.uniform(-box, box, size=count)
             pb[:, idx] = rng.uniform(-box, box, size=count)
-        comm = law.mul(law.mul(law.mul(pa, pb), law.inv(pa)), law.inv(pb))
+        comm = commutator(law, pa, pb)
         scale = float(np.max(np.abs(law.mul(pa, pb))))
         values["abelian_convex_plane"] = bool(
             np.max(np.abs(comm)) <= _SIGN_TOL * max(1.0, scale) * 10
@@ -658,21 +657,21 @@ def _invariant_values(spec: OrderedGroupSpec, cfg: SampleConfig) -> dict:
 
         g = rand_g()
         h_mid = supported(sig[1], positive=True)
-        comm2 = law.mul(law.mul(law.mul(g, h_mid), law.inv(g)), law.inv(h_mid))
+        comm2 = commutator(law, g, h_mid)
         values["commutator_sign"] = _mixed_sign_profile(
             comm2[:, sig[2]], float(np.max(np.abs(comm2))))
 
         h_fib = supported(sig[2], positive=True)
-        delta = conj(g, h_fib)[:, sig[2]] - h_fib[:, sig[2]]
+        delta = conjugate(law, g, h_fib)[:, sig[2]] - h_fib[:, sig[2]]
         values["fiber_conjugation_direction"] = _mixed_sign_profile(
             delta, float(np.max(np.abs(h_fib))))
 
-        delta = conj(g, h_mid)[:, sig[1]] - h_mid[:, sig[1]]
+        delta = conjugate(law, g, h_mid)[:, sig[1]] - h_mid[:, sig[1]]
         values["middle_conjugation_direction"] = _mixed_sign_profile(
             delta, float(np.max(np.abs(h_mid))))
 
         u_mid = supported(sig[1], positive=True)
-        delta = conj(u_mid, h_fib)[:, sig[2]] - h_fib[:, sig[2]]
+        delta = conjugate(law, u_mid, h_fib)[:, sig[2]] - h_fib[:, sig[2]]
         values["middle_action_on_fiber"] = _mixed_sign_profile(
             delta, float(np.max(np.abs(h_fib))))
     return values

@@ -13,7 +13,7 @@ Cochain callables must be pure and accept stacked arguments of shape
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -55,10 +55,14 @@ def g3_module(c: float = 1.0) -> GModule:
 
 @dataclass(frozen=True)
 class Cochain:
+    """A degree-n cochain; a named one carries its descriptor, e.g.
+    {"cocycle": "heis", "c": 0.5}, which its extension law reports."""
+
     degree: int
     fn: Callable
     module: GModule
-    tag: str | None = None
+    # left out of eq and hash: a dict would make the cochain unhashable
+    descriptor: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.degree < 0:
@@ -83,7 +87,8 @@ def heis_cocycle(c: float) -> Cochain:
     def fn(g, h):
         return (c * (g[..., 0] * h[..., 1] - g[..., 1] * h[..., 0]))[..., None]
 
-    return Cochain(degree=2, fn=fn, module=heis_module(), tag="heis")
+    return Cochain(degree=2, fn=fn, module=heis_module(),
+                   descriptor={"cocycle": "heis", "c": float(c)})
 
 
 def g3_cocycle(k: float) -> Cochain:
@@ -92,7 +97,8 @@ def g3_cocycle(k: float) -> Cochain:
     def fn(g, h):
         return (k * h[..., 0] * g[..., 1] * np.exp(g[..., 1]))[..., None]
 
-    return Cochain(degree=2, fn=fn, module=g3_module(1.0), tag="g3")
+    return Cochain(degree=2, fn=fn, module=g3_module(1.0),
+                   descriptor={"cocycle": "g3", "k": float(k)})
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -175,13 +181,14 @@ def normalize_cocycle(f: Cochain) -> Cochain:
     def fn(g, h):
         return f.fn(g, h) - shift.fn(g, h)
 
-    return Cochain(degree=2, fn=fn, module=module, tag=f.tag)
+    return Cochain(degree=2, fn=fn, module=module, descriptor=f.descriptor)
 
 
 @dataclass(frozen=True)
 class CocycleLaw(GroupLaw):
     """Extension law on module-first coordinates (N..., H...) built from a 2-cocycle."""
 
+    family = "from_cocycle"
     module: GModule
     cochain: Cochain
 
@@ -206,15 +213,8 @@ class CocycleLaw(GroupLaw):
         return np.concatenate([-self.module.act(ginv, corr), ginv], axis=-1)
 
     def descriptor(self):
-        params = {}
-        if self.cochain.tag == "heis":
-            # recover the coefficient from f((1,0),(0,1))
-            params = {"cocycle": "heis", "c": float(self.cochain.fn(
-                np.array([1.0, 0.0]), np.array([0.0, 1.0]))[0])}
-        elif self.cochain.tag == "g3":
-            params = {"cocycle": "g3", "k": float(self.cochain.fn(
-                np.array([0.0, 1.0]), np.array([1.0, 0.0]))[0] / np.e)}
-        return {"family": "from_cocycle", "params": params, "dim": self.dim}
+        params = dict(self.cochain.descriptor or {})
+        return {"family": self.family, "params": params, "dim": self.dim}
 
 
 def extension_from_cocycle(

@@ -12,11 +12,15 @@ Every law acts on flat coordinate vectors; the chart conventions are:
   Product(a, b)      concatenated charts
 
 All operations broadcast over stacked inputs of shape (..., dim).
+
+A law's descriptor is {"family", "params", "dim"}: its class's family name
+and its dataclass fields, so the fields are the one statement of the format
+that jsonio.law_from_descriptor reads back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,19 +29,31 @@ from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, row_blocks
 
 
 def as_coords(x, dim: int | None = None) -> np.ndarray:
-    """Validate a single element: finite 1-d float vector of the given length."""
+    """Validate elements: a finite float array of shape (..., dim), one element
+    per row of the leading axes."""
     a = np.asarray(x, dtype=float)
-    if a.ndim != 1:
-        raise InputError(f"element must be a flat coordinate vector, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
-        raise InputError(f"element has {a.shape[0]} coordinates, law expects {dim}")
+    if a.ndim == 0:
+        raise InputError("element must be a coordinate vector, got a scalar")
+    if dim is not None and a.shape[-1] != dim:
+        raise InputError(f"element has {a.shape[-1]} coordinates, law expects {dim}")
     if not np.all(np.isfinite(a)):
         raise InputError("element coordinates must be finite")
     return a
 
 
+def _element(x, dim: int) -> np.ndarray:
+    """Validate exactly one element, for the operations that take no stack."""
+    a = as_coords(x, dim)
+    if a.ndim != 1:
+        raise InputError(f"element must be a flat coordinate vector, got shape {a.shape}")
+    return a
+
+
 class GroupLaw:
-    """Base for all chart group laws. Subclasses are immutable."""
+    """Base for all chart group laws. Subclasses are immutable dataclasses
+    whose fields are the law's parameters; `family` names them in descriptors."""
+
+    family: str
 
     @property
     def dim(self) -> int:
@@ -53,16 +69,23 @@ class GroupLaw:
         return np.zeros(self.dim)
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        params = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            params[f.name] = value.descriptor() if isinstance(value, GroupLaw) else value
+        return {"family": self.family, "params": params, "dim": self.dim}
 
 
 @dataclass(frozen=True)
 class Additive(GroupLaw):
+    family = "additive"
     n: int = 1
 
     def __post_init__(self):
+        # a membership test, so 2.0 is 2 and 2.5 is rejected
         if self.n not in (1, 2, 3):
-            raise InputError("additive charts cover dimensions 1 to 3")
+            raise InputError(f"additive charts cover the dimensions 1, 2 and 3, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def dim(self):
@@ -74,17 +97,12 @@ class Additive(GroupLaw):
     def inv(self, a):
         return -a
 
-    def descriptor(self):
-        return {"family": "additive", "params": {"n": self.n}, "dim": self.n}
-
 
 @dataclass(frozen=True)
 class SemidirectRR(GroupLaw):
+    family = "semidirect_rr"
+    dim = 2
     c: float = 1.0
-
-    @property
-    def dim(self):
-        return 2
 
     def mul(self, a, b):
         x1, y1 = a[..., 0], a[..., 1]
@@ -95,17 +113,12 @@ class SemidirectRR(GroupLaw):
         x, y = a[..., 0], a[..., 1]
         return np.stack([-np.exp(-self.c * y) * x, -y], axis=-1)
 
-    def descriptor(self):
-        return {"family": "semidirect_rr", "params": {"c": self.c}, "dim": 2}
-
 
 @dataclass(frozen=True)
 class Ec(GroupLaw):
+    family = "e_c"
+    dim = 3
     c: float
-
-    @property
-    def dim(self):
-        return 3
 
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
@@ -118,9 +131,6 @@ class Ec(GroupLaw):
         # the central correction vanishes: det of (v, -v) rows is 0
         return -a
 
-    def descriptor(self):
-        return {"family": "e_c", "params": {"c": self.c}, "dim": 3}
-
 
 def heisenberg() -> Ec:
     """The Heisenberg chart: Ec with the half-determinant cocycle."""
@@ -129,9 +139,8 @@ def heisenberg() -> Ec:
 
 @dataclass(frozen=True)
 class SUT3(GroupLaw):
-    @property
-    def dim(self):
-        return 3
+    family = "sut3"
+    dim = 3
 
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
@@ -142,18 +151,13 @@ class SUT3(GroupLaw):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
         return np.stack([-x, -y, x * y - z], axis=-1)
 
-    def descriptor(self):
-        return {"family": "sut3", "params": {}, "dim": 3}
-
 
 @dataclass(frozen=True)
 class GCd(GroupLaw):
+    family = "g_cd"
+    dim = 3
     c: float
     d: float
-
-    @property
-    def dim(self):
-        return 3
 
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
@@ -165,18 +169,13 @@ class GCd(GroupLaw):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
         return np.stack([-x, -y, -np.exp(-(self.c * x + self.d * y)) * z], axis=-1)
 
-    def descriptor(self):
-        return {"family": "g_cd", "params": {"c": self.c, "d": self.d}, "dim": 3}
-
 
 @dataclass(frozen=True)
 class KCd(GroupLaw):
+    family = "k_cd"
+    dim = 3
     c: float
     d: float
-
-    @property
-    def dim(self):
-        return 3
 
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
@@ -192,17 +191,12 @@ class KCd(GroupLaw):
             [-x, -np.exp(-self.c * x) * y, -np.exp(-self.d * x) * z], axis=-1
         )
 
-    def descriptor(self):
-        return {"family": "k_cd", "params": {"c": self.c, "d": self.d}, "dim": 3}
-
 
 @dataclass(frozen=True)
 class Tk(GroupLaw):
+    family = "t_k"
+    dim = 3
     k: float
-
-    @property
-    def dim(self):
-        return 3
 
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
@@ -217,9 +211,6 @@ class Tk(GroupLaw):
         e = np.exp(-z)
         return np.stack([e * (self.k * y * z - x), -y * e, -z], axis=-1)
 
-    def descriptor(self):
-        return {"family": "t_k", "params": {"k": self.k}, "dim": 3}
-
 
 def g3() -> Tk:
     """The nonsplit affine-group extension in its unit-cocycle chart."""
@@ -228,6 +219,7 @@ def g3() -> Tk:
 
 @dataclass(frozen=True)
 class Product(GroupLaw):
+    family = "product"
     a: GroupLaw
     b: GroupLaw
 
@@ -245,13 +237,6 @@ class Product(GroupLaw):
     def inv(self, u):
         k = self.a.dim
         return np.concatenate([self.a.inv(u[..., :k]), self.b.inv(u[..., k:])], axis=-1)
-
-    def descriptor(self):
-        return {
-            "family": "product",
-            "params": {"a": self.a.descriptor(), "b": self.b.descriptor()},
-            "dim": self.dim,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +294,7 @@ def one_param_through(law: KCd, g, w) -> np.ndarray:
     """
     if not isinstance(law, KCd):
         raise InputError("one_param_through is defined on KCd charts")
-    g = as_coords(g, 3)
+    g = _element(g, 3)
     w = np.asarray(w, dtype=float)
     t, u, v = g[0], g[1], g[2]
 

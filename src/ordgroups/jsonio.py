@@ -8,60 +8,57 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .actions import ExpAction
-from .cohomology import extension_from_cocycle, g3_cocycle, g3_module, heis_cocycle, heis_module
+from .cohomology import Cochain, extension_from_cocycle, g3_cocycle, heis_cocycle
 from .errors import InputError
-from .groups import (
-    Additive,
-    Ec,
-    GCd,
-    GroupLaw,
-    KCd,
-    Product,
-    SemidirectRR,
-    SUT3,
-    Tk,
-)
+from .groups import Additive, Ec, GCd, GroupLaw, KCd, Product, SemidirectRR, SUT3, Tk
 from .orders import LexOrder
+
+# family name -> law class; each field of the class is one descriptor parameter
+_FAMILIES = {cls.family: cls for cls in (Additive, SemidirectRR, Ec, SUT3, GCd, KCd, Tk, Product)}
 
 
 def law_from_descriptor(desc: dict) -> GroupLaw:
-    """Build a group law from its JSON descriptor."""
+    """Build a group law from its JSON descriptor (the inverse of `descriptor()`)."""
     if not isinstance(desc, dict) or "family" not in desc:
         raise InputError("law descriptor must be an object with a 'family' field")
     family = desc["family"]
     params = desc.get("params", {}) or {}
-
-    def need(key):
-        if key not in params:
-            raise InputError(f"family {family!r} needs parameter {key!r}")
-        return _finite(params[key], key)
-
-    if family == "additive":
-        n = int(params.get("n", desc.get("dim", 1)))
-        return Additive(n)
-    if family == "semidirect_rr":
-        return SemidirectRR(need("c"))
-    if family == "e_c":
-        return Ec(need("c"))
-    if family == "sut3":
-        return SUT3()
-    if family == "g_cd":
-        return GCd(need("c"), need("d"))
-    if family == "k_cd":
-        return KCd(need("c"), need("d"))
-    if family == "t_k":
-        return Tk(need("k"))
-    if family == "product":
-        if "a" not in params or "b" not in params:
-            raise InputError("product law needs sub-descriptors 'a' and 'b'")
-        return Product(law_from_descriptor(params["a"]), law_from_descriptor(params["b"]))
+    if not isinstance(params, dict):
+        raise InputError(f"family {family!r} needs a 'params' object")
     if family == "from_cocycle":
-        return _cocycle_law_from_params(params)
-    raise InputError(f"unknown law family {family!r}")
+        f = named_cocycle(params)
+        return extension_from_cocycle(f.module, f)
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise InputError(f"unknown law family {family!r}")
+    if cls is Additive:
+        params = {"n": desc.get("dim", 1), **params}
+    hints = get_type_hints(cls)
+    args = {}
+    for f in fields(cls):
+        if f.name not in params:
+            raise InputError(f"family {family!r} needs parameter {f.name!r}")
+        value = params[f.name]
+        is_law = hints[f.name] is GroupLaw
+        args[f.name] = law_from_descriptor(value) if is_law else _finite(value, f.name)
+    return cls(**args)
+
+
+def named_cocycle(desc: dict) -> Cochain:
+    """The 2-cocycle a descriptor names: {"cocycle": "heis", "c": c}, c 0.5 by
+    default, or {"cocycle": "g3", "k": k}, k 1 by default."""
+    name = desc.get("cocycle") if isinstance(desc, dict) else None
+    if name == "heis":
+        return heis_cocycle(_finite(desc.get("c", 0.5), "c"))
+    if name == "g3":
+        return g3_cocycle(_finite(desc.get("k", 1.0), "k"))
+    raise InputError("a cocycle descriptor is an object naming the cocycle 'heis' or 'g3'")
 
 
 def _finite(value, key: str) -> float:
@@ -74,17 +71,6 @@ def _finite(value, key: str) -> float:
     if not math.isfinite(x):
         raise InputError(f"parameter {key!r} must be finite, got {value!r}")
     return x
-
-
-def _cocycle_law_from_params(params: dict) -> GroupLaw:
-    name = params.get("cocycle")
-    if name == "heis":
-        f = heis_cocycle(_finite(params.get("c", 0.5), "c"))
-        return extension_from_cocycle(heis_module(), f)
-    if name == "g3":
-        f = g3_cocycle(_finite(params.get("k", 1.0), "k"))
-        return extension_from_cocycle(g3_module(1.0), f)
-    raise InputError("from_cocycle descriptors support the named cocycles 'heis' and 'g3'")
 
 
 def order_from_descriptor(desc) -> LexOrder:

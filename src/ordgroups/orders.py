@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .groups import GroupLaw, as_coords
+from .groups import GroupLaw, _element
 from .tolerance import SampleConfig, first_row, row_blocks
 
 
@@ -51,8 +51,8 @@ class OrderedGroupSpec:
 
 
 def compare(order: LexOrder, a, b) -> Comparison:
-    a = as_coords(a, order.dim)
-    b = as_coords(b, order.dim)
+    a = _element(a, order.dim)
+    b = _element(b, order.dim)
     for idx in order.significance:
         if a[idx] < b[idx]:
             return Comparison.LT

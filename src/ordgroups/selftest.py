@@ -41,6 +41,7 @@ from .groups import (
     SUT3,
     Tk,
     check_group_axioms,
+    commutator,
     heis_to_sut3,
     heisenberg,
     one_param_through,
@@ -377,7 +378,7 @@ def criterion_separating_invariants(cfg: RunConfig) -> CriterionResult:
             rng.uniform(0.5, sc.box, n),
             rng.uniform(-sc.box, sc.box, n),
         ])
-        comm = law.mul(law.mul(law.mul(g, h), law.inv(g)), law.inv(h))
+        comm = commutator(law, g, h)
         expect = np.column_stack(
             [np.zeros(n), np.zeros(n), 2.0 * c * g[:, 0] * h[:, 1]])
         exact_ok = exact_ok and float(np.max(np.abs(comm - expect))) <= cfg.abs_tol

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,7 @@ def test_installed_entry_point_runs():
 
 _SD = '{"family":"semidirect_rr","params":{"c":1}}'
 _R3 = '{"family":"additive","params":{"n":3}}'
+_SD300 = '{"family":"semidirect_rr","params":{"c":300}}'
 
 
 def _assert_input_error(capsys, *argv):
@@ -306,6 +308,33 @@ def test_out_naming_a_directory_is_an_input_error(tmp_path, capsys):
 ], ids=["semidirect_rr", "from_cocycle"])
 def test_non_finite_law_parameter_is_an_input_error(capsys, law, value):
     _assert_input_error(capsys, "order-check", "--law", law % value, "--order", "1,0")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cocycle-check", "--cocycle", '{"cocycle":"heis","c":"nan"}'),
+    ("cocycle-check", "--cocycle", "[1]"),
+    ("cocycle-check", "--cocycle", '"x"'),
+    ("cocycle-check", "--cocycle", '{"cocycle":"g3","k":"abc"}'),
+    ("axioms", "--law", '{"family":"additive","params":{"n":"nan"}}'),
+    ("axioms", "--law", '{"family":"additive","params":{"n":2.5}}'),
+], ids=["cocycle-nan", "cocycle-list", "cocycle-string", "cocycle-text", "additive-nan",
+        "additive-2.5"])
+def test_bad_descriptor_is_an_input_error(capsys, argv):
+    _assert_input_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness-verify", "--source", _SD300, "--target", _SD300, "--matrix", "[[1,0],[0,1]]"),
+    ("cocycle-check", "--cocycle", '{"cocycle":"g3","k":1e300}', "--box", "50"),
+], ids=["witness-verify", "cocycle-check"])
+def test_overflow_leaves_stderr_empty(capsys, argv):
+    # the reports carry the NaN; numpy's RuntimeWarnings must not reach stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    assert code == 4
+    assert caught == []
+    assert capsys.readouterr().err == ""
 
 
 def test_not_an_ordered_group_message_prints_plain_floats(capsys):

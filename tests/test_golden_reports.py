@@ -5,7 +5,9 @@ reduces across blocks with max/any/first, which must give the bytes the
 whole-array evaluation gave. The requests are the benchmark's 10^6-sample
 commands run at 40003 samples, so each check spans several blocks and ends
 in a ragged one, plus the overflow, NaN and non-ordered cases. The digests
-were recorded from the whole-array evaluation.
+were recorded from the whole-array evaluation; those of `catalog` and the
+two law descriptors, from the per-class descriptor methods the law fields
+replaced.
 """
 
 import contextlib
@@ -25,6 +27,8 @@ def _law(family, **params):
 
 
 _SD300 = _law("semidirect_rr", c=300.0)
+_NESTED = _law("product", a={"family": "semidirect_rr", "params": {"c": -2.0}},
+               b={"family": "additive", "params": {"n": 1}})
 
 REQUESTS = {
     "axioms t_k": ("axioms", "--law", _law("t_k", k=1.0)),
@@ -46,14 +50,22 @@ REQUESTS = {
     "axioms overflow": ("axioms", "--law", _SD300),
     "witness-verify nan": ("witness-verify", "--source", _SD300, "--target", _SD300,
                            "--matrix", "[[1,0],[0,1]]"),
+    # law descriptors: 17 canonical laws, a cocycle law, a nested product
+    "catalog": ("catalog",),
+    "axioms from_cocycle heis": ("axioms", "--law",
+                                 _law("from_cocycle", cocycle="heis", c=0.5)),
+    "axioms product": ("axioms", "--law", _NESTED),
 }
 
 DIGESTS = {
     "axioms overflow": (4, "7a80f0ca49b67656bc262d3927e0419d6849264729940623cb741c9b343794ca"),
+    "axioms from_cocycle heis": (0, "9b89f9e81324697e6d3d70cb1af23e4e93ac41f2fc00265cafa3b7b44a958258"),
+    "axioms product": (0, "b9259b1249ebae1144dbe3f83554b43a85ed671f2c601f803c2b6e42a2a71e4c"),
     "axioms t_k": (0, "fef5a09e7abf41ddca2023e9f13008c7c2b42d408990bd88319260c75e40787b"),
     "classify e_c": (0, "20d8326b5ba3670887f379f25391fed164f8ae8acd3d2362ee77111e17ef9253"),
     "classify g_cd": (0, "343e3174908ab99075c7b5c610c7371e2e7123ca304192a7adff6851f2631b68"),
     "classify t_k": (0, "2151eb6cd9c356ca2a0bd74c29caa42418692c968d7e664493cc22cfdbaae478"),
+    "catalog": (0, "20c1b223dba972d1d537445fdd4f87543ce6a9a39ef2f9c1e7951c04d1c6ca52"),
     "cocycle-check g3": (0, "5b9bdc9cca3e24e4e0af8e6f0adbc239ab5c839cabfbdf9a017fdf0a12a8ba54"),
     "order-check control": (4, "079c5c6147b1507571e398428c4d80c91d836bb9d6734a8b3f55a5b12faf9256"),
     "order-check k_cd conj": (0, "9c8168924f3fe1b818b6b82b69bb8b109ab600a55d073c8670d1166c398d76c7"),

@@ -10,6 +10,7 @@ from ordgroups import (
     GCd,
     InputError,
     KCd,
+    LexOrder,
     Product,
     SampleConfig,
     SemidirectRR,
@@ -17,6 +18,7 @@ from ordgroups import (
     Tk,
     check_group_axioms,
     commutator,
+    compare,
     conjugate,
     extension_from_cocycle,
     heis_cocycle,
@@ -186,6 +188,30 @@ def test_commutator_identity_in_central_family_is_exact():
             assert np.allclose(got, [0, 0, 2 * c * a * k], atol=1e-12)
 
 
+@pytest.mark.parametrize("law", [Tk(1.0), KCd(1.0, -2.0), Product(SemidirectRR(1.0), Additive(1))])
+@pytest.mark.parametrize("op", [multiply, conjugate, commutator])
+def test_element_ops_on_a_stack_equal_the_row_by_row_calls(op, law):
+    g = RNG.uniform(-3, 3, (4, 5, 3))
+    h = RNG.uniform(-3, 3, (4, 5, 3))
+    rows = [op(law, gi, hi) for gi, hi in zip(g.reshape(-1, 3), h.reshape(-1, 3))]
+    assert np.array_equal(op(law, g, h), np.reshape(rows, (4, 5, 3)))
+    assert np.array_equal(invert(law, g), np.reshape([invert(law, gi) for gi in g.reshape(-1, 3)],
+                                                     (4, 5, 3)))
+
+
+def test_stacked_elements_are_still_validated():
+    with pytest.raises(InputError):
+        commutator(Tk(1.0), np.zeros((4, 2)), np.zeros((4, 2)))  # wrong last axis
+    with pytest.raises(InputError):
+        conjugate(Tk(1.0), np.full((4, 3), np.nan), np.zeros((4, 3)))
+    with pytest.raises(InputError):
+        invert(Additive(1), 1.0)  # a 0-d element
+    with pytest.raises(InputError):
+        one_param_through(KCd(1.0, 1.0), np.zeros((2, 3)), np.array(0.5))
+    with pytest.raises(InputError):
+        compare(LexOrder((0, 1)), np.zeros((2, 2)), np.ones((2, 2)))
+
+
 def test_center_of_central_extension_commutes_exactly():
     law = Ec(2.0)
     for _ in range(100):
@@ -306,12 +332,22 @@ def test_law_descriptor_round_trip(law):
 
 
 def test_from_cocycle_descriptor_round_trip():
-    desc = {"family": "from_cocycle", "params": {"cocycle": "heis", "c": 0.5}}
-    law = law_from_descriptor(desc)
-    out = law.descriptor()
-    assert out["family"] == "from_cocycle"
-    assert out["params"]["cocycle"] == "heis"
-    assert out["params"]["c"] == pytest.approx(0.5)
+    # k used to be read back from the cochain as f((0,1),(1,0))/e, which is an
+    # ulp off for -2.98
+    cases = [{"cocycle": "heis", "c": 0.5}]
+    cases += [{"cocycle": "g3", "k": k} for k in (-2.98, 0.1, 1.0)]
+    for params in cases:
+        desc = {"family": "from_cocycle", "params": params}
+        out = law_from_descriptor(desc).descriptor()
+        assert out == {**desc, "dim": 3}
+        assert law_from_descriptor(out).descriptor() == out
+
+
+def test_additive_dimension_is_an_integer():
+    assert Additive(2.0) == Additive(2) and type(Additive(2.0).n) is int
+    for n in (0, 2.5, 4):
+        with pytest.raises(InputError):
+            Additive(n)
 
 
 def test_unknown_family_rejected():

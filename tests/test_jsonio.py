@@ -76,3 +76,36 @@ def test_law_parameters_must_be_numbers():
         law_from_descriptor({"family": "semidirect_rr", "params": {"c": "one"}})
     with pytest.raises(InputError, match="not a number"):
         law_from_descriptor({"family": "from_cocycle", "params": {"cocycle": "g3", "k": [1]}})
+
+
+@pytest.mark.parametrize("n", [2, 2.0, "2"])
+def test_additive_n_is_normalised_to_an_integer(n):
+    law = law_from_descriptor({"family": "additive", "params": {"n": n}})
+    assert law.descriptor() == {"family": "additive", "params": {"n": 2}, "dim": 2}
+    assert type(law.n) is int
+
+
+def test_additive_falls_back_to_dim():
+    assert law_from_descriptor({"family": "additive", "dim": 3}).dim == 3
+    assert law_from_descriptor({"family": "additive"}).dim == 1
+
+
+@pytest.mark.parametrize("desc", [
+    {"family": ["e_c"]},
+    {"family": "e_c", "params": [1]},
+    {"family": "e_c", "params": "c"},
+    {"family": "product", "params": {"a": {"family": "sut3"}}},
+    {"family": "from_cocycle", "params": {"cocycle": "zz"}},
+])
+def test_malformed_descriptors_are_input_errors(desc):
+    with pytest.raises(InputError):
+        law_from_descriptor(desc)
+
+
+def test_the_family_table_covers_every_law_class():
+    from ordgroups import groups, jsonio
+
+    laws = {cls for cls in vars(groups).values()
+            if isinstance(cls, type) and issubclass(cls, groups.GroupLaw)}
+    laws.remove(groups.GroupLaw)
+    assert set(jsonio._FAMILIES.values()) == laws
