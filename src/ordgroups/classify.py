@@ -42,11 +42,11 @@ from .groups import (
 from .orders import (
     LexOrder,
     OrderedGroupSpec,
+    SampledPairs,
     _ordered_pairs,
     _translation_report,
-    lex_less,
 )
-from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, first_row, row_blocks
+from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, row_blocks
 
 _SIGN_TOL = 1e-9
 
@@ -210,15 +210,15 @@ def verify_witness(
     w: IsoWitness, cfg: SampleConfig = SampleConfig(), tol: Tolerance = DEFAULT_TOL
 ) -> WitnessReport:
     """Homomorphism, round-trip and (when claimed) order-monotonicity residuals."""
-    invertible = True
-    if w.matrix is not None:
-        det = float(np.linalg.det(w.matrix))
-        invertible = abs(det) > 1e-12
+    # a condition number, unlike a determinant, does not change when the
+    # matrix is rescaled; the bound 1/(n eps) is the one numpy's matrix_rank
+    # applies, and a singular or non-finite matrix has an inf or NaN one
+    if w.matrix is not None and not (
+            np.linalg.cond(w.matrix, 1) < 1.0 / (len(w.matrix) * np.finfo(float).eps)):
+        return WitnessReport(float("inf"), float("inf"), False, False, None, cfg.count)
 
     a = cfg.sample(w.source.dim, stream=61)
     b = cfg.sample(w.source.dim, stream=62)
-    if not invertible:
-        return WitnessReport(float("inf"), float("inf"), False, False, None, cfg.count)
 
     # per block: max |w(ab) - w(a)w(b)|, max |w^-1(w(a)) - a|, max |w(a)w(b)|
     worst = np.full(3, -np.inf)
@@ -236,15 +236,15 @@ def verify_witness(
 
     order_ok = None
     if w.order_pair is not None:
-        order_ok = _order_monotone(w, *_ordered_pairs(w.order_pair[0], cfg, w.source.dim))
+        order_ok = _order_monotone(w, _ordered_pairs(w.order_pair[0], cfg, w.source.dim))
 
-    return WitnessReport(hom, roundtrip, invertible, group_ok, order_ok, cfg.count)
+    return WitnessReport(hom, roundtrip, True, group_ok, order_ok, cfg.count)
 
 
-def _order_monotone(w: IsoWitness, lo: np.ndarray, hi: np.ndarray) -> bool:
+def _order_monotone(w: IsoWitness, pairs: SampledPairs) -> bool:
     """Whether w maps each source pair lo < hi to an increasing target pair."""
-    return first_row(lo.shape[0], lambda rows: ~lex_less(
-        w.order_pair[1], w.apply(lo[rows]), w.apply(hi[rows]))) is None
+    return pairs.first_misordered(
+        w.order_pair[1], lambda block: (w.apply(block.a), w.apply(block.b))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ def classify_ordered(
     spec = OrderedGroupSpec(law, order)
     # one draw of h < h' pairs serves the translation check and the witness
     pairs = _ordered_pairs(order, cfg, law.dim)
-    report = _translation_report(spec, cfg, *pairs)
+    report = _translation_report(spec, cfg, pairs)
     if not report.passed:
         ce = report.counterexample_left or report.counterexample_right
         side = "left" if report.counterexample_left else "right"
@@ -445,7 +445,7 @@ def classify_ordered(
     rep = verify_witness(wit, cfg, tol)
     wit = dataclasses.replace(wit, order_pair=(order, cls.order))
     if rep.invertible:
-        rep = dataclasses.replace(rep, order_ok=_order_monotone(wit, *pairs))
+        rep = dataclasses.replace(rep, order_ok=_order_monotone(wit, pairs))
     return cls, dataclasses.replace(wit, verification=rep)
 
 
@@ -548,13 +548,14 @@ def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
                 canon = _cls("ProdAff_order_yxz", KCd(s, 0.0), (0, 1, 2), c=s)
             elif sig == (i_act, i_free, i_norm):
                 canon = _cls("ProdAff_order_yzx", GCd(s, 0.0), (0, 1, 2), c=s)
+            elif sig == (i_free, i_act, i_norm):
+                canon = _cls("ProdAff_order_zyx", GCd(0.0, s), (0, 1, 2), d=s)
             else:
                 canon = None
             if canon is not None:
-                matrix = np.zeros((3, 3))
-                matrix[0, i_act] = abs(c)
-                matrix[1, sig[1]] = 1.0
-                matrix[2, sig[2]] = 1.0
+                # coordinates in significance order, the acting one scaled by |c|
+                matrix = _perm_matrix(sig, (0, 1, 2))
+                matrix[:, i_act] *= abs(c)
                 return canon, linear_witness(law, canon.law, matrix)
 
     raise DomainError(

@@ -21,7 +21,7 @@ import numpy as np
 from .actions import ExpAction, act, affine_on_semidirect, scale_factors, trivial
 from .errors import DomainError, InputError
 from .groups import Additive, GroupLaw, SemidirectRR
-from .orders import LexOrder, OrderedGroupSpec, _sorted_pairs, lex_less
+from .orders import LexOrder, OrderedGroupSpec, SampledPairs
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, row_blocks
 
 
@@ -281,7 +281,7 @@ def _action_order_preserving(module: GModule, order_n: LexOrder, cfg: SampleConf
         return False
     n1 = cfg.sample(module.N.dim, stream=52, count=g.shape[0])
     n2 = cfg.sample(module.N.dim, stream=53, count=g.shape[0])
-    # each element carries its image under the action as extra columns
-    lo, hi = _sorted_pairs(order_n, np.hstack([n1, factors * n1]), np.hstack([n2, factors * n2]))
-    k = module.N.dim
-    return bool(np.all(lex_less(order_n, lo[:, k:], hi[:, k:])))
+    # factors line up with the raw rows of the draws, not with the kept pairs
+    pairs = SampledPairs(order_n, n1, n2, 1)
+    return pairs.first_misordered(order_n, lambda block: (
+        factors[block.raw] * block.a, factors[block.raw] * block.b)) is None

@@ -84,15 +84,3 @@ def row_blocks(n: int):
     """
     for start in range(0, n, BLOCK_ROWS):
         yield slice(start, min(start + BLOCK_ROWS, n))
-
-
-def first_row(n: int, bad) -> int | None:
-    """The first row below n where the row-wise mask bad(rows) is true, or None.
-
-    Evaluates bad block by block and stops at the first block with a hit.
-    """
-    for rows in row_blocks(n):
-        hits = np.flatnonzero(bad(rows))
-        if hits.size:
-            return rows.start + int(hits[0])
-    return None

@@ -96,6 +96,37 @@ def test_criterion_8_one_param_homomorphisms():
     assert result.details["max_residual"] <= 1e-9
 
 
+# seeds among 0-199 where an absolute 1e-9 bound failed on values near 1e7
+ONE_PARAM_SEEDS = (7, 37, 38, 48, 51, 71, 80, 83, 91, 95, 101, 111, 127, 128,
+                   147, 151, 163, 175, 179, 181, 193)
+
+
+def test_criterion_8_uses_the_mixed_tolerance_rule():
+    for seed in ONE_PARAM_SEEDS:
+        result = criterion_one_param_family(RunConfig(seed=seed))
+        assert result.passed, seed
+        # the reported residual is the raw one, above the absolute tolerance
+        assert result.details["max_residual"] > 1e-9, seed
+
+
+def test_criterion_8_fails_a_perturbed_homomorphism(monkeypatch):
+    from ordgroups import selftest
+
+    calls = []
+    exact = selftest.one_param_through
+
+    def perturbed(law, base, w):
+        # per (law, base) the criterion calls lhs, the two rhs factors, then
+        # the point at 1; scale lhs by 1 + 1e-6
+        calls.append(None)
+        out = exact(law, base, w)
+        return out * (1.0 + 1e-6) if len(calls) % 4 == 1 else out
+
+    monkeypatch.setattr(selftest, "one_param_through", perturbed)
+    for seed in (0,) + ONE_PARAM_SEEDS[:3]:
+        assert not criterion_one_param_family(RunConfig(seed=seed)).passed, seed
+
+
 def test_suite_summary_is_deterministic():
     from ordgroups.jsonio import dumps
 

@@ -5,21 +5,32 @@ across blocks by max, all or first failing row. Each report here is compared
 across a small odd block size (many blocks and a ragged tail), a size that
 divides the row counts, and a size above the row count (one block, the
 whole-array evaluation), NaN residuals included.
+
+The ordered-pair checks are also compared with the whole-array construction
+they replaced, which materialized the sorted pairs lo < hi.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ordgroups import tolerance
-from ordgroups.classify import linear_witness, verify_witness
-from ordgroups.cohomology import cocycle_residual, g3_cocycle, heis_cocycle
-from ordgroups.groups import GCd, KCd, SemidirectRR, Tk, check_group_axioms
+from ordgroups.actions import diagonal
+from ordgroups.classify import classify_ordered, linear_witness, verify_witness
+from ordgroups.cohomology import GModule, _action_order_preserving, cocycle_residual, \
+    g3_cocycle, heis_cocycle
+from ordgroups.groups import Additive, Ec, GCd, KCd, SemidirectRR, Tk, check_group_axioms
 from ordgroups.jsonio import dumps
 from ordgroups.orders import (
+    InvarianceReport,
     LexOrder,
     OrderedGroupSpec,
+    _ordered_pairs,
+    _supported,
     check_conjugation_order_preserving,
     check_translation_invariance,
+    lex_less,
 )
 from ordgroups.tolerance import SampleConfig, Tolerance
 
@@ -46,8 +57,6 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch):
     blocks = list(tolerance.row_blocks(20))
     assert [(b.start, b.stop) for b in blocks] == [(0, 7), (7, 14), (14, 20)]
     assert list(tolerance.row_blocks(0)) == []
-    assert tolerance.first_row(20, lambda rows: np.arange(20)[rows] >= 9) == 9
-    assert tolerance.first_row(20, lambda rows: np.zeros(rows.stop - rows.start, bool)) is None
 
 
 @pytest.mark.parametrize("law, tol", [
@@ -141,3 +150,191 @@ def test_cocycle_residual(monkeypatch, cochain, cfg, nan):
     with np.errstate(all="ignore"):
         residual = _same_at_every_block_size(monkeypatch, lambda: cocycle_residual(cochain, cfg))
     assert bool(np.isnan(residual)) is nan
+
+
+# --- the ordered pairs against the whole-array construction ------------------------
+
+
+class _CoarseSamples(SampleConfig):
+    """Samples rounded to a coarse grid, so coordinates and whole rows tie."""
+
+    def sample(self, dim, stream=0, count=None):
+        return np.round(super().sample(dim, stream, count))
+
+
+COARSE = _CoarseSamples(seed=22, count=300)
+
+
+def _whole_sorted_pairs(order, a, b):
+    """Rows of a and b (broadcast, flattened) sorted into lo < hi, ties dropped."""
+    swap = lex_less(order, b, a)
+    keep = (swap | lex_less(order, a, b)).reshape(-1)
+    lo = np.where(swap[..., None], b, a).reshape(-1, a.shape[-1])
+    hi = np.where(swap[..., None], a, b).reshape(-1, a.shape[-1])
+    return lo[keep], hi[keep]
+
+
+def _whole_ordered_pairs(order, cfg, dim):
+    h = cfg.sample(dim, stream=11)
+    hp = np.empty((dim,) + h.shape)
+    hp[:] = cfg.sample(dim, stream=12)
+    for k, idx in enumerate(order.significance[:-1]):
+        hp[k + 1:, :, idx] = h[:, idx]
+    return _whole_sorted_pairs(order, h, hp)
+
+
+def _first_misordered(order, f_lo, f_hi):
+    bad = np.flatnonzero(~lex_less(order, f_lo, f_hi))
+    return int(bad[0]) if bad.size else None
+
+
+def _whole_translation(spec, cfg):
+    law, order = spec.law, spec.order
+    lo, hi = _whole_ordered_pairs(order, cfg, law.dim)
+    g = cfg.sample(law.dim, stream=13, count=lo.shape[0])
+    left = _first_misordered(order, law.mul(g, lo), law.mul(g, hi))
+    right = _first_misordered(order, law.mul(lo, g), law.mul(hi, g))
+    ce = (lambda i: None if i is None else (g[i], lo[i], hi[i]))
+    return InvarianceReport(left is None, right is None, lo.shape[0], ce(left), ce(right))
+
+
+def _whole_conjugation(spec, coords, cfg):
+    law, order = spec.law, spec.order
+    lo, hi = _whole_sorted_pairs(order, _supported(cfg, law.dim, coords, stream=23),
+                                 _supported(cfg, law.dim, coords, stream=24))
+    g = cfg.sample(law.dim, stream=25, count=lo.shape[0])
+    ginv = law.inv(g)
+    i = _first_misordered(order, law.mul(law.mul(g, lo), ginv), law.mul(law.mul(g, hi), ginv))
+    return InvarianceReport(i is None, True, lo.shape[0],
+                            None if i is None else (g[i], lo[i], hi[i]))
+
+
+@pytest.mark.parametrize("cfg", [CFG, COARSE], ids=["continuous", "coarse"])
+@pytest.mark.parametrize("law, order", [
+    (SemidirectRR(1.0), (0, 1)),  # the non-ordered control: a counterexample
+    (SemidirectRR(1.0), (1, 0)),
+    (Tk(1.0), (2, 1, 0)),
+    (Ec(-4.0), (0, 1, 2)),
+    (KCd(1.0, 1.0), (0, 1, 2)),
+    (Ec(1.0), (2, 0, 1)),  # not ordered: fails past the first level
+    # e^{c y} overflows: images tie at inf or are NaN, which counts as misordered
+    (SemidirectRR(1e300), (1, 0)),
+])
+def test_translation_matches_the_whole_array_pairs(monkeypatch, cfg, law, order):
+    spec = OrderedGroupSpec(law, LexOrder(order))
+    with np.errstate(all="ignore"):
+        rep = _same_at_every_block_size(monkeypatch, lambda: check_translation_invariance(spec, cfg))
+        assert dumps(rep) == dumps(_whole_translation(spec, cfg))
+
+
+def test_translation_cases_cover_ties_and_counterexamples():
+    for cfg in (CFG, COARSE):
+        spec = OrderedGroupSpec(Ec(1.0), LexOrder((2, 0, 1)))
+        rep = check_translation_invariance(spec, cfg)
+        assert not rep.passed
+    # the coarse grid ties whole rows, which the pairs drop
+    rep = check_translation_invariance(OrderedGroupSpec(Tk(1.0), LexOrder((2, 1, 0))), COARSE)
+    assert rep.passed and rep.checked < 3 * COARSE.count
+
+
+@pytest.mark.parametrize("cfg", [CFG, COARSE], ids=["continuous", "coarse"])
+@pytest.mark.parametrize("law, order, coords", [
+    (KCd(1.0, 1.0), (0, 1, 2), (1, 2)),
+    (SemidirectRR(1.0), (0, 1), (1,)),  # order-reversing: a counterexample
+])
+def test_conjugation_matches_the_whole_array_pairs(monkeypatch, cfg, law, order, coords):
+    spec = OrderedGroupSpec(law, LexOrder(order))
+    rep = _same_at_every_block_size(
+        monkeypatch, lambda: check_conjugation_order_preserving(spec, coords, cfg))
+    assert dumps(rep) == dumps(_whole_conjugation(spec, coords, cfg))
+
+
+@pytest.mark.parametrize("cfg", [CFG, COARSE], ids=["continuous", "coarse"])
+@pytest.mark.parametrize("source, target, matrix, orders", [
+    (SemidirectRR(2.0), SemidirectRR(1.0), [[1, 0], [0, 2]], ((1, 0), (1, 0))),
+    (SemidirectRR(2.0), SemidirectRR(1.0), [[-1, 0], [0, 2]], ((1, 0), (1, 0))),
+    (Ec(-4.0), Ec(-1.0), np.diag([4.0, 1.0, 1.0]), ((0, 1, 2), (0, 1, 2))),
+    (Ec(-4.0), Ec(-1.0), np.diag([4.0, 1.0, 1.0]), ((0, 1, 2), (0, 2, 1))),
+    # the images overflow: pairs of one sign tie at inf
+    (Additive(2), Additive(2), [[1e308, 0], [0, 1e308]], ((0, 1), (0, 1))),
+])
+def test_witness_order_matches_the_whole_array_pairs(monkeypatch, cfg, source, target,
+                                                     matrix, orders):
+    w = linear_witness(source, target, matrix,
+                       order_pair=(LexOrder(orders[0]), LexOrder(orders[1])))
+    lo, hi = _whole_ordered_pairs(w.order_pair[0], cfg, source.dim)
+    with np.errstate(all="ignore"):
+        rep = _same_at_every_block_size(monkeypatch, lambda: verify_witness(w, cfg))
+        whole = _first_misordered(w.order_pair[1], w.apply(lo), w.apply(hi)) is None
+    assert rep.order_ok is whole
+
+
+def _whole_action_order_preserving(module, order_n, cfg):
+    from ordgroups.actions import scale_factors
+
+    g = cfg.sample(module.H.dim, stream=51, count=min(cfg.count, 256))
+    factors = scale_factors(module.gamma, g)
+    n1 = cfg.sample(module.N.dim, stream=52, count=g.shape[0])
+    n2 = cfg.sample(module.N.dim, stream=53, count=g.shape[0])
+    lo, hi = _whole_sorted_pairs(order_n, np.hstack([n1, factors * n1]),
+                                 np.hstack([n2, factors * n2]))
+    k = module.N.dim
+    return bool(np.all(lex_less(order_n, lo[:, k:], hi[:, k:])))
+
+
+@pytest.mark.parametrize("cfg, coeffs, order, preserving", [
+    (CFG, (1.0, -2.0), (0, 1), True),
+    (COARSE, (1.0, -2.0), (0, 1), True),
+    (COARSE, (1.0, -2.0), (1, 0), True),
+    # e^{240 t} overflows at t = 3 but stays positive at t = -3: a tie at inf
+    # lets the second coordinate misorder the pair
+    (COARSE, (240.0, 1.0), (0, 1), False),
+], ids=["continuous", "coarse", "coarse-reversed", "coarse-overflow"])
+def test_action_order_matches_the_whole_array_pairs(monkeypatch, cfg, coeffs, order, preserving):
+    module = GModule(H=Additive(1), N=Additive(2), gamma=diagonal(*coeffs))
+    with np.errstate(all="ignore"):
+        got = _same_at_every_block_size(
+            monkeypatch, lambda: _action_order_preserving(module, LexOrder(order), cfg))
+        assert got is _whole_action_order_preserving(module, LexOrder(order), cfg) is preserving
+
+
+def test_blocks_expose_their_rows_of_the_draws(monkeypatch):
+    order = LexOrder((0, 1, 2))
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
+        pairs = _ordered_pairs(order, COARSE, 3)
+        kept = 0
+        for block in pairs.blocks():
+            assert np.array_equal(pairs.h[block.raw], block.a)
+            assert block.kept == slice(kept, kept + block.swap.size)
+            kept = block.kept.stop
+        assert kept == pairs.count < 3 * COARSE.count
+
+
+def test_action_factors_line_up_with_the_raw_rows(monkeypatch):
+    # NaN factors exactly on the rows whose pair ties: those pairs are dropped,
+    # so the action preserves the order only if each kept pair reads the
+    # factor of its own row
+    from ordgroups import cohomology
+
+    module = GModule(H=Additive(1), N=Additive(2), gamma=diagonal(1.0, -2.0))
+    n = min(COARSE.count, 256)
+    tie = np.all(COARSE.sample(2, stream=52, count=n) == COARSE.sample(2, stream=53, count=n),
+                 axis=1)
+    assert tie.any()
+    factors = np.where(tie[:, None], np.nan, 1.0)
+    monkeypatch.setattr(cohomology, "scale_factors", lambda gamma, g: factors)
+    assert _same_at_every_block_size(
+        monkeypatch, lambda: _action_order_preserving(module, LexOrder((0, 1)), COARSE))
+
+
+def test_classification_memory_stays_below_seven_sample_arrays():
+    # the whole-array pairs held about 10 to 13 arrays of count x dim doubles
+    count, dim = 200_000, 3
+    tracemalloc.start()
+    try:
+        classify_ordered(Ec(-4.0), LexOrder((0, 1, 2)), SampleConfig(count=count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * count * dim * 8

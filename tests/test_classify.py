@@ -219,6 +219,24 @@ def test_ordered_products_both_presentations():
     assert wit.order_verified
 
 
+@pytest.mark.parametrize("c", [1.0, -1.0, 2.5, -2.5])
+@pytest.mark.parametrize("line_first", [False, True], ids=["affine_first", "line_first"])
+def test_ordered_product_line_then_acting_then_normal(c, line_first):
+    # significance free >> acting >> normal is the order type of GCd(0, sign c)
+    if line_first:
+        law, sig = Product(Additive(1), SemidirectRR(c)), (0, 2, 1)
+    else:
+        law, sig = Product(SemidirectRR(c), Additive(1)), (2, 1, 0)
+    s = 1.0 if c > 0 else -1.0
+    cls, wit = classify_ordered(law, LexOrder(sig), CFG)
+    assert (cls.label, cls.param_dict) == ("ProdAff_order_zyx", {"d": s})
+    assert cls.law == GCd(0.0, s) and cls.order == LexOrder((0, 1, 2))
+    expected = np.zeros((3, 3))
+    expected[0, sig[0]], expected[1, sig[1]], expected[2, sig[2]] = 1.0, abs(c), 1.0
+    assert np.array_equal(wit.matrix, expected)
+    assert wit.verification.passed and wit.order_verified
+
+
 def test_ordered_abelian_any_significance():
     cls, wit = classify_ordered(Additive(3), LexOrder((2, 0, 1)), CFG)
     assert cls.label == "R3"
@@ -265,6 +283,21 @@ def test_corrupted_witness_fails():
 
 def test_singular_witness_reported_not_inverted():
     wit = linear_witness(Additive(2), Additive(2), [[1.0, 1.0], [1.0, 1.0]])
+    rep = verify_witness(wit, CFG)
+    assert not rep.invertible and not rep.passed
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e-100, 1e100])
+def test_invertibility_does_not_depend_on_the_matrix_scale(scale):
+    # |det| of the valid diag(1e-5, 1e-5, 1e-5) is 1e-15
+    wit = linear_witness(Additive(3), Additive(3), scale * np.eye(3))
+    assert verify_witness(wit, CFG).invertible
+    singular = scale * np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    assert not verify_witness(linear_witness(Additive(3), Additive(3), singular), CFG).invertible
+
+
+def test_non_finite_witness_matrix_is_not_invertible():
+    wit = linear_witness(Additive(2), Additive(2), [[np.nan, 0.0], [0.0, 1.0]])
     rep = verify_witness(wit, CFG)
     assert not rep.invertible and not rep.passed
 

@@ -186,6 +186,20 @@ def test_witness_verify_roundtrip(capsys):
     assert code == 4
 
 
+def test_witness_verify_invertibility_is_scale_aware(capsys):
+    r3 = '{"family":"additive","params":{"n":3}}'
+    code, out = run_cli(capsys, "witness-verify", "--source", r3, "--target", r3,
+                        "--matrix", "[[1e-5,0,0],[0,1e-5,0],[0,0,1e-5]]")
+    assert code == 0
+    rep = json.loads(out)["verification"]
+    assert rep["invertible"] and rep["passed"]
+
+    code, out = run_cli(capsys, "witness-verify", "--source", r3, "--target", r3,
+                        "--matrix", "[[1e-5,2e-5,0],[2e-5,4e-5,0],[0,0,1e-5]]")
+    assert code == 4
+    assert not json.loads(out)["verification"]["invertible"]
+
+
 def test_catalog_counts(capsys):
     code, out = run_cli(capsys, "catalog")
     assert code == 0

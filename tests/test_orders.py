@@ -195,13 +195,25 @@ class _CoarseSamples(SampleConfig):
         return np.round(super().sample(dim, stream, count))
 
 
+def _assembled_pairs(pairs):
+    """lo and hi assembled from the blocks through the swap mask."""
+    lo, hi = [], []
+    for block in pairs.blocks():
+        swap = block.swap[:, None]
+        lo.append(np.where(swap, block.b, block.a))
+        hi.append(np.where(swap, block.a, block.b))
+        assert block.kept.stop - block.kept.start == block.swap.size
+    assert sum(len(x) for x in lo) == pairs.count
+    return np.concatenate(lo, axis=0), np.concatenate(hi, axis=0)
+
+
 @pytest.mark.parametrize("cfg", [SampleConfig(seed=4, count=300), _CoarseSamples(seed=4, count=300)],
                          ids=["continuous", "coarse"])
 def test_ordered_pairs_match_the_per_block_construction(cfg):
     for dim in (1, 2, 3):
         for sig in permutations(range(dim)):
             order = LexOrder(sig)
-            lo, hi = _ordered_pairs(order, cfg, dim)
+            lo, hi = _assembled_pairs(_ordered_pairs(order, cfg, dim))
             ref_lo, ref_hi = _reference_ordered_pairs(order, cfg, dim)
             assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi), sig
             assert lex_less(order, lo, hi).all()
