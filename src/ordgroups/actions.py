@@ -77,7 +77,8 @@ def scale_factors(action: ExpAction, g: np.ndarray) -> np.ndarray:
         )
     if action.kind == CHARACTER:
         c = np.asarray(action.coeffs)
-        return np.exp(g @ c)[..., None]
+        # BLAS may sum a column-major g in another order: keep the row-major bits
+        return np.exp(np.ascontiguousarray(g) @ c)[..., None]
     if action.kind == DIAGONAL:
         t = g[..., 0]
         c, d = action.coeffs

@@ -79,7 +79,7 @@ def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
     witnesses like the shear maps reproduce the exponent arguments exactly
     instead of differing by an ulp that e^24 then amplifies.
     """
-    out = np.zeros(a.shape[:-1] + (matrix.shape[0],))
+    out = np.zeros(a.shape[:-1] + (matrix.shape[0],), order="F")
     for i in range(matrix.shape[0]):
         acc = None
         for j in range(matrix.shape[1]):
@@ -531,10 +531,10 @@ def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
 
     if isinstance(law, Tk) and sig == (2, 1, 0):
         if law.k == 0.0:
-            # split case: reversing the chart lands in the diagonal family
+            # split case: reversing the chart, (x, y, z) -> (z, y, x), lands in
+            # the diagonal family and maps z >> y >> x onto x >> y >> z
             canon = _cls("K_plus", KCd(1.0, 1.0), (0, 1, 2), f=1.0)
-            perm = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-            return canon, linear_witness(law, canon.law, perm)
+            return canon, linear_witness(law, canon.law, _perm_matrix(sig, (0, 1, 2)))
         s = 1.0 if law.k > 0 else -1.0
         canon = _cls("T_plus" if s > 0 else "T_minus", Tk(s), (2, 1, 0))
         return canon, linear_witness(law, canon.law, np.diag([1.0 / abs(law.k), 1.0, 1.0]))

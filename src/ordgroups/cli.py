@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input error, 3 math domain error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -172,7 +173,9 @@ def cmd_witness_verify(args) -> int:
         )
     wit = linear_witness(source, target, matrix, order_pair=pair)
     rep = verify_witness(wit, _sample_config(args), _tolerance(args))
-    _emit(args, {"witness": wit.to_dict(), "verification": rep.to_dict()})
+    # the verified witness, so its flags agree with the verification
+    _emit(args, {"witness": dataclasses.replace(wit, verification=rep).to_dict(),
+                 "verification": rep.to_dict()})
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
 

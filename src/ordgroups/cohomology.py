@@ -20,7 +20,7 @@ import numpy as np
 
 from .actions import ExpAction, act, affine_on_semidirect, scale_factors, trivial
 from .errors import DomainError, InputError
-from .groups import Additive, GroupLaw, SemidirectRR
+from .groups import Additive, GroupLaw, SemidirectRR, _from_columns
 from .orders import LexOrder, OrderedGroupSpec, SampledPairs
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, row_blocks
 
@@ -204,13 +204,15 @@ class CocycleLaw(GroupLaw):
         m1, g1 = self._split(a)
         m2, g2 = self._split(b)
         part_n = m1 + self.module.act(g1, m2) + self.cochain.fn(g1, g2)
-        return np.concatenate([part_n, self.module.H.mul(g1, g2)], axis=-1)
+        return _from_columns(*np.moveaxis(part_n, -1, 0),
+                             *np.moveaxis(self.module.H.mul(g1, g2), -1, 0))
 
     def inv(self, a):
         m, g = self._split(a)
         ginv = self.module.H.inv(g)
         corr = m + self.cochain.fn(g, ginv)
-        return np.concatenate([-self.module.act(ginv, corr), ginv], axis=-1)
+        return _from_columns(*np.moveaxis(-self.module.act(ginv, corr), -1, 0),
+                             *np.moveaxis(ginv, -1, 0))
 
     def descriptor(self):
         params = dict(self.cochain.descriptor or {})

@@ -11,7 +11,12 @@ Every law acts on flat coordinate vectors; the chart conventions are:
   Tk(k)              (x, y, z)     x1 + x2 e^{z1} + k y2 z1 e^{z1}, y1 + y2 e^{z1}, z1 + z2
   Product(a, b)      concatenated charts
 
-All operations broadcast over stacked inputs of shape (..., dim).
+All operations broadcast over stacked inputs of shape (..., dim), in either
+memory layout. Samples and law results are coordinate-major: an (n, dim)
+array whose coordinate columns are each contiguous, so every coordinate a
+law reads and writes is a unit-stride column. The layout changes no value:
+each coordinate comes from the same elementwise operations, and samples keep
+the values and the generator order of one row-major draw.
 
 A law's descriptor is {"family", "params", "dim"}: its class's family name
 and its dataclass fields, so the fields are the one statement of the format
@@ -47,6 +52,15 @@ def _element(x, dim: int) -> np.ndarray:
     if a.ndim != 1:
         raise InputError(f"element must be a flat coordinate vector, got shape {a.shape}")
     return a
+
+
+def _from_columns(*cols) -> np.ndarray:
+    """The coordinate columns as one (..., dim) array, coordinate-major: the
+    columns are stacked on a leading axis that is then moved last, by a
+    transpose: np.moveaxis's argument handling costs about as much as the
+    stacking itself on a 1000-row stack."""
+    stacked = np.stack(cols)
+    return stacked.transpose(*range(1, stacked.ndim), 0)
 
 
 class GroupLaw:
@@ -107,11 +121,11 @@ class SemidirectRR(GroupLaw):
     def mul(self, a, b):
         x1, y1 = a[..., 0], a[..., 1]
         x2, y2 = b[..., 0], b[..., 1]
-        return np.stack([x1 + np.exp(self.c * y1) * x2, y1 + y2], axis=-1)
+        return _from_columns(x1 + np.exp(self.c * y1) * x2, y1 + y2)
 
     def inv(self, a):
         x, y = a[..., 0], a[..., 1]
-        return np.stack([-np.exp(-self.c * y) * x, -y], axis=-1)
+        return _from_columns(-np.exp(-self.c * y) * x, -y)
 
 
 @dataclass(frozen=True)
@@ -123,9 +137,7 @@ class Ec(GroupLaw):
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        return np.stack(
-            [x1 + x2, y1 + y2, z1 + z2 + self.c * (x1 * y2 - y1 * x2)], axis=-1
-        )
+        return _from_columns(x1 + x2, y1 + y2, z1 + z2 + self.c * (x1 * y2 - y1 * x2))
 
     def inv(self, a):
         # the central correction vanishes: det of (v, -v) rows is 0
@@ -145,11 +157,11 @@ class SUT3(GroupLaw):
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        return np.stack([x1 + x2, y1 + y2, z1 + z2 + x1 * y2], axis=-1)
+        return _from_columns(x1 + x2, y1 + y2, z1 + z2 + x1 * y2)
 
     def inv(self, a):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        return np.stack([-x, -y, x * y - z], axis=-1)
+        return _from_columns(-x, -y, x * y - z)
 
 
 @dataclass(frozen=True)
@@ -163,11 +175,11 @@ class GCd(GroupLaw):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
         s = np.exp(self.c * x1 + self.d * y1)
-        return np.stack([x1 + x2, y1 + y2, z1 + s * z2], axis=-1)
+        return _from_columns(x1 + x2, y1 + y2, z1 + s * z2)
 
     def inv(self, a):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        return np.stack([-x, -y, -np.exp(-(self.c * x + self.d * y)) * z], axis=-1)
+        return _from_columns(-x, -y, -np.exp(-(self.c * x + self.d * y)) * z)
 
 
 @dataclass(frozen=True)
@@ -180,16 +192,12 @@ class KCd(GroupLaw):
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        return np.stack(
-            [x1 + x2, y1 + np.exp(self.c * x1) * y2, z1 + np.exp(self.d * x1) * z2],
-            axis=-1,
-        )
+        return _from_columns(
+            x1 + x2, y1 + np.exp(self.c * x1) * y2, z1 + np.exp(self.d * x1) * z2)
 
     def inv(self, a):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        return np.stack(
-            [-x, -np.exp(-self.c * x) * y, -np.exp(-self.d * x) * z], axis=-1
-        )
+        return _from_columns(-x, -np.exp(-self.c * x) * y, -np.exp(-self.d * x) * z)
 
 
 @dataclass(frozen=True)
@@ -202,14 +210,12 @@ class Tk(GroupLaw):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
         e = np.exp(z1)
-        return np.stack(
-            [x1 + x2 * e + self.k * y2 * z1 * e, y1 + y2 * e, z1 + z2], axis=-1
-        )
+        return _from_columns(x1 + x2 * e + self.k * y2 * z1 * e, y1 + y2 * e, z1 + z2)
 
     def inv(self, a):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
         e = np.exp(-z)
-        return np.stack([e * (self.k * y * z - x), -y * e, -z], axis=-1)
+        return _from_columns(e * (self.k * y * z - x), -y * e, -z)
 
 
 def g3() -> Tk:
@@ -229,14 +235,13 @@ class Product(GroupLaw):
 
     def mul(self, u, v):
         k = self.a.dim
-        return np.concatenate(
-            [self.a.mul(u[..., :k], v[..., :k]), self.b.mul(u[..., k:], v[..., k:])],
-            axis=-1,
-        )
+        return _from_columns(*np.moveaxis(self.a.mul(u[..., :k], v[..., :k]), -1, 0),
+                             *np.moveaxis(self.b.mul(u[..., k:], v[..., k:]), -1, 0))
 
     def inv(self, u):
         k = self.a.dim
-        return np.concatenate([self.a.inv(u[..., :k]), self.b.inv(u[..., k:])], axis=-1)
+        return _from_columns(*np.moveaxis(self.a.inv(u[..., :k]), -1, 0),
+                             *np.moveaxis(self.b.inv(u[..., k:]), -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +279,7 @@ def sut3_to_heis(a) -> np.ndarray:
     if a.shape[-1] != 3:
         raise InputError("chart change needs 3 coordinates")
     x, y, z = a[..., 0], a[..., 1], a[..., 2]
-    return np.stack([x, y, z - 0.5 * x * y], axis=-1)
+    return _from_columns(x, y, z - 0.5 * x * y)
 
 
 def heis_to_sut3(a) -> np.ndarray:
@@ -282,7 +287,7 @@ def heis_to_sut3(a) -> np.ndarray:
     if a.shape[-1] != 3:
         raise InputError("chart change needs 3 coordinates")
     x, y, z = a[..., 0], a[..., 1], a[..., 2]
-    return np.stack([x, y, z + 0.5 * x * y], axis=-1)
+    return _from_columns(x, y, z + 0.5 * x * y)
 
 
 def one_param_through(law: KCd, g, w) -> np.ndarray:
@@ -304,9 +309,7 @@ def one_param_through(law: KCd, g, w) -> np.ndarray:
             return w
         return np.expm1(exponent * w) / np.expm1(exponent)
 
-    return np.stack(
-        [w * t, coef(law.c * t) * u, coef(law.d * t) * v], axis=-1
-    )
+    return _from_columns(w * t, coef(law.c * t) * u, coef(law.d * t) * v)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ class SampledPairs:
         if k == 0:
             return self.hp[rows]
         shared = list(self.order.significance[:k])
-        b = self.hp[rows].copy()
+        b = self.hp[rows].copy(order="F")
         b[:, shared] = self.h[rows, shared]
         return b
 

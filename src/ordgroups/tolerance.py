@@ -62,8 +62,14 @@ class SampleConfig:
         return np.random.default_rng((self.seed, stream))
 
     def sample(self, dim: int, stream: int = 0, count: int | None = None) -> np.ndarray:
+        """(n, dim) coordinate-major: filled one row block at a time from one
+        generator, which gives the values of one uniform (n, dim) draw."""
         n = self.count if count is None else count
-        return self.rng(stream).uniform(-self.box, self.box, size=(n, dim))
+        rng = self.rng(stream)
+        out = np.empty((n, dim), order="F")
+        for rows in row_blocks(n):
+            out[rows] = rng.uniform(-self.box, self.box, size=(rows.stop - rows.start, dim))
+        return out
 
 
 DEFAULT_TOL = Tolerance()

@@ -174,3 +174,17 @@ def test_infer_exponents_rank_deficient():
 def test_infer_exponents_rejects_sign_flips():
     with pytest.raises(DomainError):
         infer_exponents([(np.array([1.0]), np.array([1.0]), np.array([-2.0]))])
+
+
+def test_character_factors_do_not_depend_on_the_sample_layout():
+    # BLAS sums a column-major matrix-vector product in another order, which
+    # changes the last bits of e^{c . g} for two or more coordinates
+    from ordgroups import SampleConfig
+
+    action = character(0.7, -1.3, 0.4)
+    g = SampleConfig(seed=3, count=1000).sample(3, stream=51)
+    assert g.flags.f_contiguous
+    want = np.exp(np.ascontiguousarray(g) @ np.asarray(action.coeffs))[:, None]
+    for x, rows in ((g, slice(None)), (np.ascontiguousarray(g), slice(None)),
+                    (g[5:700], slice(5, 700))):
+        assert np.array_equal(scale_factors(action, x), want[rows])

@@ -338,3 +338,24 @@ def test_classification_memory_stays_below_seven_sample_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 7 * count * dim * 8
+
+
+# --- coordinate-major layout ---------------------------------------------------
+
+
+def test_samples_are_one_row_major_draw_stored_coordinate_major():
+    cfg = SampleConfig(seed=5, box=2.5)
+    rows = tolerance.BLOCK_ROWS
+    for count in (1, rows - 1, rows, 2 * rows + 7):
+        got = cfg.sample(3, stream=11, count=count)
+        assert np.array_equal(got, cfg.rng(11).uniform(-cfg.box, cfg.box, (count, 3)))
+        assert got.flags.f_contiguous
+
+
+def test_pair_blocks_keep_contiguous_columns(monkeypatch):
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
+        pairs = _ordered_pairs(LexOrder((2, 0, 1)), CFG, 3)
+        assert pairs.count == 3 * CFG.count  # continuous samples: no pair ties
+        for block in pairs.blocks():
+            assert block.a.strides[0] == block.b.strides[0] == block.a.itemsize

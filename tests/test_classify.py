@@ -189,6 +189,16 @@ def test_ordered_nonsplit_chart():
     assert (cls.label, cls.param_dict) == ("K_plus", {"f": 1.0})
 
 
+@pytest.mark.parametrize("seed", [3, 4242, 90017])
+def test_split_nonsplit_chart_witness_reverses_the_chart(seed):
+    # (x, y, z) -> (z, y, x) maps z >> y >> x onto x >> y >> z; the
+    # isomorphism (x, y, z) -> (z, x, y) would map it onto x >> z >> y
+    cls, wit = classify_ordered(Tk(0.0), LexOrder((2, 1, 0)), SampleConfig(seed=seed))
+    assert cls.label == "K_plus"
+    assert np.array_equal(wit.matrix, [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    assert wit.group_verified and wit.order_verified
+
+
 def test_ordered_swapped_plane_flips_the_sign():
     cls, wit = classify_ordered(Ec(2.0), LexOrder((1, 0, 2)), CFG)
     assert cls.label == "E_minus"

@@ -186,6 +186,20 @@ def test_witness_verify_roundtrip(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("matrix", ["[[1,0],[0,2]]", "[[1,0],[0,3]]"])
+def test_witness_verify_flags_agree_with_the_verification(capsys, matrix):
+    code, out = run_cli(
+        capsys, "witness-verify",
+        "--source", '{"family":"semidirect_rr","params":{"c":2}}',
+        "--target", '{"family":"semidirect_rr","params":{"c":1}}',
+        "--matrix", matrix, "--source-order", "1,0", "--target-order", "1,0")
+    report = json.loads(out)
+    rep, wit = report["verification"], report["witness"]
+    assert code == (0 if rep["passed"] else 4)
+    assert wit["group_verified"] is rep["group_ok"]
+    assert wit["order_verified"] is bool(rep["order_ok"])
+
+
 def test_witness_verify_invertibility_is_scale_aware(capsys):
     r3 = '{"family":"additive","params":{"n":3}}'
     code, out = run_cli(capsys, "witness-verify", "--source", r3, "--target", r3,

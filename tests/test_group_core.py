@@ -6,6 +6,7 @@ import pytest
 
 from ordgroups import (
     Additive,
+    CocycleLaw,
     Ec,
     GCd,
     InputError,
@@ -21,6 +22,8 @@ from ordgroups import (
     compare,
     conjugate,
     extension_from_cocycle,
+    g3_cocycle,
+    g3_module,
     heis_cocycle,
     heis_module,
     heis_to_sut3,
@@ -137,6 +140,83 @@ def test_closed_form_inverses_cancel(law):
         a = RNG.uniform(-3, 3, law.dim)
         assert np.allclose(multiply(law, a, invert(law, a)), e, atol=1e-10)
         assert np.allclose(multiply(law, invert(law, a), a), e, atol=1e-10)
+
+
+# --- memory layout ---------------------------------------------------------
+
+# the laws as the interleaving np.stack(..., axis=-1) formulas wrote them
+_REF_MUL = {
+    SemidirectRR: lambda L, x1, y1, x2, y2: [x1 + np.exp(L.c * y1) * x2, y1 + y2],
+    Ec: lambda L, x1, y1, z1, x2, y2, z2: [
+        x1 + x2, y1 + y2, z1 + z2 + L.c * (x1 * y2 - y1 * x2)],
+    SUT3: lambda L, x1, y1, z1, x2, y2, z2: [x1 + x2, y1 + y2, z1 + z2 + x1 * y2],
+    GCd: lambda L, x1, y1, z1, x2, y2, z2: [
+        x1 + x2, y1 + y2, z1 + np.exp(L.c * x1 + L.d * y1) * z2],
+    KCd: lambda L, x1, y1, z1, x2, y2, z2: [
+        x1 + x2, y1 + np.exp(L.c * x1) * y2, z1 + np.exp(L.d * x1) * z2],
+    Tk: lambda L, x1, y1, z1, x2, y2, z2: [
+        x1 + x2 * np.exp(z1) + L.k * y2 * z1 * np.exp(z1), y1 + y2 * np.exp(z1), z1 + z2],
+}
+_REF_INV = {
+    SemidirectRR: lambda L, x, y: [-np.exp(-L.c * y) * x, -y],
+    SUT3: lambda L, x, y, z: [-x, -y, x * y - z],
+    GCd: lambda L, x, y, z: [-x, -y, -np.exp(-(L.c * x + L.d * y)) * z],
+    KCd: lambda L, x, y, z: [-x, -np.exp(-L.c * x) * y, -np.exp(-L.d * x) * z],
+    Tk: lambda L, x, y, z: [np.exp(-z) * (L.k * y * z - x), -y * np.exp(-z), -z],
+}
+
+
+def _ref_mul(law, a, b):
+    if isinstance(law, Product):
+        k = law.a.dim
+        return np.concatenate([_ref_mul(law.a, a[..., :k], b[..., :k]),
+                               _ref_mul(law.b, a[..., k:], b[..., k:])], axis=-1)
+    if isinstance(law, CocycleLaw):
+        k, m = law.module.N.dim, law.module
+        part_n = a[..., :k] + m.act(a[..., k:], b[..., :k]) + law.cochain.fn(a[..., k:], b[..., k:])
+        return np.concatenate([part_n, _ref_mul(m.H, a[..., k:], b[..., k:])], axis=-1)
+    if isinstance(law, Additive):
+        return a + b
+    cols = [a[..., i] for i in range(law.dim)] + [b[..., i] for i in range(law.dim)]
+    return np.stack(_REF_MUL[type(law)](law, *cols), axis=-1)
+
+
+def _ref_inv(law, a):
+    if isinstance(law, Product):
+        k = law.a.dim
+        return np.concatenate([_ref_inv(law.a, a[..., :k]), _ref_inv(law.b, a[..., k:])], axis=-1)
+    if isinstance(law, CocycleLaw):
+        k, m = law.module.N.dim, law.module
+        ginv = _ref_inv(m.H, a[..., k:])
+        corr = a[..., :k] + law.cochain.fn(a[..., k:], ginv)
+        return np.concatenate([-m.act(ginv, corr), ginv], axis=-1)
+    if isinstance(law, (Additive, Ec)):
+        return -a
+    return np.stack(_REF_INV[type(law)](law, *(a[..., i] for i in range(law.dim))), axis=-1)
+
+
+@pytest.mark.parametrize("law", [
+    Additive(2), SemidirectRR(-2.0), Ec(3.0), SUT3(), GCd(2.0, -1.0), KCd(-1.0, 2.0), Tk(-2.0),
+    Product(SemidirectRR(1.0), Additive(1)),
+    Product(Additive(1), Product(SemidirectRR(-0.5), Additive(1))),
+    extension_from_cocycle(heis_module(), heis_cocycle(0.5)),
+    extension_from_cocycle(g3_module(1.0), g3_cocycle(1.0)),
+], ids=lambda law: law.family)
+def test_laws_give_the_same_bits_in_either_layout(law):
+    cfg = SampleConfig(seed=4, count=1000)
+    a, b = cfg.sample(law.dim, stream=1), cfg.sample(law.dim, stream=2)
+    ca, cb = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    assert a.flags.f_contiguous and ca.flags.c_contiguous
+    want_mul, want_inv = _ref_mul(law, ca, cb), _ref_inv(law, ca)
+    # row-major, coordinate-major, and a row block of coordinate-major samples
+    for x, y, rows in ((ca, cb, slice(None)), (a, b, slice(None)),
+                       (a[17:900], b[17:900], slice(17, 900))):
+        got_mul, got_inv = law.mul(x, y), law.inv(x)
+        assert np.array_equal(got_mul, want_mul[rows])
+        assert np.array_equal(got_inv, want_inv[rows])
+        if not x.flags.c_contiguous:
+            # coordinate-major in, coordinate-major out
+            assert got_mul.strides[0] == got_inv.strides[0] == got_mul.itemsize
 
 
 # --- conjugate / commutator ------------------------------------------------
