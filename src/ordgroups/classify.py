@@ -9,6 +9,14 @@ The three ProdAff labels name the order type of the product-with-a-line
 group; the sign parameter distinguishes the expanding and contracting
 variants, which are not isomorphic as ordered groups.
 
+Six charts present Aff x R: both Product orders of an affine chart with a
+line, GCd(c, 0), GCd(0, d), KCd(c, 0) and KCd(0, d). In each, one coordinate
+is normal, one acts on it by e^(c t) and one is free (central). _roles reads
+those three chart indices, and one branch classifies all six charts from
+them. A lexicographic order is bi-invariant only when the acting coordinate
+is more significant than the normal one, so the free coordinate's place
+picks the order type: first (zyx), between the two (yzx) or last (yxz).
+
 Every witness is an explicit coordinate map with named source and target
 laws; classification verifies each witness numerically, once, and returns it
 carrying that verification.
@@ -307,13 +315,19 @@ def _is_abelian_law(law: GroupLaw) -> bool:
 _RN_LABEL = {1: "R", 2: "R2_abelian", 3: "R3"}
 
 
-def _split_product(law: Product):
-    """Chart indices (normal, acting, free) for a product of an affine chart
-    with a line; None when the product is not of that shape."""
-    if isinstance(law.a, SemidirectRR) and isinstance(law.b, Additive) and law.b.n == 1:
-        return 0, 1, 2, law.a.c
-    if isinstance(law.a, Additive) and law.a.n == 1 and isinstance(law.b, SemidirectRR):
-        return 1, 2, 0, law.b.c
+def _roles(law: GroupLaw):
+    """Chart indices (normal, acting, free) and the exponent c of an Aff x R
+    chart, whose acting coordinate t scales the normal one by e^(c t); None
+    for any other chart. Abelian charts (c = 0) are classified before this."""
+    if isinstance(law, Product):
+        if isinstance(law.a, SemidirectRR) and isinstance(law.b, Additive) and law.b.n == 1:
+            return 0, 1, 2, law.a.c
+        if isinstance(law.a, Additive) and law.a.n == 1 and isinstance(law.b, SemidirectRR):
+            return 1, 2, 0, law.b.c
+    if isinstance(law, GCd) and 0.0 in (law.c, law.d):
+        return (2, 0, 1, law.c) if law.d == 0.0 else (2, 1, 0, law.d)
+    if isinstance(law, KCd) and 0.0 in (law.c, law.d):
+        return (1, 0, 2, law.c) if law.d == 0.0 else (2, 0, 1, law.d)
     return None
 
 
@@ -322,7 +336,20 @@ def classify_group(
 ) -> tuple[CanonicalClass, IsoWitness]:
     """Canonical group-isomorphism class plus a verified witness map."""
     cls, wit = _classify_group(law)
-    return cls, dataclasses.replace(wit, verification=verify_witness(wit, cfg, tol))
+    rep = verify_witness(wit, cfg, tol)
+    _require_invertible(law, cls, rep)
+    return cls, dataclasses.replace(wit, verification=rep)
+
+
+def _require_invertible(law: GroupLaw, cls: CanonicalClass, rep: WitnessReport) -> None:
+    """A witness too ill-conditioned to invert in floating point puts the
+    parameters outside what can be classified numerically: a domain error,
+    not a failed verification."""
+    if not rep.invertible:
+        params = ", ".join(f"{k}={v!r}" for k, v in cls.params)
+        target = f"{cls.label}({params})" if params else cls.label
+        raise DomainError(f"the witness from {law!r} to {target} is not invertible "
+                          f"in floating point")
 
 
 def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
@@ -357,22 +384,24 @@ def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
                              name="sut3_to_heis"),
         )
 
-    if isinstance(law, GCd):
-        c, d = law.c, law.d
+    parts = _roles(law)
+    if parts is not None:
+        i_norm, i_act, i_free, c = parts
         target = Product(SemidirectRR(1.0), Additive(1))
-        comp = [0.0, 1.0] if c != 0.0 else [1.0, 0.0]
-        matrix = [[0.0, 0.0, 1.0], [c, d, 0.0], [comp[0], comp[1], 0.0]]
+        matrix = np.zeros((3, 3))
+        matrix[0, i_norm] = 1.0
+        matrix[1, i_act] = c
+        matrix[2, i_free] = 1.0
+        return _cls("ProdAff", target), linear_witness(law, target, matrix)
+
+    if isinstance(law, GCd):
+        # the character c x + d y acts on z; y completes it to plane coordinates
+        target = Product(SemidirectRR(1.0), Additive(1))
+        matrix = [[0.0, 0.0, 1.0], [law.c, law.d, 0.0], [0.0, 1.0, 0.0]]
         return _cls("ProdAff", target), linear_witness(law, target, matrix)
 
     if isinstance(law, KCd):
         c, d = law.c, law.d
-        target = Product(SemidirectRR(1.0), Additive(1))
-        if d == 0.0:
-            matrix = [[0.0, 1.0, 0.0], [c, 0.0, 0.0], [0.0, 0.0, 1.0]]
-            return _cls("ProdAff", target), linear_witness(law, target, matrix)
-        if c == 0.0:
-            matrix = [[0.0, 0.0, 1.0], [d, 0.0, 0.0], [0.0, 1.0, 0.0]]
-            return _cls("ProdAff", target), linear_witness(law, target, matrix)
         if abs(c) <= abs(d):
             t = c / d
             sd2 = KCd(t, 1.0)
@@ -398,17 +427,6 @@ def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
             _cls("G3", target),
             linear_witness(law, target, np.diag([1.0 / law.k, 1.0, 1.0])),
         )
-
-    if isinstance(law, Product):
-        parts = _split_product(law)
-        if parts is not None:
-            i_norm, i_act, i_free, c = parts
-            target = Product(SemidirectRR(1.0), Additive(1))
-            matrix = np.zeros((3, 3))
-            matrix[0, i_norm] = 1.0
-            matrix[1, i_act] = c
-            matrix[2, i_free] = 1.0
-            return _cls("ProdAff", target), linear_witness(law, target, matrix)
 
     raise DomainError(f"descriptor outside the classified families: {type(law).__name__}")
 
@@ -443,9 +461,9 @@ def classify_ordered(
     # wit makes no order claim yet, so verify_witness checks the group claims
     # only; the order claim is checked on the pairs drawn above
     rep = verify_witness(wit, cfg, tol)
+    _require_invertible(law, cls, rep)
     wit = dataclasses.replace(wit, order_pair=(order, cls.order))
-    if rep.invertible:
-        rep = dataclasses.replace(rep, order_ok=_order_monotone(wit, pairs))
+    rep = dataclasses.replace(rep, order_ok=_order_monotone(wit, pairs))
     return cls, dataclasses.replace(wit, verification=rep)
 
 
@@ -454,10 +472,6 @@ def _perm_matrix(src_sig: tuple[int, ...], dst_sig: tuple[int, ...]) -> np.ndarr
     for s, t in zip(src_sig, dst_sig):
         m[t, s] = 1.0
     return m
-
-
-_SWAP_XY = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-_SWAP_YZ = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
 def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
@@ -481,7 +495,7 @@ def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
         if sig == (1, 0, 2):
             # swapping the plane coordinates flips the cocycle sign
             canon, tail = _classify_ordered(Ec(-law.c), (0, 1, 2))
-            return canon, linear_witness(law, canon.law, tail.matrix @ _SWAP_XY)
+            return canon, linear_witness(law, canon.law, tail.matrix @ _perm_matrix(sig, (0, 1, 2)))
 
     if isinstance(law, SUT3) and sig in ((0, 1, 2), (1, 0, 2)):
         canon, tail = _classify_ordered(heisenberg(), sig)
@@ -490,73 +504,52 @@ def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
         return canon, function_witness(law, canon.law, fwd, bwd,
                                        name="sut3_to_heis . linear")
 
+    parts = _roles(law)
+    if parts is not None:
+        i_norm, i_act, i_free, c = parts
+        if sig.index(i_act) < sig.index(i_norm):
+            # the place of the free coordinate picks the order type
+            s = 1.0 if c > 0 else -1.0
+            canon = [_cls("ProdAff_order_zyx", GCd(0.0, s), (0, 1, 2), d=s),
+                     _cls("ProdAff_order_yzx", GCd(s, 0.0), (0, 1, 2), c=s),
+                     _cls("ProdAff_order_yxz", KCd(s, 0.0), (0, 1, 2), c=s)][sig.index(i_free)]
+            # coordinates in significance order, the acting one scaled by |c|
+            matrix = _perm_matrix(sig, (0, 1, 2))
+            matrix[:, i_act] *= abs(c)
+            return canon, linear_witness(law, canon.law, matrix)
+
     if isinstance(law, GCd):
-        c, d = law.c, law.d
         if sig == (0, 1, 2):
-            if d > 0:
-                canon = _cls("ProdAff_order_zyx", GCd(0.0, 1.0), (0, 1, 2), d=1)
-                matrix = [[1.0, 0.0, 0.0], [c, d, 0.0], [0.0, 0.0, 1.0]]
-            elif d < 0:
-                canon = _cls("ProdAff_order_zyx", GCd(0.0, -1.0), (0, 1, 2), d=-1)
-                matrix = [[1.0, 0.0, 0.0], [-c, -d, 0.0], [0.0, 0.0, 1.0]]
-            elif c > 0:
-                canon = _cls("ProdAff_order_yzx", GCd(1.0, 0.0), (0, 1, 2), c=1)
-                matrix = np.diag([c, 1.0, 1.0])
-            else:
-                canon = _cls("ProdAff_order_yzx", GCd(-1.0, 0.0), (0, 1, 2), c=-1)
-                matrix = np.diag([abs(c), 1.0, 1.0])
+            s = 1.0 if law.d > 0 else -1.0
+            canon = _cls("ProdAff_order_zyx", GCd(0.0, s), (0, 1, 2), d=s)
+            matrix = [[1.0, 0.0, 0.0], [s * law.c, s * law.d, 0.0], [0.0, 0.0, 1.0]]
             return canon, linear_witness(law, canon.law, matrix)
         if sig == (1, 0, 2):
-            canon, tail = _classify_ordered(GCd(d, c), (0, 1, 2))
-            return canon, linear_witness(law, canon.law, tail.matrix @ _SWAP_XY)
+            canon, tail = _classify_ordered(GCd(law.d, law.c), (0, 1, 2))
+            return canon, linear_witness(law, canon.law, tail.matrix @ _perm_matrix(sig, (0, 1, 2)))
 
     if isinstance(law, KCd):
         c, d = law.c, law.d
         if sig == (0, 2, 1):
             canon, tail = _classify_ordered(KCd(d, c), (0, 1, 2))
-            return canon, linear_witness(law, canon.law, tail.matrix @ _SWAP_YZ)
-        if c == 0.0:
-            canon, tail = _classify_ordered(GCd(d, 0.0), sig)
-            return canon, dataclasses.replace(tail, source=law)
+            return canon, linear_witness(law, canon.law, tail.matrix @ _perm_matrix(sig, (0, 1, 2)))
         if sig == (0, 1, 2):
-            if d == 0.0:
-                s = 1.0 if c > 0 else -1.0
-                canon = _cls("ProdAff_order_yxz", KCd(s, 0.0), (0, 1, 2), c=s)
-                return canon, linear_witness(law, canon.law, np.diag([abs(c), 1.0, 1.0]))
             if c > 0:
                 canon = _cls("K_plus", KCd(1.0, d / c), (0, 1, 2), f=d / c)
             else:
                 canon = _cls("K_minus", KCd(-1.0, -d / c), (0, 1, 2), f=-d / c)
             return canon, linear_witness(law, canon.law, np.diag([abs(c), 1.0, 1.0]))
 
+    if isinstance(law, Tk) and law.k == 0.0 and sig[0] == 2:
+        # split case: listing the coordinates in significance order lands in
+        # the diagonal family, whose two module coordinates are interchangeable
+        canon = _cls("K_plus", KCd(1.0, 1.0), (0, 1, 2), f=1.0)
+        return canon, linear_witness(law, canon.law, _perm_matrix(sig, (0, 1, 2)))
+
     if isinstance(law, Tk) and sig == (2, 1, 0):
-        if law.k == 0.0:
-            # split case: reversing the chart, (x, y, z) -> (z, y, x), lands in
-            # the diagonal family and maps z >> y >> x onto x >> y >> z
-            canon = _cls("K_plus", KCd(1.0, 1.0), (0, 1, 2), f=1.0)
-            return canon, linear_witness(law, canon.law, _perm_matrix(sig, (0, 1, 2)))
         s = 1.0 if law.k > 0 else -1.0
         canon = _cls("T_plus" if s > 0 else "T_minus", Tk(s), (2, 1, 0))
         return canon, linear_witness(law, canon.law, np.diag([1.0 / abs(law.k), 1.0, 1.0]))
-
-    if isinstance(law, Product):
-        parts = _split_product(law)
-        if parts is not None:
-            i_norm, i_act, i_free, c = parts
-            s = 1.0 if c > 0 else -1.0
-            if sig == (i_act, i_norm, i_free):
-                canon = _cls("ProdAff_order_yxz", KCd(s, 0.0), (0, 1, 2), c=s)
-            elif sig == (i_act, i_free, i_norm):
-                canon = _cls("ProdAff_order_yzx", GCd(s, 0.0), (0, 1, 2), c=s)
-            elif sig == (i_free, i_act, i_norm):
-                canon = _cls("ProdAff_order_zyx", GCd(0.0, s), (0, 1, 2), d=s)
-            else:
-                canon = None
-            if canon is not None:
-                # coordinates in significance order, the acting one scaled by |c|
-                matrix = _perm_matrix(sig, (0, 1, 2))
-                matrix[:, i_act] *= abs(c)
-                return canon, linear_witness(law, canon.law, matrix)
 
     raise DomainError(
         f"no canonical form for {type(law).__name__} with significance {sig}"

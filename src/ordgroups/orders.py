@@ -226,10 +226,8 @@ def _translation_report(spec: OrderedGroupSpec, cfg: SampleConfig,
 
 
 def _supported(cfg: SampleConfig, dim: int, coords: tuple[int, ...], stream: int) -> np.ndarray:
-    full = cfg.sample(dim, stream=stream)
-    out = np.zeros_like(full)
-    for idx in coords:
-        out[:, idx] = full[:, idx]
+    out = cfg.sample(dim, stream=stream)
+    out[:, [i for i in range(dim) if i not in coords]] = 0.0
     return out
 
 

@@ -1,5 +1,7 @@
 """Canonical classification, witness verification, separating invariants."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ordgroups import (
     SemidirectRR,
     SUT3,
     Tk,
+    check_translation_invariance,
     classify_group,
     classify_ordered,
     compose_witness,
@@ -31,6 +34,7 @@ from ordgroups import (
     separating_invariant,
     verify_witness,
 )
+from ordgroups.selftest import _law_grid
 
 CFG = SampleConfig(seed=9, count=800)
 XYZ = LexOrder((0, 1, 2))
@@ -185,8 +189,11 @@ def test_ordered_nonsplit_chart():
     assert np.array_equal(wit.matrix, np.diag([0.5, 1.0, 1.0]))
     assert wit.order_verified
 
-    cls, _ = classify_ordered(Tk(0.0), tchart, CFG)
-    assert (cls.label, cls.param_dict) == ("K_plus", {"f": 1.0})
+    # the split chart is the diagonal family under both orders with z first
+    for sig in [(2, 1, 0), (2, 0, 1)]:
+        cls, wit = classify_ordered(Tk(0.0), LexOrder(sig), CFG)
+        assert (cls.label, cls.param_dict) == ("K_plus", {"f": 1.0})
+        assert wit.verification.passed, sig
 
 
 @pytest.mark.parametrize("seed", [3, 4242, 90017])
@@ -229,22 +236,60 @@ def test_ordered_products_both_presentations():
     assert wit.order_verified
 
 
+# the charts of Aff x R with c as their exponent, and their (normal, acting,
+# free) coordinates
+ROLE_CHARTS = {
+    "affine_first": (lambda c: Product(SemidirectRR(c), Additive(1)), (0, 1, 2)),
+    "line_first": (lambda c: Product(Additive(1), SemidirectRR(c)), (1, 2, 0)),
+    "gcd_x": (lambda c: GCd(c, 0.0), (2, 0, 1)),
+    "gcd_y": (lambda c: GCd(0.0, c), (2, 1, 0)),
+    "kcd_y": (lambda c: KCd(c, 0.0), (1, 0, 2)),
+    "kcd_z": (lambda c: KCd(0.0, c), (2, 0, 1)),
+}
+
+
 @pytest.mark.parametrize("c", [1.0, -1.0, 2.5, -2.5])
-@pytest.mark.parametrize("line_first", [False, True], ids=["affine_first", "line_first"])
-def test_ordered_product_line_then_acting_then_normal(c, line_first):
-    # significance free >> acting >> normal is the order type of GCd(0, sign c)
-    if line_first:
-        law, sig = Product(Additive(1), SemidirectRR(c)), (0, 2, 1)
-    else:
-        law, sig = Product(SemidirectRR(c), Additive(1)), (2, 1, 0)
+@pytest.mark.parametrize("chart", list(ROLE_CHARTS))
+def test_ordered_product_line_then_acting_then_normal(c, chart):
+    # every chart of Aff x R under each of its three orders: acting >> normal,
+    # with the free coordinate first (zyx), in between (yzx) or last (yxz)
+    make, (norm, act, free) = ROLE_CHARTS[chart]
     s = 1.0 if c > 0 else -1.0
-    cls, wit = classify_ordered(law, LexOrder(sig), CFG)
-    assert (cls.label, cls.param_dict) == ("ProdAff_order_zyx", {"d": s})
-    assert cls.law == GCd(0.0, s) and cls.order == LexOrder((0, 1, 2))
-    expected = np.zeros((3, 3))
-    expected[0, sig[0]], expected[1, sig[1]], expected[2, sig[2]] = 1.0, abs(c), 1.0
-    assert np.array_equal(wit.matrix, expected)
-    assert wit.verification.passed and wit.order_verified
+    patterns = [
+        ((act, norm, free), "ProdAff_order_yxz", KCd(s, 0.0), {"c": s}),
+        ((act, free, norm), "ProdAff_order_yzx", GCd(s, 0.0), {"c": s}),
+        ((free, act, norm), "ProdAff_order_zyx", GCd(0.0, s), {"d": s}),
+    ]
+    for sig, label, canon, params in patterns:
+        cls, wit = classify_ordered(make(c), LexOrder(sig), CFG)
+        assert (cls.label, cls.param_dict) == (label, params), sig
+        assert cls.law == canon and cls.order == XYZ
+        # coordinates in significance order, the acting one scaled by |c|
+        expected = np.zeros((3, 3))
+        for row, col in enumerate(sig):
+            expected[row, col] = abs(c) if col == act else 1.0
+        assert np.array_equal(wit.matrix, expected), sig
+        assert wit.verification.passed and wit.order_verified, sig
+
+
+def test_every_ordered_pair_classifies_with_a_verified_witness():
+    # a pair classifies exactly when its lexicographic order is bi-invariant
+    cfg = SampleConfig(seed=3, count=400)
+    laws = _law_grid() + [Tk(0.0)]
+    for c in (1.0, -1.0, 2.0):
+        laws += [Product(SemidirectRR(c), Additive(1)), Product(Additive(1), SemidirectRR(c))]
+    wrong = []
+    for law in laws:
+        for sig in permutations(range(law.dim)):
+            order = LexOrder(sig)
+            try:
+                _, wit = classify_ordered(law, order, cfg)
+                classified = wit.verification.passed
+            except DomainError:
+                classified = False
+            if classified != check_translation_invariance(OrderedGroupSpec(law, order), cfg).passed:
+                wrong.append((law, sig))
+    assert wrong == []
 
 
 def test_ordered_abelian_any_significance():

@@ -165,6 +165,17 @@ def test_classify_exit_codes(capsys):
         capsys, "classify", "--law", '{"family":"t_k","params":{"k":3}}',
         "--order", "2,1,0", "--abs-tol", "1e-30", "--rel-tol", "1e-30")
     assert code == 4
+    # a parameter ratio whose witness floating point cannot invert: domain
+    # error, where a ratio of 1e10 still classifies
+    code = main(["classify", "--law", '{"family":"k_cd","params":{"c":1e-300,"d":1}}',
+                 "--order", "0,1,2"])
+    assert code == 3
+    assert "K_plus(f=9.999999999999999e+299)" in capsys.readouterr().err
+    code, out = run_cli(
+        capsys, "classify", "--law", '{"family":"k_cd","params":{"c":1e-10,"d":1}}',
+        "--order", "0,1,2")
+    assert code == 0
+    assert json.loads(out)["params"] == {"f": 1e10}
 
 
 def test_witness_verify_roundtrip(capsys):
