@@ -56,8 +56,6 @@ from .orders import (
 )
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, row_blocks
 
-_SIGN_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CanonicalClass:
@@ -228,19 +226,18 @@ def verify_witness(
     a = cfg.sample(w.source.dim, stream=61)
     b = cfg.sample(w.source.dim, stream=62)
 
-    # per block: max |w(ab) - w(a)w(b)|, max |w^-1(w(a)) - a|, max |w(a)w(b)|
-    worst = np.full(3, -np.inf)
+    # per block, the identities w(ab) = w(a)w(b) and w^-1(w(a)) = a
+    worst = np.full(2, -np.inf)
+    group_ok = True
     for rows in row_blocks(cfg.count):
         x, y = a[rows], b[rows]
         fx = w.apply(x)
-        prod_t = w.target.mul(fx, w.apply(y))
-        worst = np.maximum(worst, [np.max(np.abs(w.apply(w.source.mul(x, y)) - prod_t)),
-                                   np.max(np.abs(w.apply_inverse(fx) - x)),
-                                   np.max(np.abs(prod_t))])
-    hom, roundtrip, top = (float(v) for v in worst)
-    scale = max(1.0, top)
-    cap = tol.bound(scale)
-    group_ok = hom <= cap and roundtrip <= cap
+        for i, (u, v) in enumerate(((w.apply(w.source.mul(x, y)), w.target.mul(fx, w.apply(y))),
+                                    (w.apply_inverse(fx), x))):
+            gap, ok = tol.check(u, v)
+            worst[i] = np.maximum(worst[i], gap)
+            group_ok = group_ok and ok
+    hom, roundtrip = (float(v) for v in worst)
 
     order_ok = None
     if w.order_pair is not None:
@@ -591,7 +588,7 @@ def _positive(rng, count, box):
 
 def _mixed_sign_profile(values: np.ndarray, scale: float):
     """Collapse sampled signed quantities to +1 / 0 / -1, or None when mixed."""
-    cut = _SIGN_TOL * max(1.0, scale)
+    cut = 1e-9 * max(1.0, scale)
     pos = values > cut
     neg = values < -cut
     if pos.all():
@@ -627,8 +624,7 @@ def _invariant_values(spec: OrderedGroupSpec, cfg: SampleConfig) -> dict:
         if dim == 2:
             a = rng.uniform(-box, box, size=(count, dim))
             b = rng.uniform(-box, box, size=(count, dim))
-            comm = commutator(law, a, b)
-            values["abelian"] = bool(np.max(np.abs(comm)) <= _SIGN_TOL * 1e3)
+            values["abelian"] = DEFAULT_TOL.close(law.mul(a, b), law.mul(b, a))
             g = rand_g()
             h = supported(sig[1], positive=True)
             delta = conjugate(law, g, h)[:, sig[1]] - h[:, sig[1]]
@@ -643,11 +639,7 @@ def _invariant_values(spec: OrderedGroupSpec, cfg: SampleConfig) -> dict:
         for idx in plane:
             pa[:, idx] = rng.uniform(-box, box, size=count)
             pb[:, idx] = rng.uniform(-box, box, size=count)
-        comm = commutator(law, pa, pb)
-        scale = float(np.max(np.abs(law.mul(pa, pb))))
-        values["abelian_convex_plane"] = bool(
-            np.max(np.abs(comm)) <= _SIGN_TOL * max(1.0, scale) * 10
-        )
+        values["abelian_convex_plane"] = DEFAULT_TOL.close(law.mul(pa, pb), law.mul(pb, pa))
 
         g = rand_g()
         h_mid = supported(sig[1], positive=True)

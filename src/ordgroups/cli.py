@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .classify import classify_group, classify_ordered, enumerate_canonical, linear_witness, verify_witness
-from .cohomology import cocycle_residual
+from .cohomology import check_cocycle
 from .errors import DomainError, InputError
 from .groups import as_coords, check_group_axioms, commutator, conjugate, invert, multiply
 from .jsonio import dumps, law_from_descriptor, named_cocycle, order_from_descriptor
@@ -133,11 +133,9 @@ def cmd_order_check(args) -> int:
 
 def cmd_cocycle_check(args) -> int:
     desc = _parse_json(args.cocycle)
-    residual = cocycle_residual(named_cocycle(desc), _sample_config(args))
-    tol = _tolerance(args)
-    ok = residual <= tol.bound(1.0)
-    _emit(args, {"cocycle": desc, "residual": residual, "passed": ok})
-    return EXIT_OK if ok else EXIT_VERIFY
+    rep = check_cocycle(named_cocycle(desc), _sample_config(args), _tolerance(args))
+    _emit(args, {"cocycle": desc, "residual": rep.residual, "passed": rep.passed})
+    return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
 def cmd_classify(args) -> int:

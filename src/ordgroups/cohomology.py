@@ -13,6 +13,7 @@ Cochain callables must be pure and accept stacked arguments of shape
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,13 +57,15 @@ def g3_module(c: float = 1.0) -> GModule:
 @dataclass(frozen=True)
 class Cochain:
     """A degree-n cochain; a named one carries its descriptor, e.g.
-    {"cocycle": "heis", "c": 0.5}, which its extension law reports."""
+    {"cocycle": "heis", "c": 0.5}, which its extension law reports, and a
+    coboundary its terms: the list of signed summands of fn, in fn's order."""
 
     degree: int
     fn: Callable
     module: GModule
     # left out of eq and hash: a dict would make the cochain unhashable
     descriptor: dict | None = field(default=None, compare=False)
+    terms: Callable | None = None
 
     def __post_init__(self):
         if self.degree < 0:
@@ -103,41 +106,20 @@ def g3_cocycle(k: float) -> Cochain:
 
 def coboundary(f: Cochain) -> Cochain:
     """The degree-raising coboundary of a cochain, evaluated pointwise."""
-    module = f.module
-    n = f.degree
+    module, n = f.module, f.degree
 
-    if n == 0:
-        def dfn(g1):
+    def terms(*gs):
+        if n == 0:
             m = f.fn()
-            return module.act(g1, m) - m
+            return [module.act(gs[0], m), -m]
+        out = [module.act(gs[0], f.fn(*gs[1:]))]
+        for i in range(1, n + 1):
+            merged = gs[: i - 1] + (module.H.mul(gs[i - 1], gs[i]),) + gs[i + 1:]
+            out.append((-1.0) ** i * f.fn(*merged))
+        return out + [(-1.0) ** (n + 1) * f.fn(*gs[:-1])]
 
-    else:
-        def dfn(*gs):
-            acc = module.act(gs[0], f.fn(*gs[1:]))
-            for i in range(1, n + 1):
-                merged = (
-                    gs[: i - 1]
-                    + (module.H.mul(gs[i - 1], gs[i]),)
-                    + gs[i + 1:]
-                )
-                acc = acc + (-1.0) ** i * f.fn(*merged)
-            acc = acc + (-1.0) ** (n + 1) * f.fn(*gs[:-1])
-            return acc
-
-    return Cochain(degree=n + 1, fn=dfn, module=module)
-
-
-def cocycle_residual(f: Cochain, cfg: SampleConfig = SampleConfig()) -> float:
-    """Max norm of the coboundary of a degree-2 cochain over sampled triples."""
-    if f.degree != 2:
-        raise InputError("cocycle residual is defined for degree-2 cochains")
-    df = coboundary(f)
-    dim = f.module.H.dim
-    g = cfg.sample(dim, stream=31)
-    h = cfg.sample(dim, stream=32)
-    k = cfg.sample(dim, stream=33)
-    return float(np.max([np.max(np.abs(df.fn(g[rows], h[rows], k[rows])))
-                         for rows in row_blocks(cfg.count)]))
+    return Cochain(degree=n + 1, module=module, terms=terms,
+                   fn=lambda *gs: functools.reduce(np.add, terms(*gs)))
 
 
 @dataclass(frozen=True)
@@ -149,23 +131,46 @@ class CoboundaryReport:
         return {"passed": self.passed, "max_residual": self.residual}
 
 
+def check_coboundary(
+    f: Cochain, draws: list, tol: Tolerance = DEFAULT_TOL, target: Cochain | None = None
+) -> CoboundaryReport:
+    """Whether df - target (df when target is None) vanishes on the rows of
+    draws, one array per argument of df. The residual is the largest raw
+    |df - target|; each coordinate passes on the tolerance rule against the
+    largest |term| of the sum in its row."""
+    df = coboundary(f)
+    worst, passed = -np.inf, True
+    for rows in row_blocks(len(draws[0])):
+        gs = tuple(d[rows] for d in draws)
+        terms = df.terms(*gs) + ([] if target is None else [-target.fn(*gs)])
+        gap, ok = tol.verdict(np.abs(functools.reduce(np.add, terms)), terms)
+        worst, passed = np.maximum(worst, gap), passed and ok
+    return CoboundaryReport(passed=passed, residual=float(worst))
+
+
+def check_cocycle(
+    f: Cochain, cfg: SampleConfig = SampleConfig(), tol: Tolerance = DEFAULT_TOL
+) -> CoboundaryReport:
+    """Whether the degree-2 cochain f is a cocycle: df vanishes on sampled triples."""
+    if f.degree != 2:
+        raise InputError("cocycle residual is defined for degree-2 cochains")
+    return check_coboundary(f, [cfg.sample(f.module.H.dim, stream=s) for s in (31, 32, 33)], tol)
+
+
+def cocycle_residual(f: Cochain, cfg: SampleConfig = SampleConfig()) -> float:
+    """Max norm of the coboundary of a degree-2 cochain over sampled triples."""
+    return check_cocycle(f, cfg).residual
+
+
 def verify_coboundary_witness(
-    f: Cochain,
-    g: Cochain,
-    cfg: SampleConfig = SampleConfig(),
-    tol: Tolerance = DEFAULT_TOL,
+    f: Cochain, g: Cochain, cfg: SampleConfig = SampleConfig(), tol: Tolerance = DEFAULT_TOL
 ) -> CoboundaryReport:
     """Check that the degree-1 cochain g satisfies dg = f on sampled pairs."""
     if f.degree != 2 or g.degree != 1:
         raise InputError("witness check takes a degree-2 cochain and a degree-1 cochain")
     if f.module != g.module:
         raise InputError("cochains live over different modules")
-    dg = coboundary(g)
-    u = cfg.sample(f.module.H.dim, stream=41)
-    v = cfg.sample(f.module.H.dim, stream=42)
-    residual = float(np.max([np.max(np.abs(dg.fn(u[rows], v[rows]) - f.fn(u[rows], v[rows])))
-                             for rows in row_blocks(cfg.count)]))
-    return CoboundaryReport(passed=residual <= tol.bound(1.0), residual=residual)
+    return check_coboundary(g, [cfg.sample(f.module.H.dim, stream=s) for s in (41, 42)], tol, f)
 
 
 def normalize_cocycle(f: Cochain) -> Cochain:
@@ -235,20 +240,13 @@ def extension_from_cocycle(
     if f.module != module:
         raise InputError("cochain module does not match the extension module")
     f = normalize_cocycle(f)
-    residual = cocycle_residual(f, cfg)
-    scale = max(1.0, _sample_scale(f, cfg))
-    if residual > tol.bound(scale):
+    rep = check_cocycle(f, cfg, tol)
+    if not rep.passed:
         raise DomainError(
-            f"cochain is not a cocycle (residual {residual:.3g}); extension would "
+            f"cochain is not a cocycle (residual {rep.residual:.3g}); extension would "
             "not be associative"
         )
     return CocycleLaw(module=module, cochain=f)
-
-
-def _sample_scale(f: Cochain, cfg: SampleConfig) -> float:
-    g = cfg.sample(f.module.H.dim, stream=31, count=min(cfg.count, 64))
-    h = cfg.sample(f.module.H.dim, stream=32, count=min(cfg.count, 64))
-    return float(np.max(np.abs(f.fn(g, h))))
 
 
 def ordered_extension(

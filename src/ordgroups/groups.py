@@ -370,9 +370,9 @@ def check_group_axioms(
                 gap, ok = tol.residual(u, v)
                 resid[claim] = np.maximum(resid[claim], gap)
                 close = close and ok
-    # a NaN gap is a non-finite u or v (Tolerance.residual); such a row can
-    # still compare close, as inf <= inf, so overflow fails the report itself
+    # a NaN gap is a non-finite u or v (Tolerance.residual), whose raw gap is
+    # not finite either, so such a row has already failed
     overflow = bool(np.isnan(resid).any())
     if overflow:
         resid[np.isnan(resid)] = np.inf
-    return AxiomReport(close and not overflow, *(float(r) for r in resid), overflow=overflow)
+    return AxiomReport(close, *(float(r) for r in resid), overflow=overflow)

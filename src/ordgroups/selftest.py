@@ -2,7 +2,8 @@
 
 Each criterion draws from its own sampler (seed + criterion index) so the
 criteria can run in any order, or concurrently, with identical results.
-Criterion pass/fail compares raw residuals against abs_tol.
+A criterion passes on the verdicts of its checks, each through the one
+Tolerance rule; the residuals it reports are the raw largest gaps.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .classify import (
 )
 from .cohomology import (
     Cochain,
+    check_coboundary,
+    check_cocycle,
     coboundary,
     cocycle_residual,
     extension_from_cocycle,
@@ -113,10 +116,9 @@ def criterion_group_axioms(cfg: RunConfig) -> CriterionResult:
             worst_law = law.descriptor()
         for key in worst:
             worst[key] = max(worst[key], getattr(rep, key))
-    passed = all_passed and all(v <= cfg.abs_tol for v in worst.values())
     return CriterionResult(
         "group_axioms",
-        passed,
+        all_passed,
         {"max_residuals": worst, "worst_law": worst_law, "laws_checked": len(_law_grid())},
     )
 
@@ -153,27 +155,24 @@ def _random_test_cochains(module, rng, coords=None):
 
 def criterion_cochain_calculus(cfg: RunConfig) -> CriterionResult:
     sc = cfg.sampler(2)
+    tol = cfg.tolerance()
     details = {}
-    residuals = []
 
     # d(d(f)) vanishes for random test cochains over both module shapes;
     # over the affine chart the cochains read the acting coordinate, which
     # stays bounded under products
-    dd_max = 0.0
+    dd = []
     for module, coords in ((heis_module(), None), (g3_module(1.0), (1,))):
         rng = sc.rng(stream=81)
         for f in _random_test_cochains(module, rng, coords):
-            ddf = coboundary(coboundary(f))
-            args = [sc.sample(module.H.dim, stream=82 + i) for i in range(ddf.degree)]
-            dd_max = max(dd_max, float(np.max(np.abs(ddf.fn(*args)))))
-    details["dd_residual"] = dd_max
-    residuals.append(dd_max)
+            args = [sc.sample(module.H.dim, stream=82 + i) for i in range(f.degree + 2)]
+            dd.append(check_coboundary(coboundary(f), args, tol))
+    details["dd_residual"] = max([0.0] + [r.residual for r in dd])
 
-    heis_res = max(cocycle_residual(heis_cocycle(c), sc) for c in (0.5, 1.0, -1.0))
-    g3_res = max(cocycle_residual(g3_cocycle(k), sc) for k in (1.0, -2.0))
-    details["heis_cocycle_residual"] = heis_res
-    details["g3_cocycle_residual"] = g3_res
-    residuals += [heis_res, g3_res]
+    heis = [check_cocycle(heis_cocycle(c), sc, tol) for c in (0.5, 1.0, -1.0)]
+    g3 = [check_cocycle(g3_cocycle(k), sc, tol) for k in (1.0, -2.0)]
+    details["heis_cocycle_residual"] = max(r.residual for r in heis)
+    details["g3_cocycle_residual"] = max(r.residual for r in g3)
 
     base = g3_cocycle(1.0)
 
@@ -192,13 +191,13 @@ def criterion_cochain_calculus(cfg: RunConfig) -> CriterionResult:
         rejected = True
     details["corrupted_rejected"] = rejected
 
-    passed = all(r <= cfg.abs_tol for r in residuals) and bad_res > 1e-3 and rejected
+    passed = all(r.passed for r in dd + heis + g3) and bad_res > 1e-3 and rejected
     return CriterionResult("cochain_calculus", passed, details)
 
 
-def _law_agreement(law_a, law_b, sc: SampleConfig, perm=None) -> float:
-    """Max pointwise gap between the two laws on sampled pairs, after sending
-    law_a coordinates through the permutation perm."""
+def _law_agreement(law_a, law_b, sc: SampleConfig, tol: Tolerance, perm=None):
+    """The largest gap between the two laws on sampled pairs, law_a's
+    coordinates sent through the permutation perm, and whether they agree."""
     u = sc.sample(law_a.dim, stream=83)
     v = sc.sample(law_a.dim, stream=84)
     if perm is None:
@@ -207,29 +206,25 @@ def _law_agreement(law_a, law_b, sc: SampleConfig, perm=None) -> float:
     else:
         lhs = law_a.mul(u, v)[:, perm]
         rhs = law_b.mul(u[:, perm], v[:, perm])
-    return float(np.max(np.abs(lhs - rhs)))
+    gap, ok = tol.check(lhs, rhs)
+    return float(gap), ok
 
 
 def criterion_extension_builder(cfg: RunConfig) -> CriterionResult:
     sc = cfg.sampler(3)
     tol = cfg.tolerance()
-    details = {}
-
     heis_law = extension_from_cocycle(heis_module(), heis_cocycle(0.5), sc, tol)
     # cocycle chart is module-first (z, x, y); compare against the z-last chart
-    details["heis_vs_ec"] = _law_agreement(heis_law, heisenberg(), sc, perm=[1, 2, 0])
-
-    gaps = []
-    for k in (1.0, -2.0):
-        law = extension_from_cocycle(g3_module(1.0), g3_cocycle(k), sc, tol)
-        gaps.append(_law_agreement(law, Tk(k), sc))
-    details["g3_vs_tk"] = max(gaps)
-
+    checks = {"heis_vs_ec": [_law_agreement(heis_law, heisenberg(), sc, tol, perm=[1, 2, 0])]}
+    checks["g3_vs_tk"] = [
+        _law_agreement(extension_from_cocycle(g3_module(1.0), g3_cocycle(k), sc, tol),
+                       Tk(k), sc, tol) for k in (1.0, -2.0)]
     zero = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), g3_module(1.0))
     split = extension_from_cocycle(g3_module(1.0), zero, sc, tol)
-    details["split_vs_tk0"] = _law_agreement(split, Tk(0.0), sc)
+    checks["split_vs_tk0"] = [_law_agreement(split, Tk(0.0), sc, tol)]
 
-    passed = all(v <= cfg.abs_tol for v in details.values())
+    details = {key: max(gap for gap, _ in found) for key, found in checks.items()}
+    passed = all(ok for found in checks.values() for _, ok in found)
     return CriterionResult("extension_builder", passed, details)
 
 
@@ -307,8 +302,8 @@ def criterion_witnesses(cfg: RunConfig) -> CriterionResult:
         rep = verify_witness(wit, sc, tol)
         if rep.hom_residual > worst_hom:
             worst_hom, worst_name = rep.hom_residual, name
-        order_bad = wit.order_pair is not None and rep.order_ok is not True
-        if rep.hom_residual > cfg.abs_tol or not rep.invertible or order_bad:
+        # a claimed order that fails, or cannot be checked, fails rep.passed
+        if not rep.passed:
             failures.append(name)
     return CriterionResult(
         "isomorphism_witnesses",
@@ -359,6 +354,7 @@ def criterion_ordered_checks(cfg: RunConfig) -> CriterionResult:
 
 def criterion_separating_invariants(cfg: RunConfig) -> CriterionResult:
     sc = cfg.sampler(6)
+    tol = cfg.tolerance()
     details = {}
     rng = sc.rng(stream=91)
     n = sc.count
@@ -381,7 +377,7 @@ def criterion_separating_invariants(cfg: RunConfig) -> CriterionResult:
         comm = commutator(law, g, h)
         expect = np.column_stack(
             [np.zeros(n), np.zeros(n), 2.0 * c * g[:, 0] * h[:, 1]])
-        exact_ok = exact_ok and float(np.max(np.abs(comm - expect))) <= cfg.abs_tol
+        exact_ok = exact_ok and tol.close(comm, expect)
         signs = np.sign(comm[:, 2])
         signs_ok = signs_ok and bool(np.all(signs == (1.0 if c > 0 else -1.0)))
     details["e_commutator_exact"] = exact_ok
@@ -458,7 +454,7 @@ def criterion_classifier_roundtrip(cfg: RunConfig, total: int = 200) -> Criterio
         cls, wit = classify_ordered(law, order, sc, tol)
         rep = wit.verification
         worst = max(worst, rep.hom_residual)
-        ok = rep.hom_residual <= cfg.abs_tol and rep.group_ok and rep.order_ok is True
+        ok = rep.passed
         cls2, wit2 = classify_ordered(cls.law, cls.order, sc, tol)
         same = cls2.label == cls.label and cls2.params == cls.params
         ident = wit2.matrix is not None and np.array_equal(
@@ -494,10 +490,9 @@ def criterion_one_param_family(cfg: RunConfig) -> CriterionResult:
             lhs = one_param_through(law, base, w1 + w2)
             rhs = law.mul(one_param_through(law, base, w1),
                           one_param_through(law, base, w2))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             at_one = one_param_through(law, base, np.array(1.0))
-            worst = max(worst, float(np.max(np.abs(at_one - base))))
-            passed = passed and tol.close(lhs, rhs) and tol.close(at_one, base)
+            for gap, ok in (tol.check(lhs, rhs), tol.check(at_one, base)):
+                worst, passed = max(worst, float(gap)), passed and ok
     return CriterionResult(
         "one_param_homomorphisms", passed, {"max_residual": worst}
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,11 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Mixed absolute/relative comparison: |u-v| <= abs + rel*max(|u|,|v|)."""
+    """The one pass rule of every floating-point verdict, coordinate by
+    coordinate: gap <= abs_tol + rel_tol * scale, where a gap that is not
+    finite fails. An identity u = v has gap |u - v| and scale max(|u|, |v|);
+    a coboundary sum that should vanish has gap |sum| and, as scale, the
+    largest |term| of its row (cohomology.check_coboundary)."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
@@ -20,25 +25,36 @@ class Tolerance:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise InputError("tolerances must be strictly positive")
 
-    def bound(self, scale: float = 0.0) -> float:
-        return self.abs_tol + self.rel_tol * abs(scale)
+    def verdict(self, gap, parts) -> tuple[float, bool]:
+        """The largest gap (NaN if any is), and whether every gap passes
+        against the scale max |part| over the parts of its coordinate: the
+        two sides of an identity, or the terms of a sum that should vanish.
+        The parts are read only when some gap exceeds abs_tol; the full rule
+        passes the others, as a finite gap comes from finite parts."""
+        worst = np.max(gap, initial=-np.inf)
+        if worst <= self.abs_tol:
+            return worst, True
+        scale = functools.reduce(np.maximum, map(np.abs, parts))
+        return worst, bool(np.all((gap <= self.abs_tol + self.rel_tol * scale) & (gap < np.inf)))
+
+    def check(self, u, v) -> tuple[float, bool]:
+        """The identity u = v: the largest raw gap |u - v|, and whether every
+        coordinate is close."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        return self.verdict(np.abs(u - v), (u, v))
+
+    def close(self, u, v) -> bool:
+        return self.check(u, v)[1]
 
     def residual(self, u, v) -> tuple[float, bool]:
-        """One pass over u and v: the largest normalized gap
-        |u - v| / (1 + max(|u|, |v|)), and whether every coordinate is close.
-
-        The gap is NaN when u or v holds a non-finite value, and inf when u
-        and v are finite but u - v overflows.
-        """
+        """check with each gap normalized to |u - v| / (1 + max(|u|, |v|)): NaN
+        where u or v is not finite, inf where finite u - v overflows."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         gap = np.abs(u - v)
         scale = np.maximum(np.abs(u), np.abs(v))
-        worst = np.max(gap / (1.0 + scale), initial=-np.inf)
-        return worst, bool(np.all(gap <= self.abs_tol + self.rel_tol * scale))
-
-    def close(self, u, v) -> bool:
-        return self.residual(u, v)[1]
+        return np.max(gap / (1.0 + scale), initial=-np.inf), self.verdict(gap, (scale,))[1]
 
 
 @dataclass(frozen=True)

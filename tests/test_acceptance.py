@@ -6,6 +6,8 @@ Each test runs one seeded criterion and prints a single pass/fail line;
 
 import json
 
+import numpy as np
+
 from ordgroups.selftest import (
     RunConfig,
     criterion_classifier_roundtrip,
@@ -125,6 +127,91 @@ def test_criterion_8_fails_a_perturbed_homomorphism(monkeypatch):
     monkeypatch.setattr(selftest, "one_param_through", perturbed)
     for seed in (0,) + ONE_PARAM_SEEDS[:3]:
         assert not criterion_one_param_family(RunConfig(seed=seed)).passed, seed
+
+
+# One perturbed input per criterion: each criterion passes on its checks'
+# verdicts, so a 1e-6 defect in what it checks must fail it.
+
+
+def test_criterion_1_fails_a_perturbed_law(monkeypatch):
+    from ordgroups.groups import Tk
+
+    exact = Tk.mul
+    monkeypatch.setattr(Tk, "mul", lambda self, a, b: exact(self, a, b) * (1.0 + 1e-6))
+    assert not criterion_group_axioms(CFG).passed
+
+
+def test_criterion_2_fails_a_perturbed_cocycle(monkeypatch):
+    from ordgroups import selftest
+    from ordgroups.cohomology import Cochain
+
+    exact = selftest.heis_cocycle
+
+    def perturbed(c):
+        # 1e-6 (x x')^2 is not a cocycle of the trivial action
+        f = exact(c)
+        return Cochain(2, lambda g, h: f.fn(g, h) + 1e-6 * (g[..., :1] * h[..., :1]) ** 2,
+                       f.module)
+
+    monkeypatch.setattr(selftest, "heis_cocycle", perturbed)
+    result = criterion_cochain_calculus(CFG)
+    assert not result.passed
+    assert result.details["corrupted_rejected"]
+
+
+def test_criterion_3_fails_a_perturbed_reference_law(monkeypatch):
+    from ordgroups import selftest
+    from ordgroups.groups import Ec
+
+    monkeypatch.setattr(selftest, "heisenberg", lambda: Ec(0.5 + 1e-6))
+    result = criterion_extension_builder(CFG)
+    assert not result.passed
+    assert result.details["heis_vs_ec"] > 1e-9
+
+
+def test_criterion_4_fails_perturbed_witnesses(monkeypatch):
+    from ordgroups import selftest
+
+    exact = selftest.linear_witness
+    monkeypatch.setattr(selftest, "linear_witness", lambda source, target, matrix, **kw: exact(
+        source, target, np.asarray(matrix) * (1.0 + 1e-6), **kw))
+    result = criterion_witnesses(CFG)
+    assert not result.passed
+    # the two chart changes are function witnesses, left exact
+    assert "sut3_to_heis" not in result.details["failures"]
+    assert len(result.details["failures"]) == result.details["witnesses"] - 2
+
+
+def test_criterion_6_fails_a_perturbed_commutator(monkeypatch):
+    from ordgroups import selftest
+
+    exact = selftest.commutator
+    monkeypatch.setattr(selftest, "commutator",
+                        lambda law, g, h: exact(law, g, h) * (1.0 + 1e-6))
+    result = criterion_separating_invariants(CFG)
+    assert not result.passed
+    assert not result.details["e_commutator_exact"]
+    assert result.details["e_commutator_sign_separation"]
+
+
+def test_criterion_7_fails_a_perturbed_law(monkeypatch):
+    from ordgroups import selftest
+    from ordgroups.groups import SemidirectRR
+
+    class Skewed(SemidirectRR):
+        # a 1e-6 y y' term in the normal coordinate keeps the order (it is
+        # equal on pairs that tie in y) but no witness is a homomorphism
+        def mul(self, a, b):
+            out = super().mul(a, b)
+            out[..., 0] += 1e-6 * a[..., 1] * b[..., 1]
+            return out
+
+    monkeypatch.setattr(selftest, "SemidirectRR", Skewed)
+    result = criterion_classifier_roundtrip(CFG, total=12)
+    assert not result.passed
+    failure = result.details["failures"][0]
+    assert failure["law"]["family"] == "semidirect_rr"
+    assert not failure["verified"] and failure["same_label"] and failure["identity"]
 
 
 def test_suite_summary_is_deterministic():

@@ -316,6 +316,31 @@ def test_chart_change_witness_verifies_tightly():
     assert rep.hom_residual <= 1e-12
 
 
+def test_witness_verdict_is_per_coordinate():
+    # on Aff x R with c = 2 the normal coordinate of a product reaches about
+    # 1e3 at box 3, the free one only 6; a 1e-8 z^2 defect on the free
+    # coordinate breaks the homomorphism there by up to about 2e-7, far over
+    # that coordinate's bound though under 1e-9 * 1e3
+    from ordgroups import function_witness
+
+    law = Product(SemidirectRR(2.0), Additive(1))
+
+    def forward(a):
+        out = np.array(a, dtype=float)
+        out[..., 2] += 1e-8 * out[..., 2] ** 2
+        return out
+
+    def inverse(a):
+        out = np.array(a, dtype=float)
+        out[..., 2] = 2.0 * out[..., 2] / (1.0 + np.sqrt(1.0 + 4e-8 * out[..., 2]))
+        return out
+
+    rep = verify_witness(function_witness(law, law, forward, inverse), SampleConfig(seed=0))
+    assert 1e-8 < rep.hom_residual < 1e-6
+    assert rep.roundtrip_residual < 1e-12
+    assert not rep.group_ok and not rep.passed
+
+
 def test_module_swap_witness():
     for c in (2.0, -3.0):
         wit = linear_witness(

@@ -126,6 +126,31 @@ def test_cocycle_check(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("box", ["3", "6", "8", "10"])
+@pytest.mark.parametrize("cocycle", ['{"cocycle":"g3","k":1}', '{"cocycle":"g3","k":-2}',
+                                     '{"cocycle":"heis","c":0.5}'])
+def test_cocycle_check_agrees_with_the_extension_builder(capsys, cocycle, box):
+    # one cocycle verdict: the command passes a cochain exactly when
+    # extension_from_cocycle accepts it at the same seed, samples and box
+    from ordgroups import DomainError, SampleConfig, extension_from_cocycle
+    from ordgroups.jsonio import named_cocycle
+
+    code, out = run_cli(capsys, "cocycle-check", "--cocycle", cocycle, "--box", box)
+    f = named_cocycle(json.loads(cocycle))
+    try:
+        extension_from_cocycle(f.module, f, SampleConfig(box=float(box)))
+        accepted = True
+    except DomainError:
+        accepted = False
+    payload = json.loads(out)
+    assert (code, payload["passed"]) == ((0, True) if accepted else (4, False))
+    assert accepted  # each is a true cocycle
+    if "g3" in cocycle and box in ("8", "10"):
+        # the terms of dg3 reach about 2e5 at box 8: a residual over abs_tol
+        # (and over the old fixed cap of 2e-9) is rounding, not a defect
+        assert 1e-9 < payload["residual"] < 1e-5
+
+
 def test_classify_ordered_central_chart(capsys):
     code, out = run_cli(
         capsys, "classify", "--law", '{"family":"e_c","params":{"c":-4}}',

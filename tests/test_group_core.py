@@ -17,6 +17,7 @@ from ordgroups import (
     SemidirectRR,
     SUT3,
     Tk,
+    Tolerance,
     check_group_axioms,
     commutator,
     compare,
@@ -338,6 +339,38 @@ def test_axiom_checker_flags_a_broken_law():
 
     rep = check_group_axioms(Broken(2), SampleConfig(seed=6, count=100))
     assert not rep.passed
+
+
+# --- tolerance rule ----------------------------------------------------------
+
+
+def test_the_abs_tol_shortcut_gives_the_full_rules_verdict():
+    tol = Tolerance()
+    rng = np.random.default_rng(8)
+    below = rng.uniform(0.0, tol.abs_tol, size=(64, 3))
+    below[5, 1] = tol.abs_tol
+    scale = rng.uniform(0.0, 10.0, size=(64, 3))
+
+    def full_rule(gap, scale):
+        return bool(np.all((gap <= tol.abs_tol + tol.rel_tol * scale) & np.isfinite(gap)))
+
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("the parts were read for gaps within abs_tol")
+
+    assert tol.verdict(below, Unread()) == (below.max(), True) and full_rule(below, scale)
+    just_above = np.nextafter(tol.abs_tol, np.inf)
+    cases = [(just_above, 0.0), (just_above, 1.0), (2 * tol.abs_tol, 0.5),
+             (2 * tol.abs_tol, 1.0), (np.inf, 1.0), (np.inf, np.inf), (np.nan, np.nan)]
+    verdicts = []
+    for value, at in cases:
+        gap, sc = below.copy(), scale.copy()
+        gap[17, 2], sc[17, 2] = value, at
+        worst, ok = tol.verdict(gap, (sc,))
+        assert ok == full_rule(gap, sc), (value, at)
+        assert worst == value or np.isnan(value) and np.isnan(worst)
+        verdicts.append(ok)
+    assert verdicts == [False, True, False, True, False, False, False]
 
 
 # --- chart transport ---------------------------------------------------------
