@@ -54,7 +54,7 @@ from .orders import (
     _ordered_pairs,
     _translation_report,
 )
-from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, row_blocks
+from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
 @dataclass(frozen=True)
@@ -223,14 +223,10 @@ def verify_witness(
             np.linalg.cond(w.matrix, 1) < 1.0 / (len(w.matrix) * np.finfo(float).eps)):
         return WitnessReport(float("inf"), float("inf"), False, False, None, cfg.count)
 
-    a = cfg.sample(w.source.dim, stream=61)
-    b = cfg.sample(w.source.dim, stream=62)
-
     # per block, the identities w(ab) = w(a)w(b) and w^-1(w(a)) = a
     worst = np.full(2, -np.inf)
     group_ok = True
-    for rows in row_blocks(cfg.count):
-        x, y = a[rows], b[rows]
+    for x, y in cfg.sample_blocks(w.source.dim, (61, 62)):
         fx = w.apply(x)
         for i, (u, v) in enumerate(((w.apply(w.source.mul(x, y)), w.target.mul(fx, w.apply(y))),
                                     (w.apply_inverse(fx), x))):

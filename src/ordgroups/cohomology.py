@@ -21,9 +21,9 @@ import numpy as np
 
 from .actions import ExpAction, act, affine_on_semidirect, scale_factors, trivial
 from .errors import DomainError, InputError
-from .groups import Additive, GroupLaw, SemidirectRR, _from_columns
+from .groups import Additive, GroupLaw, SemidirectRR, _result
 from .orders import LexOrder, OrderedGroupSpec, SampledPairs
-from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, row_blocks
+from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
 @dataclass(frozen=True)
@@ -132,16 +132,17 @@ class CoboundaryReport:
 
 
 def check_coboundary(
-    f: Cochain, draws: list, tol: Tolerance = DEFAULT_TOL, target: Cochain | None = None
+    f: Cochain, cfg: SampleConfig, streams, tol: Tolerance = DEFAULT_TOL,
+    target: Cochain | None = None
 ) -> CoboundaryReport:
-    """Whether df - target (df when target is None) vanishes on the rows of
-    draws, one array per argument of df. The residual is the largest raw
-    |df - target|; each coordinate passes on the tolerance rule against the
-    largest |term| of the sum in its row."""
+    """Whether df - target (df when target is None) vanishes on cfg's draws
+    from streams, one stream per argument of df, drawn one row block at a
+    time. The residual is the largest raw |df - target|; each coordinate
+    passes on the tolerance rule against the largest |term| of the sum in its
+    row."""
     df = coboundary(f)
     worst, passed = -np.inf, True
-    for rows in row_blocks(len(draws[0])):
-        gs = tuple(d[rows] for d in draws)
+    for gs in cfg.sample_blocks(f.module.H.dim, streams):
         terms = df.terms(*gs) + ([] if target is None else [-target.fn(*gs)])
         gap, ok = tol.verdict(np.abs(functools.reduce(np.add, terms)), terms)
         worst, passed = np.maximum(worst, gap), passed and ok
@@ -154,7 +155,7 @@ def check_cocycle(
     """Whether the degree-2 cochain f is a cocycle: df vanishes on sampled triples."""
     if f.degree != 2:
         raise InputError("cocycle residual is defined for degree-2 cochains")
-    return check_coboundary(f, [cfg.sample(f.module.H.dim, stream=s) for s in (31, 32, 33)], tol)
+    return check_coboundary(f, cfg, (31, 32, 33), tol)
 
 
 def cocycle_residual(f: Cochain, cfg: SampleConfig = SampleConfig()) -> float:
@@ -170,7 +171,7 @@ def verify_coboundary_witness(
         raise InputError("witness check takes a degree-2 cochain and a degree-1 cochain")
     if f.module != g.module:
         raise InputError("cochains live over different modules")
-    return check_coboundary(g, [cfg.sample(f.module.H.dim, stream=s) for s in (41, 42)], tol, f)
+    return check_coboundary(g, cfg, (41, 42), tol, f)
 
 
 def normalize_cocycle(f: Cochain) -> Cochain:
@@ -208,16 +209,21 @@ class CocycleLaw(GroupLaw):
     def mul(self, a, b):
         m1, g1 = self._split(a)
         m2, g2 = self._split(b)
-        part_n = m1 + self.module.act(g1, m2) + self.cochain.fn(g1, g2)
-        return _from_columns(*np.moveaxis(part_n, -1, 0),
-                             *np.moveaxis(self.module.H.mul(g1, g2), -1, 0))
+        k = self.module.N.dim
+        out = _result(self.dim, a, b)
+        np.add(m1 + self.module.act(g1, m2), self.cochain.fn(g1, g2), out=out[..., :k])
+        out[..., k:] = self.module.H.mul(g1, g2)
+        return out
 
     def inv(self, a):
         m, g = self._split(a)
         ginv = self.module.H.inv(g)
         corr = m + self.cochain.fn(g, ginv)
-        return _from_columns(*np.moveaxis(-self.module.act(ginv, corr), -1, 0),
-                             *np.moveaxis(ginv, -1, 0))
+        k = self.module.N.dim
+        out = _result(self.dim, a)
+        np.negative(self.module.act(ginv, corr), out=out[..., :k])
+        out[..., k:] = ginv
+        return out
 
     def descriptor(self):
         params = dict(self.cochain.descriptor or {})

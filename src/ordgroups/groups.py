@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import InputError
-from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance, row_blocks
+from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
 def as_coords(x, dim: int | None = None) -> np.ndarray:
@@ -54,13 +54,13 @@ def _element(x, dim: int) -> np.ndarray:
     return a
 
 
-def _from_columns(*cols) -> np.ndarray:
-    """The coordinate columns as one (..., dim) array, coordinate-major: the
-    columns are stacked on a leading axis that is then moved last, by a
-    transpose: np.moveaxis's argument handling costs about as much as the
-    stacking itself on a 1000-row stack."""
-    stacked = np.stack(cols)
-    return stacked.transpose(*range(1, stacked.ndim), 0)
+def _result(dim: int, *operands) -> np.ndarray:
+    """The uninitialized (..., dim) result of an operation on stacks of
+    elements, coordinate-major: its stack shape is the operands' broadcast one.
+    Each coordinate's last operation writes into its column with out=, so no
+    column is computed into a temporary and copied."""
+    shape = np.broadcast_shapes(*(x.shape[:-1] for x in operands))
+    return np.empty(shape + (dim,), order="F")
 
 
 class GroupLaw:
@@ -121,11 +121,17 @@ class SemidirectRR(GroupLaw):
     def mul(self, a, b):
         x1, y1 = a[..., 0], a[..., 1]
         x2, y2 = b[..., 0], b[..., 1]
-        return _from_columns(x1 + np.exp(self.c * y1) * x2, y1 + y2)
+        out = _result(2, a, b)
+        np.add(x1, np.exp(self.c * y1) * x2, out=out[..., 0])
+        np.add(y1, y2, out=out[..., 1])
+        return out
 
     def inv(self, a):
         x, y = a[..., 0], a[..., 1]
-        return _from_columns(-np.exp(-self.c * y) * x, -y)
+        out = _result(2, a)
+        np.multiply(-np.exp(-self.c * y), x, out=out[..., 0])
+        np.negative(y, out=out[..., 1])
+        return out
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,10 @@ class Ec(GroupLaw):
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        return _from_columns(x1 + x2, y1 + y2, z1 + z2 + self.c * (x1 * y2 - y1 * x2))
+        out = _result(3, a, b)
+        np.add(a[..., :2], b[..., :2], out=out[..., :2])
+        np.add(z1 + z2, self.c * (x1 * y2 - y1 * x2), out=out[..., 2])
+        return out
 
     def inv(self, a):
         # the central correction vanishes: det of (v, -v) rows is 0
@@ -157,11 +166,17 @@ class SUT3(GroupLaw):
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        return _from_columns(x1 + x2, y1 + y2, z1 + z2 + x1 * y2)
+        out = _result(3, a, b)
+        np.add(a[..., :2], b[..., :2], out=out[..., :2])
+        np.add(z1 + z2, x1 * y2, out=out[..., 2])
+        return out
 
     def inv(self, a):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        return _from_columns(-x, -y, x * y - z)
+        out = _result(3, a)
+        np.negative(a[..., :2], out=out[..., :2])
+        np.subtract(x * y, z, out=out[..., 2])
+        return out
 
 
 @dataclass(frozen=True)
@@ -175,11 +190,17 @@ class GCd(GroupLaw):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
         s = np.exp(self.c * x1 + self.d * y1)
-        return _from_columns(x1 + x2, y1 + y2, z1 + s * z2)
+        out = _result(3, a, b)
+        np.add(a[..., :2], b[..., :2], out=out[..., :2])
+        np.add(z1, s * z2, out=out[..., 2])
+        return out
 
     def inv(self, a):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        return _from_columns(-x, -y, -np.exp(-(self.c * x + self.d * y)) * z)
+        out = _result(3, a)
+        np.negative(a[..., :2], out=out[..., :2])
+        np.multiply(-np.exp(-(self.c * x + self.d * y)), z, out=out[..., 2])
+        return out
 
 
 @dataclass(frozen=True)
@@ -192,12 +213,19 @@ class KCd(GroupLaw):
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        return _from_columns(
-            x1 + x2, y1 + np.exp(self.c * x1) * y2, z1 + np.exp(self.d * x1) * z2)
+        out = _result(3, a, b)
+        np.add(x1, x2, out=out[..., 0])
+        np.add(y1, np.exp(self.c * x1) * y2, out=out[..., 1])
+        np.add(z1, np.exp(self.d * x1) * z2, out=out[..., 2])
+        return out
 
     def inv(self, a):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        return _from_columns(-x, -np.exp(-self.c * x) * y, -np.exp(-self.d * x) * z)
+        out = _result(3, a)
+        np.negative(x, out=out[..., 0])
+        np.multiply(-np.exp(-self.c * x), y, out=out[..., 1])
+        np.multiply(-np.exp(-self.d * x), z, out=out[..., 2])
+        return out
 
 
 @dataclass(frozen=True)
@@ -210,12 +238,20 @@ class Tk(GroupLaw):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
         e = np.exp(z1)
-        return _from_columns(x1 + x2 * e + self.k * y2 * z1 * e, y1 + y2 * e, z1 + z2)
+        out = _result(3, a, b)
+        np.add(x1 + x2 * e, self.k * y2 * z1 * e, out=out[..., 0])
+        np.add(y1, y2 * e, out=out[..., 1])
+        np.add(z1, z2, out=out[..., 2])
+        return out
 
     def inv(self, a):
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
         e = np.exp(-z)
-        return _from_columns(e * (self.k * y * z - x), -y * e, -z)
+        out = _result(3, a)
+        np.multiply(e, self.k * y * z - x, out=out[..., 0])
+        np.multiply(-y, e, out=out[..., 1])
+        np.negative(z, out=out[..., 2])
+        return out
 
 
 def g3() -> Tk:
@@ -235,13 +271,17 @@ class Product(GroupLaw):
 
     def mul(self, u, v):
         k = self.a.dim
-        return _from_columns(*np.moveaxis(self.a.mul(u[..., :k], v[..., :k]), -1, 0),
-                             *np.moveaxis(self.b.mul(u[..., k:], v[..., k:]), -1, 0))
+        out = _result(self.dim, u, v)
+        out[..., :k] = self.a.mul(u[..., :k], v[..., :k])
+        out[..., k:] = self.b.mul(u[..., k:], v[..., k:])
+        return out
 
     def inv(self, u):
         k = self.a.dim
-        return _from_columns(*np.moveaxis(self.a.inv(u[..., :k]), -1, 0),
-                             *np.moveaxis(self.b.inv(u[..., k:]), -1, 0))
+        out = _result(self.dim, u)
+        out[..., :k] = self.a.inv(u[..., :k])
+        out[..., k:] = self.b.inv(u[..., k:])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +319,10 @@ def sut3_to_heis(a) -> np.ndarray:
     if a.shape[-1] != 3:
         raise InputError("chart change needs 3 coordinates")
     x, y, z = a[..., 0], a[..., 1], a[..., 2]
-    return _from_columns(x, y, z - 0.5 * x * y)
+    out = _result(3, a)
+    out[..., :2] = a[..., :2]
+    np.subtract(z, 0.5 * x * y, out=out[..., 2])
+    return out
 
 
 def heis_to_sut3(a) -> np.ndarray:
@@ -287,7 +330,10 @@ def heis_to_sut3(a) -> np.ndarray:
     if a.shape[-1] != 3:
         raise InputError("chart change needs 3 coordinates")
     x, y, z = a[..., 0], a[..., 1], a[..., 2]
-    return _from_columns(x, y, z + 0.5 * x * y)
+    out = _result(3, a)
+    out[..., :2] = a[..., :2]
+    np.add(z, 0.5 * x * y, out=out[..., 2])
+    return out
 
 
 def one_param_through(law: KCd, g, w) -> np.ndarray:
@@ -309,7 +355,11 @@ def one_param_through(law: KCd, g, w) -> np.ndarray:
             return w
         return np.expm1(exponent * w) / np.expm1(exponent)
 
-    return _from_columns(w * t, coef(law.c * t) * u, coef(law.d * t) * v)
+    out = np.empty(w.shape + (3,), order="F")
+    np.multiply(w, t, out=out[..., 0])
+    np.multiply(coef(law.c * t), u, out=out[..., 1])
+    np.multiply(coef(law.d * t), v, out=out[..., 2])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +409,11 @@ def check_group_axioms(
     product is reported as overflow, with residual inf on each claim whose
     gap is not finite.
     """
-    a = cfg.sample(law.dim, stream=1)
-    b = cfg.sample(law.dim, stream=2)
-    c = cfg.sample(law.dim, stream=3)
     resid = np.full(3, -np.inf)
     close = True
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for rows in row_blocks(cfg.count):
-            for claim, u, v in _axiom_claims(law, a[rows], b[rows], c[rows]):
+        for a, b, c in cfg.sample_blocks(law.dim, (1, 2, 3)):
+            for claim, u, v in _axiom_claims(law, a, b, c):
                 gap, ok = tol.residual(u, v)
                 resid[claim] = np.maximum(resid[claim], gap)
                 close = close and ok

@@ -111,14 +111,32 @@ class InvarianceReport:
 class PairBlock(NamedTuple):
     """One block of sampled pairs: row i is the pair (a[i], b[i]) sorted by
     swap[i], which is true where b[i] < a[i], so lo, hi = b, a there and a, b
-    elsewhere. kept slices the block out of the kept-pair index; raw holds its
-    rows of the two draws (a slice, or indices when ties were dropped)."""
+    elsewhere. kept slices the block out of the kept-pair index, which a draw
+    with one row per kept pair (the translating elements g) lines up with; raw
+    holds its rows of the two draws (a slice, or indices when ties were
+    dropped)."""
 
     a: np.ndarray
     b: np.ndarray
     swap: np.ndarray
     kept: slice
     raw: slice | np.ndarray
+
+    def first_misordered(self, order: LexOrder, fa: np.ndarray, fb: np.ndarray) -> int | None:
+        """The first row whose pair lo < hi has images not increasing in order,
+        or None, given fa, fb = f(a), f(b).
+
+        Reading the verdict through the swap bit gives ~lex_less(f(lo), f(hi))
+        bit for bit, NaN included: where swap, f(hi) < f(lo) fails unless
+        f(a) > f(b), that is unless f(a) and f(b) differ and f(a) is not less.
+        """
+        less, differ = _lex_compare(order.significance, fa, fb)
+        hits = np.flatnonzero(np.where(self.swap, less | ~differ, ~less))
+        return int(hits[0]) if hits.size else None
+
+    def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row i as its sorted pair (lo, hi)."""
+        return (self.b[i], self.a[i]) if self.swap[i] else (self.a[i], self.b[i])
 
 
 class SampledPairs:
@@ -170,20 +188,31 @@ class SampledPairs:
 
     def first_misordered(self, order: LexOrder, images):
         """The first pair lo < hi whose images are not increasing in order, as
-        (index, lo, hi), or None. images(block) returns (f(a), f(b)).
-
-        Reading the verdict through the swap bit gives ~lex_less(f(lo), f(hi))
-        bit for bit, NaN included: where swap, f(hi) < f(lo) fails unless
-        f(a) > f(b), that is unless f(a) and f(b) differ and f(a) is not less.
-        """
+        (lo, hi), or None. images(block) returns (f(a), f(b))."""
         for block in self.blocks():
-            less, differ = _lex_compare(order.significance, *images(block))
-            hits = np.flatnonzero(np.where(block.swap, less | ~differ, ~less))
-            if hits.size:
-                i = int(hits[0])
-                a, b = block.a[i], block.b[i]
-                return (block.kept.start + i,) + ((b, a) if block.swap[i] else (a, b))
+            i = block.first_misordered(order, *images(block))
+            if i is not None:
+                return block.pair(i)
         return None
+
+    def counterexamples(self, cfg: SampleConfig, stream: int, *images):
+        """Per side, the first pair lo < hi whose images are not increasing, as
+        (g, lo, hi), or None. images[side](g, block) returns (f(a), f(b)),
+        where g is the block's rows of the stream's draw, one row per kept
+        pair: it is drawn once per block and shared by the sides. A side is not
+        evaluated after its first hit, and the pass ends when every side has one.
+        """
+        hits = [None] * len(images)
+        for block in self.blocks():
+            g = cfg.sample(self.order.dim, stream, block.swap.size, block.kept.start)
+            for side, side_images in enumerate(images):
+                if hits[side] is None:
+                    i = block.first_misordered(self.order, *side_images(g, block))
+                    if i is not None:
+                        hits[side] = tuple(x.copy() for x in (g[i], *block.pair(i)))
+            if all(hit is not None for hit in hits):
+                break
+        return hits
 
 
 def _ordered_pairs(order: LexOrder, cfg: SampleConfig, dim: int) -> SampledPairs:
@@ -205,17 +234,18 @@ def check_translation_invariance(
 
 def _translation_report(spec: OrderedGroupSpec, cfg: SampleConfig,
                         pairs: SampledPairs) -> InvarianceReport:
-    """check_translation_invariance on pairs the caller drew with _ordered_pairs."""
-    law, order = spec.law, spec.order
-    g = cfg.sample(law.dim, stream=13, count=pairs.count)
+    """check_translation_invariance on pairs the caller drew with _ordered_pairs.
 
-    def first(translate):
-        hit = pairs.first_misordered(order, lambda block: (
-            translate(g[block.kept], block.a), translate(g[block.kept], block.b)))
-        return None if hit is None else (g[hit[0]].copy(), hit[1].copy(), hit[2].copy())
-
-    left = first(law.mul)
-    right = first(lambda x, h: law.mul(h, x))
+    The translating elements g come from stream 13, one row per kept pair,
+    drawn one pair block at a time. The left and right checks run in one pass
+    over the blocks, so each block of g is drawn once and each block of pairs
+    rebuilt once; each side stops at its own first counterexample.
+    """
+    law = spec.law
+    left, right = pairs.counterexamples(
+        cfg, 13,
+        lambda g, block: (law.mul(g, block.a), law.mul(g, block.b)),
+        lambda g, block: (law.mul(block.a, g), law.mul(block.b, g)))
     return InvarianceReport(
         left_ok=left is None,
         right_ok=right is None,
@@ -246,19 +276,17 @@ def check_conjugation_order_preserving(
     _check_closed(law, coords, cfg)
     pairs = SampledPairs(order, _supported(cfg, law.dim, coords, stream=23),
                          _supported(cfg, law.dim, coords, stream=24), 1)
-    g = cfg.sample(law.dim, stream=25, count=pairs.count)
 
-    def conjugates(block):
-        gb = g[block.kept]
-        ginv = law.inv(gb)
-        return law.mul(law.mul(gb, block.a), ginv), law.mul(law.mul(gb, block.b), ginv)
+    def conjugates(g, block):
+        ginv = law.inv(g)
+        return law.mul(law.mul(g, block.a), ginv), law.mul(law.mul(g, block.b), ginv)
 
-    hit = pairs.first_misordered(order, conjugates)
+    hit, = pairs.counterexamples(cfg, 25, conjugates)
     return InvarianceReport(
         left_ok=hit is None,
         right_ok=True,
         checked=pairs.count,
-        counterexample_left=None if hit is None else (g[hit[0]],) + hit[1:],
+        counterexample_left=hit,
     )
 
 
@@ -268,8 +296,9 @@ def _check_closed(law: GroupLaw, coords: tuple[int, ...], cfg: SampleConfig) -> 
     outside = [i for i in range(law.dim) if i not in coords]
     if not outside:
         return
-    probe_a = _supported(cfg, law.dim, coords, stream=21)
-    probe_b = _supported(cfg, law.dim, coords, stream=22)
-    if np.max([np.max(np.abs(law.mul(probe_a[rows], probe_b[rows])[:, outside]))
-               for rows in row_blocks(cfg.count)]) > 0:
+    worst = []
+    for a, b in cfg.sample_blocks(law.dim, (21, 22)):
+        a[:, outside] = b[:, outside] = 0.0
+        worst.append(np.max(np.abs(law.mul(a, b)[:, outside])))
+    if np.max(worst) > 0:
         raise InputError(f"coordinates {coords} are not closed under multiplication")

@@ -18,9 +18,9 @@ import pytest
 from ordgroups import tolerance
 from ordgroups.actions import diagonal
 from ordgroups.classify import classify_ordered, linear_witness, verify_witness
-from ordgroups.cohomology import GModule, _action_order_preserving, cocycle_residual, \
-    g3_cocycle, heis_cocycle
-from ordgroups.groups import Additive, Ec, GCd, KCd, SemidirectRR, Tk, check_group_axioms
+from ordgroups.cohomology import GModule, _action_order_preserving, check_cocycle, \
+    cocycle_residual, g3_cocycle, heis_cocycle
+from ordgroups.groups import SUT3, Additive, Ec, GCd, KCd, SemidirectRR, Tk, check_group_axioms
 from ordgroups.jsonio import dumps
 from ordgroups.orders import (
     InvarianceReport,
@@ -158,8 +158,8 @@ def test_cocycle_residual(monkeypatch, cochain, cfg, nan):
 class _CoarseSamples(SampleConfig):
     """Samples rounded to a coarse grid, so coordinates and whole rows tie."""
 
-    def sample(self, dim, stream=0, count=None):
-        return np.round(super().sample(dim, stream, count))
+    def sample(self, dim, stream=0, count=None, start=0):
+        return np.round(super().sample(dim, stream, count, start))
 
 
 COARSE = _CoarseSamples(seed=22, count=300)
@@ -188,12 +188,19 @@ def _first_misordered(order, f_lo, f_hi):
     return int(bad[0]) if bad.size else None
 
 
-def _whole_translation(spec, cfg):
+def _whole_translation_hits(spec, cfg):
+    """(g, lo, hi) as whole arrays, and the first failing pair of the left
+    and of the right check."""
     law, order = spec.law, spec.order
     lo, hi = _whole_ordered_pairs(order, cfg, law.dim)
     g = cfg.sample(law.dim, stream=13, count=lo.shape[0])
     left = _first_misordered(order, law.mul(g, lo), law.mul(g, hi))
     right = _first_misordered(order, law.mul(lo, g), law.mul(hi, g))
+    return (g, lo, hi), (left, right)
+
+
+def _whole_translation(spec, cfg):
+    (g, lo, hi), (left, right) = _whole_translation_hits(spec, cfg)
     ce = (lambda i: None if i is None else (g[i], lo[i], hi[i]))
     return InvarianceReport(left is None, right is None, lo.shape[0], ce(left), ce(right))
 
@@ -225,6 +232,27 @@ def test_translation_matches_the_whole_array_pairs(monkeypatch, cfg, law, order)
     with np.errstate(all="ignore"):
         rep = _same_at_every_block_size(monkeypatch, lambda: check_translation_invariance(spec, cfg))
         assert dumps(rep) == dumps(_whole_translation(spec, cfg))
+
+
+@pytest.mark.parametrize("size", [2, 7])
+@pytest.mark.parametrize("seed, law, order", [
+    (7, Ec(1.0), (2, 0, 1)),  # the left check fails first
+    (17, SUT3(), (2, 0, 1)),  # the right check fails first
+])
+def test_one_pass_translation_keeps_each_sides_first_counterexample(monkeypatch, size, seed,
+                                                                   law, order):
+    # both sides fail, first in different blocks: the pass goes on past the
+    # first side's hit, evaluating only the other side, and must still find
+    # that side's first failing pair
+    cfg = SampleConfig(seed=seed, count=300)
+    spec = OrderedGroupSpec(law, LexOrder(order))
+    _, hits = _whole_translation_hits(spec, cfg)
+    # continuous samples tie no pair, so pair i < count is row i of level 0
+    assert max(hits) < cfg.count and len({i // size for i in hits}) == 2
+    monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
+    rep = check_translation_invariance(spec, cfg)
+    assert not rep.left_ok and not rep.right_ok
+    assert dumps(rep) == dumps(_whole_translation(spec, cfg))
 
 
 def test_translation_cases_cover_ties_and_counterexamples():
@@ -328,16 +356,34 @@ def test_action_factors_line_up_with_the_raw_rows(monkeypatch):
         monkeypatch, lambda: _action_order_preserving(module, LexOrder((0, 1)), COARSE))
 
 
-def test_classification_memory_stays_below_seven_sample_arrays():
-    # the whole-array pairs held about 10 to 13 arrays of count x dim doubles
-    count, dim = 200_000, 3
+def _peak_in_sample_arrays(check, count=1 << 19, dim=3):
+    """The peak memory check(cfg) allocates at count rows, in units of one
+    (count, dim) float64 array. 2^19 rows are 4 draws of DRAW_BLOCKS blocks,
+    so a streamed draw is a quarter of a whole one."""
     tracemalloc.start()
     try:
-        classify_ordered(Ec(-4.0), LexOrder((0, 1, 2)), SampleConfig(count=count))
+        check(SampleConfig(count=count))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * count * dim * 8
+    return peak / (count * dim * 8)
+
+
+def test_classification_memory_stays_below_four_and_a_half_sample_arrays():
+    # the whole-array pairs held about 10 to 13 arrays of count x dim doubles;
+    # the two pair draws h, h' are whole, the translating elements streamed
+    assert _peak_in_sample_arrays(
+        lambda cfg: classify_ordered(Ec(-4.0), LexOrder((0, 1, 2)), cfg)) < 4.5
+
+
+def test_axiom_memory_stays_below_two_sample_arrays():
+    # the three operand draws, whole, were three arrays
+    assert _peak_in_sample_arrays(lambda cfg: check_group_axioms(Tk(1.0), cfg)) < 2
+
+
+def test_cocycle_memory_stays_below_one_and_a_quarter_sample_arrays():
+    # the three draws on the 2-dim acting chart, whole, were two arrays
+    assert _peak_in_sample_arrays(lambda cfg: check_cocycle(g3_cocycle(1.0), cfg)) < 1.25
 
 
 # --- coordinate-major layout ---------------------------------------------------
@@ -350,6 +396,19 @@ def test_samples_are_one_row_major_draw_stored_coordinate_major():
         got = cfg.sample(3, stream=11, count=count)
         assert np.array_equal(got, cfg.rng(11).uniform(-cfg.box, cfg.box, (count, 3)))
         assert got.flags.f_contiguous
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_streamed_rows_equal_the_whole_draw(dim):
+    cfg = SampleConfig(seed=5, box=2.5)
+    rows = tolerance.BLOCK_ROWS
+    for stream in (11, 13):
+        for start in (0, 1, rows - 1, 2 * rows + 7):
+            # a count past BLOCK_ROWS also crosses a block inside the draw
+            for count in (1, rows + 3):
+                got = cfg.sample(dim, stream, count, start)
+                assert np.array_equal(got, cfg.sample(dim, stream, start + count)[start:])
+                assert got.flags.f_contiguous
 
 
 def test_pair_blocks_keep_contiguous_columns(monkeypatch):
