@@ -25,6 +25,7 @@ carrying that verification.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,9 +51,8 @@ from .groups import (
 from .orders import (
     LexOrder,
     OrderedGroupSpec,
-    SampledPairs,
     _ordered_pairs,
-    _translation_report,
+    _translation_sides,
 )
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
@@ -124,8 +124,12 @@ class IsoWitness:
 
     def apply_inverse(self, a: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
-            return _matvec(np.linalg.inv(self.matrix), a)
+            return _matvec(self._inverse_matrix, a)
         return self.inverse(a)
+
+    @functools.cached_property
+    def _inverse_matrix(self) -> np.ndarray:
+        return np.linalg.inv(self.matrix)
 
     def to_dict(self):
         return {
@@ -233,19 +237,21 @@ def verify_witness(
             gap, ok = tol.check(u, v)
             worst[i] = np.maximum(worst[i], gap)
             group_ok = group_ok and ok
+        del x, y, v  # views of the draws: let them go before the next are made
     hom, roundtrip = (float(v) for v in worst)
 
     order_ok = None
     if w.order_pair is not None:
-        order_ok = _order_monotone(w, _ordered_pairs(w.order_pair[0], cfg, w.source.dim))
+        pairs = _ordered_pairs(w.order_pair[0], cfg, w.source.dim)
+        order_ok = pairs.scan(_order_side(w, w.order_pair[1]))[1][0] is None
 
     return WitnessReport(hom, roundtrip, True, group_ok, order_ok, cfg.count)
 
 
-def _order_monotone(w: IsoWitness, pairs: SampledPairs) -> bool:
-    """Whether w maps each source pair lo < hi to an increasing target pair."""
-    return pairs.first_misordered(
-        w.order_pair[1], lambda block: (w.apply(block.a), w.apply(block.b))) is None
+def _order_side(w: IsoWitness, target: LexOrder):
+    """The check that w maps each source pair lo < hi to a pair increasing in
+    target, as a SampledPairs.scan side."""
+    return target, lambda g, block: (w.apply(block.a), w.apply(block.b))
 
 
 # ---------------------------------------------------------------------------
@@ -439,24 +445,34 @@ def classify_ordered(
     The pair must already be an ordered group; bi-invariance is checked on
     samples first and a counterexample is reported on failure.
     """
-    spec = OrderedGroupSpec(law, order)
-    # one draw of h < h' pairs serves the translation check and the witness
-    pairs = _ordered_pairs(order, cfg, law.dim)
-    report = _translation_report(spec, cfg, pairs)
-    if not report.passed:
-        ce = report.counterexample_left or report.counterexample_right
-        side = "left" if report.counterexample_left else "right"
+    # the witness samples nothing, so it is found first and its order claim
+    # checked in the translation check's one pass over the pairs; the errors
+    # keep their order: translation, then no canonical form, then invertibility
+    try:
+        cls, wit = _classify_ordered(law, order.significance)
+    except DomainError as exc:
+        unclassified, rep = exc, None
+    else:
+        # wit makes no order claim yet, so verify_witness checks the group
+        # claims only; an invertible witness's order claim joins the pass
+        unclassified, rep = None, verify_witness(wit, cfg, tol)
+    sides = _translation_sides(OrderedGroupSpec(law, order))
+    if rep is not None and rep.invertible:
+        sides += (_order_side(wit, cls.order),)
+    _, (left, right, *monotone) = _ordered_pairs(order, cfg, law.dim).scan(
+        *sides, g=functools.partial(cfg.sample, law.dim, 13))
+    if left is not None or right is not None:
+        ce = left or right
+        side = "left" if left else "right"
         raise DomainError(
             f"pair is not an ordered group: {side} translation fails at "
             f"g={ce[0].tolist()}, h={ce[1].tolist()}, h'={ce[2].tolist()}"
         )
-    cls, wit = _classify_ordered(law, order.significance)
-    # wit makes no order claim yet, so verify_witness checks the group claims
-    # only; the order claim is checked on the pairs drawn above
-    rep = verify_witness(wit, cfg, tol)
+    if unclassified is not None:
+        raise unclassified
     _require_invertible(law, cls, rep)
     wit = dataclasses.replace(wit, order_pair=(order, cls.order))
-    rep = dataclasses.replace(rep, order_ok=_order_monotone(wit, pairs))
+    rep = dataclasses.replace(rep, order_ok=monotone[0] is None)
     return cls, dataclasses.replace(wit, verification=rep)
 
 

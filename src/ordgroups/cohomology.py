@@ -22,7 +22,7 @@ import numpy as np
 from .actions import ExpAction, act, affine_on_semidirect, scale_factors, trivial
 from .errors import DomainError, InputError
 from .groups import Additive, GroupLaw, SemidirectRR, _result
-from .orders import LexOrder, OrderedGroupSpec, SampledPairs
+from .orders import LexOrder, OrderedGroupSpec, SampledPairs, _stream
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
@@ -285,9 +285,8 @@ def _action_order_preserving(module: GModule, order_n: LexOrder, cfg: SampleConf
     factors = scale_factors(module.gamma, g)
     if np.any(factors <= 0):
         return False
-    n1 = cfg.sample(module.N.dim, stream=52, count=g.shape[0])
-    n2 = cfg.sample(module.N.dim, stream=53, count=g.shape[0])
+    pairs = SampledPairs(order_n, 1, g.shape[0], _stream(cfg, module.N.dim, 52, 53))
     # factors line up with the raw rows of the draws, not with the kept pairs
-    pairs = SampledPairs(order_n, n1, n2, 1)
-    return pairs.first_misordered(order_n, lambda block: (
-        factors[block.raw] * block.a, factors[block.raw] * block.b)) is None
+    _, (hit,) = pairs.scan((order_n, lambda _, block: (
+        factors[block.raw] * block.a, factors[block.raw] * block.b)))
+    return hit is None

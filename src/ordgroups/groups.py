@@ -417,6 +417,7 @@ def check_group_axioms(
                 gap, ok = tol.residual(u, v)
                 resid[claim] = np.maximum(resid[claim], gap)
                 close = close and ok
+            del a, b, c  # views of the draws: let them go before the next are made
     # a NaN gap is a non-finite u or v (Tolerance.residual), whose raw gap is
     # not finite either, so such a row has already failed
     overflow = bool(np.isnan(resid).any())

@@ -8,6 +8,7 @@ is applied anywhere in this module.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .groups import GroupLaw, _element
-from .tolerance import SampleConfig, row_blocks
+from .tolerance import SampleConfig, draw_blocks
 
 
 class Comparison(enum.Enum):
@@ -135,84 +136,95 @@ class PairBlock(NamedTuple):
         return int(hits[0]) if hits.size else None
 
     def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row i as its sorted pair (lo, hi)."""
-        return (self.b[i], self.a[i]) if self.swap[i] else (self.a[i], self.b[i])
+        """Row i as its sorted pair (lo, hi), copied out of the draws."""
+        lo, hi = (self.b[i], self.a[i]) if self.swap[i] else (self.a[i], self.b[i])
+        return lo.copy(), hi.copy()
 
 
 class SampledPairs:
-    """Sampled pairs lo < hi, kept as two draws h, h' of shape (n, dim) plus
-    one swap byte and one tie byte per pair; lo and hi are never materialized.
+    """Sampled pairs lo < hi from two draws h, h' of n rows, drawn
+    DRAW_BLOCKS row blocks at a time by draw(count, start), which returns rows
+    start .. start + count of h and of h'. No whole draw is held: each pass
+    draws the rows again and builds every level's pair block for a row block
+    before moving on.
 
     Level k pairs row j of h with row j of h' whose k most significant
     coordinates are taken from h, so levels > 1 exercise the tie-breaking
-    coordinates. Pairs are indexed level-major with ties (equal rows) dropped:
-    count pairs in all, and a draw of count rows lines up with that index.
+    coordinates. Pairs are indexed level-major with ties (equal rows) dropped,
+    and a draw of one row per kept pair lines up with that index.
     """
 
-    def __init__(self, order: LexOrder, h: np.ndarray, hp: np.ndarray, levels: int):
-        self.order, self.h, self.hp = order, h, hp
-        n = h.shape[0]
-        self.swap = np.empty((levels, n), dtype=bool)
-        self.tie = np.empty((levels, n), dtype=bool)
-        for k in range(levels):
-            # the k shared coordinates are equal, so only the rest can decide
-            for rows in row_blocks(n):
-                swap, differ = _lex_compare(order.significance[k:], hp[rows], h[rows])
-                self.swap[k, rows] = swap
-                self.tie[k, rows] = ~differ
-        self.count = self.tie.size - int(np.count_nonzero(self.tie))
+    def __init__(self, order: LexOrder, levels: int, n: int, draw):
+        self.order, self.levels, self.n, self.draw = order, levels, n, draw
 
-    def _shared(self, k: int, rows: slice) -> np.ndarray:
-        """Rows of h' with their k most significant coordinates taken from h."""
+    def _shared(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Rows b of h' with their k most significant coordinates taken from
+        the rows a of h."""
         if k == 0:
-            return self.hp[rows]
+            return b
         shared = list(self.order.significance[:k])
-        b = self.hp[rows].copy(order="F")
-        b[:, shared] = self.h[rows, shared]
+        b = b.copy(order="F")
+        b[:, shared] = a[:, shared]
         return b
 
-    def blocks(self):
-        """The pairs in kept-pair order, rebuilt one row block at a time."""
-        start = 0
-        for k in range(self.swap.shape[0]):
-            for rows in row_blocks(self.h.shape[0]):
-                a, b, swap, raw = self.h[rows], self._shared(k, rows), self.swap[k, rows], rows
-                tie = self.tie[k, rows]
-                if tie.any():
-                    keep = ~tie
-                    a, b, swap = a[keep], b[keep], swap[keep]
-                    raw = rows.start + np.flatnonzero(keep)
+    def blocks(self, offsets=None):
+        """(level, PairBlock) for each row block and level: the levels of one
+        row block in turn, row blocks in order, blocks without a kept pair
+        skipped. Level k's kept index starts at offsets[k], which must be the
+        kept count of the levels below it for the index to be level-major; the
+        default k * n holds when no pair ties."""
+        kept = [k * self.n for k in range(self.levels)] if offsets is None else list(offsets)
+        rows = slice(0, 0)
+        for h, hp in draw_blocks(self.n, self.draw):
+            rows = slice(rows.stop, rows.stop + len(h))
+            for k in range(self.levels):
+                # the k shared coordinates are equal, so only the rest can decide
+                swap, differ = _lex_compare(self.order.significance[k:], hp, h)
+                a, b, raw = h, self._shared(k, h, hp), rows
+                if not differ.all():
+                    a, b, swap = a[differ], b[differ], swap[differ]
+                    raw = rows.start + np.flatnonzero(differ)
                 if swap.size:
-                    yield PairBlock(a, b, swap, slice(start, start + swap.size), raw)
-                    start += swap.size
+                    yield k, PairBlock(a, b, swap, slice(kept[k], kept[k] + swap.size), raw)
+                    kept[k] += swap.size
+            del h, hp, a, b  # views of the draws: let them go before the next are made
 
-    def first_misordered(self, order: LexOrder, images):
-        """The first pair lo < hi whose images are not increasing in order, as
-        (lo, hi), or None. images(block) returns (f(a), f(b))."""
-        for block in self.blocks():
-            i = block.first_misordered(order, *images(block))
-            if i is not None:
-                return block.pair(i)
-        return None
+    def scan(self, *sides, g=None):
+        """(pairs, hits): the number of kept pairs and, per side (order,
+        images), the first pair lo < hi in the kept-pair index whose images are
+        not increasing in order, as (g row, lo, hi), or None.
 
-    def counterexamples(self, cfg: SampleConfig, stream: int, *images):
-        """Per side, the first pair lo < hi whose images are not increasing, as
-        (g, lo, hi), or None. images[side](g, block) returns (f(a), f(b)),
-        where g is the block's rows of the stream's draw, one row per kept
-        pair: it is drawn once per block and shared by the sides. A side is not
-        evaluated after its first hit, and the pass ends when every side has one.
+        images(g, block) returns (f(a), f(b)), where g is the block's rows of
+        g(count, start), one row per kept pair (None without g): drawn once per
+        block and shared by the sides. A side evaluates a level only while it
+        has no hit at that level or below, and stops once it has one at level
+        0. A tie below the last level shifts the kept index of the levels above
+        it, so with g the pass is rerun on the counted offsets.
         """
-        hits = [None] * len(images)
-        for block in self.blocks():
-            g = cfg.sample(self.order.dim, stream, block.swap.size, block.kept.start)
-            for side, side_images in enumerate(images):
-                if hits[side] is None:
-                    i = block.first_misordered(self.order, *side_images(g, block))
+        offsets = [k * self.n for k in range(self.levels)]
+        while True:
+            counts, hits = [0] * self.levels, [None] * len(sides)
+            first = [self.levels] * len(sides)  # the lowest level with a hit
+            for k, block in self.blocks(offsets):
+                counts[k] += block.swap.size
+                live = [side for side in range(len(sides)) if k < first[side]]
+                gk = None if g is None or not live else g(block.swap.size, block.kept.start)
+                for side in live:
+                    order, images = sides[side]
+                    i = block.first_misordered(order, *images(gk, block))
                     if i is not None:
-                        hits[side] = tuple(x.copy() for x in (g[i], *block.pair(i)))
-            if all(hit is not None for hit in hits):
-                break
-        return hits
+                        first[side] = k
+                        hits[side] = (None if gk is None else gk[i].copy(), *block.pair(i))
+                del block  # views of the draws: let them go before the next are made
+            counted = np.cumsum([0, *counts[:-1]]).tolist()
+            if g is None or counted == offsets:
+                return sum(counts), hits
+            offsets = counted
+
+
+def _stream(cfg: SampleConfig, dim: int, *streams: int):
+    """draw(count, start): rows start .. start + count of each stream."""
+    return lambda count, start: [cfg.sample(dim, s, count, start) for s in streams]
 
 
 def _ordered_pairs(order: LexOrder, cfg: SampleConfig, dim: int) -> SampledPairs:
@@ -222,41 +234,39 @@ def _ordered_pairs(order: LexOrder, cfg: SampleConfig, dim: int) -> SampledPairs
     tie-breaking coordinates are exercised with shared-prefix variants: level
     k of h' takes its k most significant coordinates from h.
     """
-    return SampledPairs(order, cfg.sample(dim, stream=11), cfg.sample(dim, stream=12), dim)
+    return SampledPairs(order, dim, cfg.count, _stream(cfg, dim, 11, 12))
 
 
 def check_translation_invariance(
     spec: OrderedGroupSpec, cfg: SampleConfig = SampleConfig()
 ) -> InvarianceReport:
-    """Verify g*h < g*h' (left) and h*g < h'*g (right) on sampled h < h'."""
-    return _translation_report(spec, cfg, _ordered_pairs(spec.order, cfg, spec.law.dim))
+    """Verify g*h < g*h' (left) and h*g < h'*g (right) on sampled h < h'.
 
-
-def _translation_report(spec: OrderedGroupSpec, cfg: SampleConfig,
-                        pairs: SampledPairs) -> InvarianceReport:
-    """check_translation_invariance on pairs the caller drew with _ordered_pairs.
-
-    The translating elements g come from stream 13, one row per kept pair,
-    drawn one pair block at a time. The left and right checks run in one pass
-    over the blocks, so each block of g is drawn once and each block of pairs
-    rebuilt once; each side stops at its own first counterexample.
-    """
-    law = spec.law
-    left, right = pairs.counterexamples(
-        cfg, 13,
-        lambda g, block: (law.mul(g, block.a), law.mul(g, block.b)),
-        lambda g, block: (law.mul(block.a, g), law.mul(block.b, g)))
+    The translating elements g come from stream 13, one row per kept pair.
+    The left and right checks run in one pass over the pairs, so each block
+    of g is drawn once; each side keeps its own first counterexample."""
+    pairs = _ordered_pairs(spec.order, cfg, spec.law.dim)
+    checked, (left, right) = pairs.scan(*_translation_sides(spec),
+                                        g=functools.partial(cfg.sample, spec.law.dim, 13))
     return InvarianceReport(
         left_ok=left is None,
         right_ok=right is None,
-        checked=pairs.count,
+        checked=checked,
         counterexample_left=left,
         counterexample_right=right,
     )
 
 
-def _supported(cfg: SampleConfig, dim: int, coords: tuple[int, ...], stream: int) -> np.ndarray:
-    out = cfg.sample(dim, stream=stream)
+def _translation_sides(spec: OrderedGroupSpec):
+    """The left and right translation checks as SampledPairs.scan sides."""
+    law, order = spec.law, spec.order
+    return ((order, lambda g, block: (law.mul(g, block.a), law.mul(g, block.b))),
+            (order, lambda g, block: (law.mul(block.a, g), law.mul(block.b, g))))
+
+
+def _supported(cfg: SampleConfig, dim: int, coords: tuple[int, ...], stream: int,
+               count: int | None = None, start: int = 0) -> np.ndarray:
+    out = cfg.sample(dim, stream, count, start)
     out[:, [i for i in range(dim) if i not in coords]] = 0.0
     return out
 
@@ -274,18 +284,18 @@ def check_conjugation_order_preserving(
         raise InputError("normal_coords outside chart dimensions")
 
     _check_closed(law, coords, cfg)
-    pairs = SampledPairs(order, _supported(cfg, law.dim, coords, stream=23),
-                         _supported(cfg, law.dim, coords, stream=24), 1)
+    pairs = SampledPairs(order, 1, cfg.count, lambda count, start: [
+        _supported(cfg, law.dim, coords, s, count, start) for s in (23, 24)])
 
     def conjugates(g, block):
         ginv = law.inv(g)
         return law.mul(law.mul(g, block.a), ginv), law.mul(law.mul(g, block.b), ginv)
 
-    hit, = pairs.counterexamples(cfg, 25, conjugates)
+    checked, (hit,) = pairs.scan((order, conjugates), g=functools.partial(cfg.sample, law.dim, 25))
     return InvarianceReport(
         left_ok=hit is None,
         right_ok=True,
-        checked=pairs.count,
+        checked=checked,
         counterexample_left=hit,
     )
 
@@ -300,5 +310,6 @@ def _check_closed(law: GroupLaw, coords: tuple[int, ...], cfg: SampleConfig) -> 
     for a, b in cfg.sample_blocks(law.dim, (21, 22)):
         a[:, outside] = b[:, outside] = 0.0
         worst.append(np.max(np.abs(law.mul(a, b)[:, outside])))
+        del a, b  # views of the draws: let them go before the next are made
     if np.max(worst) > 0:
         raise InputError(f"coordinates {coords} are not closed under multiplication")

@@ -72,6 +72,9 @@ class SampleConfig:
             raise InputError("seed must be an unsigned integer")
         if not (self.box > 0 and np.isfinite(self.box)):
             raise InputError("box must be positive and finite")
+        if not np.isfinite(2 * self.box):
+            # samples are -box + 2 box u: an infinite width would give inf samples
+            raise InputError(f"box {self.box!r} is too large: 2 * box overflows")
 
     def rng(self, stream: int = 0) -> np.random.Generator:
         # stream isolates independent draws under one seed
@@ -84,23 +87,29 @@ class SampleConfig:
         array. The generator skips the first start rows (PCG64 advances by any
         number of draws) and fills the rest one row block at a time, so a check
         can draw each of its blocks on its own and get the whole draw's values.
-        This is the one sampling hook: every draw goes through it."""
+        This is the one sampling hook: every draw goes through it.
+
+        Each block is filled as Generator.uniform(-box, box) fills it, bit for
+        bit: -box + 2 box u for u from Generator.random, in one reused
+        row-major buffer, copied once into the result."""
         n = self.count if count is None else count
         rng = self.rng(stream)
         rng.bit_generator.advance(start * dim)
         out = np.empty((n, dim), order="F")
+        buf = np.empty((min(n, BLOCK_ROWS), dim))
         for rows in row_blocks(n):
-            out[rows] = rng.uniform(-self.box, self.box, size=(rows.stop - rows.start, dim))
+            block = buf[:rows.stop - rows.start]
+            rng.random(out=block)
+            block *= 2 * self.box
+            block += -self.box
+            out[rows] = block
         return out
 
     def sample_blocks(self, dim: int, streams):
         """Per row block of count rows, that block of each stream's draw. The
         streams are drawn DRAW_BLOCKS blocks at a time."""
-        step = DRAW_BLOCKS * BLOCK_ROWS
-        for start in range(0, self.count, step):
-            draws = [self.sample(dim, s, min(step, self.count - start), start) for s in streams]
-            for rows in row_blocks(len(draws[0])):
-                yield [d[rows] for d in draws]
+        return draw_blocks(self.count, lambda count, start: [
+            self.sample(dim, s, count, start) for s in streams])
 
 
 DEFAULT_TOL = Tolerance()
@@ -108,7 +117,7 @@ DEFAULT_TOL = Tolerance()
 # Rows per block of a sampled check. A block of 3 float64 coordinates is
 # 768 KiB, so the few temporaries a check holds per block stay in a 4 MiB L2.
 BLOCK_ROWS = 1 << 15
-# Blocks per draw in sample_blocks: about 3 MiB per stream at 3 coordinates.
+# Blocks per draw in draw_blocks: about 3 MiB per stream at 3 coordinates.
 # glibc's malloc hands freed memory back to the system above a threshold set
 # by the largest mapping it has released. When nothing larger than a block had
 # been freed, each block's temporaries were handed back and faulted in again:
@@ -129,3 +138,16 @@ def row_blocks(n: int):
     """
     for start in range(0, n, BLOCK_ROWS):
         yield slice(start, min(start + BLOCK_ROWS, n))
+
+
+def draw_blocks(n: int, draw):
+    """Per row block of rows 0..n-1, its rows of each array that
+    draw(count, start) returns for rows start .. start + count. draw is called
+    DRAW_BLOCKS blocks at a time."""
+    step = DRAW_BLOCKS * BLOCK_ROWS
+    for start in range(0, n, step):
+        draws = draw(min(step, n - start), start)
+        for rows in row_blocks(len(draws[0])):
+            yield [d[rows] for d in draws]
+        # freed before the next draw is made, unless the caller holds a block
+        del draws

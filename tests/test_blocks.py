@@ -10,6 +10,7 @@ The ordered-pair checks are also compared with the whole-array construction
 they replaced, which materialized the sorted pairs lo < hi.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from ordgroups.actions import diagonal
 from ordgroups.classify import classify_ordered, linear_witness, verify_witness
 from ordgroups.cohomology import GModule, _action_order_preserving, check_cocycle, \
     cocycle_residual, g3_cocycle, heis_cocycle
+from ordgroups.errors import DomainError
 from ordgroups.groups import SUT3, Additive, Ec, GCd, KCd, SemidirectRR, Tk, check_group_axioms
 from ordgroups.jsonio import dumps
 from ordgroups.orders import (
@@ -326,17 +328,66 @@ def test_action_order_matches_the_whole_array_pairs(monkeypatch, cfg, coeffs, or
         assert got is _whole_action_order_preserving(module, LexOrder(order), cfg) is preserving
 
 
+def _level_offsets(pairs):
+    """Each level's first index in the kept-pair index: the kept count of the
+    levels below it."""
+    counts = [0] * pairs.levels
+    for k, block in pairs.blocks():
+        counts[k] += block.swap.size
+    return np.cumsum([0, *counts]).tolist()
+
+
 def test_blocks_expose_their_rows_of_the_draws(monkeypatch):
     order = LexOrder((0, 1, 2))
+    h, hp = COARSE.sample(3, 11), COARSE.sample(3, 12)
     for size in BLOCK_SIZES:
         monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
         pairs = _ordered_pairs(order, COARSE, 3)
-        kept = 0
-        for block in pairs.blocks():
-            assert np.array_equal(pairs.h[block.raw], block.a)
-            assert block.kept == slice(kept, kept + block.swap.size)
-            kept = block.kept.stop
-        assert kept == pairs.count < 3 * COARSE.count
+        offsets = _level_offsets(pairs)
+        kept = offsets[:-1]
+        for k, block in pairs.blocks(kept):
+            assert np.array_equal(h[block.raw], block.a)
+            unshared = list(order.significance[k:])
+            assert np.array_equal(hp[block.raw][:, unshared], block.b[:, unshared])
+            assert block.kept == slice(kept[k], kept[k] + block.swap.size)
+            kept[k] = block.kept.stop
+        # each level fills its stretch of the level-major index
+        assert kept == offsets[1:]
+        assert kept[-1] == pairs.scan()[0] < 3 * COARSE.count
+
+
+class _TiedRows(SampleConfig):
+    """Continuous samples, except that every 7th row of stream 12 repeats
+    stream 11: those pairs tie at every level, and no coordinate ties
+    elsewhere."""
+
+    def sample(self, dim, stream=0, count=None, start=0):
+        out = super().sample(dim, stream, count, start)
+        if stream == 12:
+            rows = np.flatnonzero((start + np.arange(len(out))) % 7 == 0)
+            out[rows] = super().sample(dim, 11, count, start)[rows]
+        return out
+
+
+@pytest.mark.parametrize("size, draw", [(2, 1), (7, 3), (1 << 20, 4)])
+def test_ties_below_the_last_level_shift_the_translating_elements(monkeypatch, size, draw):
+    # x is a homomorphism to R on e_c, so only pairs sharing x can fail: the
+    # first hits lie past level 0, whose kept count the ties cut short, and
+    # read their g at the shifted offset
+    cfg = _TiedRows(seed=22, count=300)
+    spec = OrderedGroupSpec(Ec(1.0), LexOrder((0, 2, 1)))
+    ties = len(range(0, cfg.count, 7))
+    _, hits = _whole_translation_hits(spec, cfg)
+    assert all(i is not None and i >= cfg.count - ties for i in hits)
+    monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
+    monkeypatch.setattr(tolerance, "DRAW_BLOCKS", draw)
+    rep = check_translation_invariance(spec, cfg)
+    assert rep.checked == 3 * (cfg.count - ties)
+    assert dumps(rep) == dumps(_whole_translation(spec, cfg))
+    g, lo, hi = rep.counterexample_left
+    with pytest.raises(DomainError, match=re.escape(
+            f"left translation fails at g={g.tolist()}, h={lo.tolist()}, h'={hi.tolist()}")):
+        classify_ordered(spec.law, spec.order, cfg)
 
 
 def test_action_factors_line_up_with_the_raw_rows(monkeypatch):
@@ -386,6 +437,29 @@ def test_cocycle_memory_stays_below_one_and_a_quarter_sample_arrays():
     assert _peak_in_sample_arrays(lambda cfg: check_cocycle(g3_cocycle(1.0), cfg)) < 1.25
 
 
+def _peak_bytes(check, count):
+    tracemalloc.start()
+    try:
+        check(SampleConfig(count=count))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", [
+    lambda cfg: check_translation_invariance(
+        OrderedGroupSpec(Ec(-4.0), LexOrder((0, 1, 2))), cfg),
+    lambda cfg: check_conjugation_order_preserving(
+        OrderedGroupSpec(KCd(1.0, 1.0), LexOrder((0, 1, 2))), (1, 2), cfg),
+    lambda cfg: classify_ordered(Ec(-4.0), LexOrder((0, 1, 2)), cfg),
+], ids=["translation", "conjugation", "classification"])
+def test_order_check_memory_does_not_grow_with_the_samples(check):
+    # every draw is streamed: tripling the rows past one draw of DRAW_BLOCKS
+    # blocks leaves the peak where it was; whole pair draws h, h' alone grew
+    # from 9.6 to 28.8 MB
+    assert _peak_bytes(check, 600_000) <= 1.2 * _peak_bytes(check, 200_000)
+
+
 # --- coordinate-major layout ---------------------------------------------------
 
 
@@ -396,6 +470,20 @@ def test_samples_are_one_row_major_draw_stored_coordinate_major():
         got = cfg.sample(3, stream=11, count=count)
         assert np.array_equal(got, cfg.rng(11).uniform(-cfg.box, cfg.box, (count, 3)))
         assert got.flags.f_contiguous
+
+
+@pytest.mark.parametrize("box", [5e-324, 1e-300, 0.5, 3.0, 7.25, 1e150, 8.9e307])
+def test_samples_are_generator_uniform_bit_for_bit(box):
+    # the fill scales Generator.random in place; Generator.uniform is the
+    # reference, also across the widest box whose width 2 * box is finite
+    rows = tolerance.BLOCK_ROWS
+    cfg = SampleConfig(seed=9, box=box)
+    for dim in (1, 2, 3):
+        for count, start in ((1, 0), (rows + 5, 3), (2 * rows - 1, rows + 1), (1000, 2 * rows + 7)):
+            rng = cfg.rng(13)
+            rng.bit_generator.advance(start * dim)
+            ref = rng.uniform(-box, box, (count, dim))
+            assert np.array_equal(cfg.sample(dim, 13, count, start), ref)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -415,6 +503,6 @@ def test_pair_blocks_keep_contiguous_columns(monkeypatch):
     for size in BLOCK_SIZES:
         monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
         pairs = _ordered_pairs(LexOrder((2, 0, 1)), CFG, 3)
-        assert pairs.count == 3 * CFG.count  # continuous samples: no pair ties
-        for block in pairs.blocks():
+        assert pairs.scan()[0] == 3 * CFG.count  # continuous samples: no pair ties
+        for _, block in pairs.blocks():
             assert block.a.strides[0] == block.b.strides[0] == block.a.itemsize

@@ -356,6 +356,18 @@ def test_witness_between_dimensions_is_an_input_error(capsys, matrix):
 
 
 
+@pytest.mark.parametrize("box", ["1e308", "9e307", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("axioms", "--law", '{"family":"additive","params":{"n":1}}'),
+    ("order-check", "--law", _SD, "--order", "1,0"),
+    ("cocycle-check", "--cocycle", '{"cocycle":"heis","c":0.5}'),
+], ids=["axioms", "order-check", "cocycle-check"])
+def test_box_whose_width_overflows_is_an_input_error(capsys, argv, box):
+    # samples are uniform on [-box, box]: a width 2 * box of inf would give
+    # inf samples, not an overflow report
+    _assert_input_error(capsys, *argv, "--box", box)
+
+
 def test_json_naming_a_directory_is_an_input_error(tmp_path, capsys):
     _assert_input_error(capsys, "axioms", "--json", str(tmp_path))
 

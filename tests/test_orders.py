@@ -195,16 +195,26 @@ class _CoarseSamples(SampleConfig):
         return np.round(super().sample(dim, stream, count, start))
 
 
-def _assembled_pairs(pairs):
-    """lo and hi assembled from the blocks through the swap mask."""
-    lo, hi = [], []
-    for block in pairs.blocks():
+def _assembled_pairs(pairs, cfg):
+    """lo and hi assembled from the blocks through the swap mask, each block
+    at its slice of the level-major kept-pair index."""
+    counts = [0] * pairs.levels
+    for k, block in pairs.blocks():
+        counts[k] += block.swap.size
+    count = sum(counts)
+    assert count == pairs.scan()[0]
+    h = cfg.sample(pairs.order.dim, 11)
+    lo, hi = np.full((2, count, pairs.order.dim), np.nan)
+    filled = np.zeros(count, dtype=int)
+    for _, block in pairs.blocks(np.cumsum([0, *counts[:-1]]).tolist()):
+        assert np.array_equal(h[block.raw], block.a)
         swap = block.swap[:, None]
-        lo.append(np.where(swap, block.b, block.a))
-        hi.append(np.where(swap, block.a, block.b))
+        lo[block.kept] = np.where(swap, block.b, block.a)
+        hi[block.kept] = np.where(swap, block.a, block.b)
+        filled[block.kept] += 1
         assert block.kept.stop - block.kept.start == block.swap.size
-    assert sum(len(x) for x in lo) == pairs.count
-    return np.concatenate(lo, axis=0), np.concatenate(hi, axis=0)
+    assert (filled == 1).all()
+    return lo, hi
 
 
 @pytest.mark.parametrize("cfg", [SampleConfig(seed=4, count=300), _CoarseSamples(seed=4, count=300)],
@@ -213,7 +223,7 @@ def test_ordered_pairs_match_the_per_block_construction(cfg):
     for dim in (1, 2, 3):
         for sig in permutations(range(dim)):
             order = LexOrder(sig)
-            lo, hi = _assembled_pairs(_ordered_pairs(order, cfg, dim))
+            lo, hi = _assembled_pairs(_ordered_pairs(order, cfg, dim), cfg)
             ref_lo, ref_hi = _reference_ordered_pairs(order, cfg, dim)
             assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi), sig
             assert lex_less(order, lo, hi).all()
