@@ -163,11 +163,6 @@ def function_witness(source, target, forward, inverse, order_pair=None, name=Non
                       inverse=inverse, order_pair=order_pair, map_name=name)
 
 
-def identity_witness(law, order=None) -> IsoWitness:
-    pair = None if order is None else (order, order)
-    return linear_witness(law, law, np.eye(law.dim), order_pair=pair)
-
-
 def invert_witness(w: IsoWitness) -> IsoWitness:
     pair = None if w.order_pair is None else (w.order_pair[1], w.order_pair[0])
     if w.matrix is not None:

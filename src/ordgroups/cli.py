@@ -13,13 +13,11 @@ import sys
 
 import numpy as np
 
-from .classify import classify_group, classify_ordered, enumerate_canonical, linear_witness, verify_witness
-from .cohomology import check_cocycle
+# lazy module objects (see __init__): each subcommand runs only the modules it calls
+from . import classify, cohomology, orders, selftest
 from .errors import DomainError, InputError
 from .groups import as_coords, check_group_axioms, commutator, conjugate, invert, multiply
 from .jsonio import dumps, law_from_descriptor, named_cocycle, order_from_descriptor
-from .orders import OrderedGroupSpec, check_conjugation_order_preserving, check_translation_invariance
-from .selftest import RunConfig, run_all
 from .tolerance import SampleConfig, Tolerance
 
 EXIT_OK = 0
@@ -44,12 +42,18 @@ def _parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("JSON nested too deeply") from exc
 
 
 def _law_arg(args):
     if args.json_file:
-        with open(args.json_file) as fh:
-            return law_from_descriptor(_parse_json(fh.read()))
+        with open(args.json_file, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{args.json_file} is not UTF-8: {exc}") from exc
+        return law_from_descriptor(_parse_json(text))
     if getattr(args, "law", None) is None:
         raise InputError("a law descriptor is required (--law or --json)")
     return law_from_descriptor(_parse_json(args.law))
@@ -117,14 +121,14 @@ def cmd_axioms(args) -> int:
 def cmd_order_check(args) -> int:
     law = _law_arg(args)
     order = order_from_descriptor(_indices(args.order))
-    spec = OrderedGroupSpec(law, order)
+    spec = orders.OrderedGroupSpec(law, order)
     cfg = _sample_config(args)
-    rep = check_translation_invariance(spec, cfg)
+    rep = orders.check_translation_invariance(spec, cfg)
     payload = {"law": law.descriptor(), "order": list(order.significance),
                "translation": rep.to_dict()}
     ok = rep.passed
     if args.normal_coords:
-        crep = check_conjugation_order_preserving(spec, _indices(args.normal_coords), cfg)
+        crep = orders.check_conjugation_order_preserving(spec, _indices(args.normal_coords), cfg)
         payload["conjugation"] = crep.to_dict()
         ok = ok and crep.passed
     _emit(args, payload)
@@ -133,7 +137,7 @@ def cmd_order_check(args) -> int:
 
 def cmd_cocycle_check(args) -> int:
     desc = _parse_json(args.cocycle)
-    rep = check_cocycle(named_cocycle(desc), _sample_config(args), _tolerance(args))
+    rep = cohomology.check_cocycle(named_cocycle(desc), _sample_config(args), _tolerance(args))
     _emit(args, {"cocycle": desc, "residual": rep.residual, "passed": rep.passed})
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
@@ -144,9 +148,9 @@ def cmd_classify(args) -> int:
     tol = _tolerance(args)
     if args.order:
         order = order_from_descriptor(_indices(args.order))
-        cls, wit = classify_ordered(law, order, cfg, tol)
+        cls, wit = classify.classify_ordered(law, order, cfg, tol)
     else:
-        cls, wit = classify_group(law, cfg, tol)
+        cls, wit = classify.classify_group(law, cfg, tol)
     payload = {
         "label": cls.label,
         "params": cls.param_dict,
@@ -169,8 +173,8 @@ def cmd_witness_verify(args) -> int:
             order_from_descriptor(_indices(args.source_order)),
             order_from_descriptor(_indices(args.target_order)),
         )
-    wit = linear_witness(source, target, matrix, order_pair=pair)
-    rep = verify_witness(wit, _sample_config(args), _tolerance(args))
+    wit = classify.linear_witness(source, target, matrix, order_pair=pair)
+    rep = classify.verify_witness(wit, _sample_config(args), _tolerance(args))
     # the verified witness, so its flags agree with the verification
     _emit(args, {"witness": dataclasses.replace(wit, verification=rep).to_dict(),
                  "verification": rep.to_dict()})
@@ -181,7 +185,7 @@ def cmd_catalog(args) -> int:
     entries = []
     dims = [args.dim] if args.dim else [1, 2, 3]
     for dim in dims:
-        for cls, law, order in enumerate_canonical(dim):
+        for cls, law, order in classify.enumerate_canonical(dim):
             entries.append({
                 "dim": dim,
                 "label": cls.label,
@@ -194,9 +198,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    cfg = RunConfig(seed=args.seed, samples=args.samples, box=args.box,
-                    abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-    report = run_all(cfg)
+    cfg = selftest.RunConfig(seed=args.seed, samples=args.samples, box=args.box,
+                             abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+    report = selftest.run_all(cfg)
     _emit(args, report)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 

@@ -13,11 +13,10 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .actions import ExpAction
-from .cohomology import Cochain, extension_from_cocycle, g3_cocycle, heis_cocycle
+# lazy module objects (see __init__): `eval` and `axioms` never run them
+from . import actions, cohomology, orders
 from .errors import InputError
 from .groups import Additive, Ec, GCd, GroupLaw, KCd, Product, SemidirectRR, SUT3, Tk
-from .orders import LexOrder
 
 # family name -> law class; each field of the class is one descriptor parameter
 _FAMILIES = {cls.family: cls for cls in (Additive, SemidirectRR, Ec, SUT3, GCd, KCd, Tk, Product)}
@@ -33,7 +32,7 @@ def law_from_descriptor(desc: dict) -> GroupLaw:
         raise InputError(f"family {family!r} needs a 'params' object")
     if family == "from_cocycle":
         f = named_cocycle(params)
-        return extension_from_cocycle(f.module, f)
+        return cohomology.extension_from_cocycle(f.module, f)
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise InputError(f"unknown law family {family!r}")
@@ -50,14 +49,14 @@ def law_from_descriptor(desc: dict) -> GroupLaw:
     return cls(**args)
 
 
-def named_cocycle(desc: dict) -> Cochain:
+def named_cocycle(desc: dict) -> cohomology.Cochain:
     """The 2-cocycle a descriptor names: {"cocycle": "heis", "c": c}, c 0.5 by
     default, or {"cocycle": "g3", "k": k}, k 1 by default."""
     name = desc.get("cocycle") if isinstance(desc, dict) else None
     if name == "heis":
-        return heis_cocycle(_finite(desc.get("c", 0.5), "c"))
+        return cohomology.heis_cocycle(_finite(desc.get("c", 0.5), "c"))
     if name == "g3":
-        return g3_cocycle(_finite(desc.get("k", 1.0), "k"))
+        return cohomology.g3_cocycle(_finite(desc.get("k", 1.0), "k"))
     raise InputError("a cocycle descriptor is an object naming the cocycle 'heis' or 'g3'")
 
 
@@ -73,18 +72,18 @@ def _finite(value, key: str) -> float:
     return x
 
 
-def order_from_descriptor(desc) -> LexOrder:
+def order_from_descriptor(desc) -> orders.LexOrder:
     if isinstance(desc, dict):
         desc = desc.get("significance")
     if desc is None:
         raise InputError("order descriptor needs a 'significance' list")
-    return LexOrder(tuple(int(i) for i in desc))
+    return orders.LexOrder(tuple(int(i) for i in desc))
 
 
-def action_from_descriptor(desc: dict) -> ExpAction:
+def action_from_descriptor(desc: dict) -> actions.ExpAction:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise InputError("action descriptor must be an object with a 'kind' field")
-    return ExpAction(desc["kind"], tuple(float(c) for c in desc.get("coeffs", ())))
+    return actions.ExpAction(desc["kind"], tuple(float(c) for c in desc.get("coeffs", ())))
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,24 @@ def test_out_naming_a_directory_is_an_input_error(tmp_path, capsys):
     _assert_input_error(capsys, "catalog", "--dim", "1", "--out", str(tmp_path))
 
 
+def test_json_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    law_file = tmp_path / "law.json"
+    law_file.write_bytes(b"\xff\xfe{")
+    _assert_input_error(capsys, "axioms", "--json", str(law_file))
+
+
+_DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("cocycle-check", "--cocycle", _DEEP),
+    ("axioms", "--law", _DEEP),
+    ("witness-verify", "--source", _SD, "--target", _SD, "--matrix", _DEEP),
+], ids=["cocycle", "law", "matrix"])
+def test_json_nested_past_the_recursion_limit_is_an_input_error(capsys, argv):
+    _assert_input_error(capsys, *argv)
+
+
 # JSON strings and the NaN/Infinity literals Python's json module accepts
 @pytest.mark.parametrize("value", ['"nan"', "NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("law", [
