@@ -85,7 +85,7 @@ def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
     witnesses like the shear maps reproduce the exponent arguments exactly
     instead of differing by an ulp that e^24 then amplifies.
     """
-    out = np.zeros(a.shape[:-1] + (matrix.shape[0],), order="F")
+    out = np.empty(a.shape[:-1] + (matrix.shape[0],), order="F")
     for i in range(matrix.shape[0]):
         acc = None
         for j in range(matrix.shape[1]):
@@ -93,8 +93,7 @@ def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
             if mij != 0.0:
                 term = a[..., j] if mij == 1.0 else mij * a[..., j]
                 acc = term if acc is None else acc + term
-        if acc is not None:
-            out[..., i] = acc
+        out[..., i] = 0.0 if acc is None else acc
     return out
 
 

@@ -123,4 +123,8 @@ def _emit(obj) -> str:
 
 def dumps(obj) -> str:
     """Serialize a report deterministically (sorted keys, 17-digit floats)."""
-    return _emit(obj)
+    try:
+        return _emit(obj)
+    except RecursionError as exc:
+        # a law descriptor nested a few hundred deep, e.g. products of products
+        raise InputError("report nested too deeply to write") from exc

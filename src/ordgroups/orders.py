@@ -2,7 +2,9 @@
 
 Comparisons are exact: sampled continuous coordinates tie with probability
 zero, and deliberately constructed ties must compare equal, so no tolerance
-is applied anywhere in this module.
+is applied anywhere in this module. A comparison decides each row from the
+most significant coordinate and stops once every row of the block is
+decided. Images that tie, or that a NaN leaves undecided, are a violation.
 """
 
 from __future__ import annotations
@@ -64,15 +66,22 @@ def compare(order: LexOrder, a, b) -> Comparison:
 
 
 def _lex_compare(significance, a: np.ndarray, b: np.ndarray):
-    """Row-wise (a < b, a != b) along significance, a and b broadcast together."""
+    """Row-wise (a < b, a != b) along significance, a and b broadcast together.
+    The most significant coordinate sets both; a later one is compared only
+    while some row is still undecided."""
     shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
-    less = np.zeros(shape, dtype=bool)
-    decided = np.zeros(shape, dtype=bool)
-    for idx in significance:
+    if not significance:  # a 0-dimensional order: every pair ties
+        return np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    first, *rest = significance
+    less = np.less(a[..., first], b[..., first], out=np.empty(shape, dtype=bool))
+    decided = np.greater(a[..., first], b[..., first], out=np.empty(shape, dtype=bool))
+    decided |= less
+    for idx in rest:
+        if decided.all():
+            break
         lt = a[..., idx] < b[..., idx]
-        gt = a[..., idx] > b[..., idx]
         less |= ~decided & lt
-        decided |= lt | gt
+        decided |= lt | (a[..., idx] > b[..., idx])
     return less, decided
 
 
@@ -127,12 +136,12 @@ class PairBlock(NamedTuple):
         """The first row whose pair lo < hi has images not increasing in order,
         or None, given fa, fb = f(a), f(b).
 
-        Reading the verdict through the swap bit gives ~lex_less(f(lo), f(hi))
-        bit for bit, NaN included: where swap, f(hi) < f(lo) fails unless
-        f(a) > f(b), that is unless f(a) and f(b) differ and f(a) is not less.
+        Read through the swap bit this is ~lex_less(f(lo), f(hi)) bit for bit,
+        NaN included: images that tie (or compare NaN) hit, and images that
+        differ are in order exactly where f(a) < f(b) disagrees with swap.
         """
         less, differ = _lex_compare(order.significance, fa, fb)
-        hits = np.flatnonzero(np.where(self.swap, less | ~differ, ~less))
+        hits = np.flatnonzero(~differ | (less == self.swap))
         return int(hits[0]) if hits.size else None
 
     def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,13 +257,8 @@ def check_translation_invariance(
     pairs = _ordered_pairs(spec.order, cfg, spec.law.dim)
     checked, (left, right) = pairs.scan(*_translation_sides(spec),
                                         g=functools.partial(cfg.sample, spec.law.dim, 13))
-    return InvarianceReport(
-        left_ok=left is None,
-        right_ok=right is None,
-        checked=checked,
-        counterexample_left=left,
-        counterexample_right=right,
-    )
+    return InvarianceReport(left_ok=left is None, right_ok=right is None, checked=checked,
+                            counterexample_left=left, counterexample_right=right)
 
 
 def _translation_sides(spec: OrderedGroupSpec):
@@ -292,12 +296,8 @@ def check_conjugation_order_preserving(
         return law.mul(law.mul(g, block.a), ginv), law.mul(law.mul(g, block.b), ginv)
 
     checked, (hit,) = pairs.scan((order, conjugates), g=functools.partial(cfg.sample, law.dim, 25))
-    return InvarianceReport(
-        left_ok=hit is None,
-        right_ok=True,
-        checked=checked,
-        counterexample_left=hit,
-    )
+    return InvarianceReport(left_ok=hit is None, right_ok=True, checked=checked,
+                            counterexample_left=hit)
 
 
 def _check_closed(law: GroupLaw, coords: tuple[int, ...], cfg: SampleConfig) -> None:

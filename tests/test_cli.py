@@ -394,6 +394,25 @@ def test_json_nested_past_the_recursion_limit_is_an_input_error(capsys, argv):
     _assert_input_error(capsys, *argv)
 
 
+def _nested_product(depth):
+    """A product law descriptor depth levels deep, a line factor at each level."""
+    law = leaf = {"family": "additive", "params": {"n": 1}}
+    for _ in range(depth):
+        law = {"family": "product", "params": {"a": law, "b": leaf}}
+    return json.dumps(law)
+
+
+def test_product_nested_too_deep_to_report_is_an_input_error(tmp_path, capsys):
+    # valid JSON well inside the parser's limit, but the report would repeat
+    # the descriptor past the recursion limit of writing it
+    law_file = tmp_path / "law.json"
+    law_file.write_text(_nested_product(200))
+    _assert_input_error(capsys, "axioms", "--json", str(law_file))
+    law_file.write_text(_nested_product(100))
+    code, out = run_cli(capsys, "axioms", "--json", str(law_file))
+    assert code == 0 and json.loads(out)["law"]["dim"] == 101
+
+
 # JSON strings and the NaN/Infinity literals Python's json module accepts
 @pytest.mark.parametrize("value", ['"nan"', "NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("law", [

@@ -24,7 +24,7 @@ from ordgroups import (
     multiply,
     verify_witness,
 )
-from ordgroups.orders import _ordered_pairs
+from ordgroups.orders import PairBlock, _lex_compare, _ordered_pairs
 
 RNG = np.random.default_rng(11)
 
@@ -230,3 +230,126 @@ def test_ordered_pairs_match_the_per_block_construction(cfg):
             if isinstance(cfg, _CoarseSamples):
                 # ties were dropped, so the tie-removal branch ran
                 assert lo.shape[0] < dim * cfg.count
+
+
+# --- the early-exit comparison ----------------------------------------------------
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+def _scalar_compare(order, a, b):
+    """compare, which takes finite elements only, or the same loop on the
+    floats of a row with a NaN, an inf or a -0.0 in it."""
+    if np.isfinite(a).all() and np.isfinite(b).all():
+        return compare(order, a, b)
+    for idx in order.significance:
+        if a[idx] < b[idx]:
+            return Comparison.LT
+        if a[idx] > b[idx]:
+            return Comparison.GT
+    return Comparison.EQ
+
+
+def _lex_blocks(order, seed, n=200):
+    """(a, b) blocks of n rows whose first 0 .. dim most significant
+    coordinates tie on every row, then on every other row; each with a fifth
+    of its entries NaN, +-inf or +-0.0, and once with none."""
+    rng = np.random.default_rng(seed)
+    for special in (0.0, 0.2):
+        for tied in range(order.dim + 1):
+            for rows in (slice(None), slice(None, None, 2)):
+                a, b = rng.uniform(-3, 3, (2, n, order.dim))
+                for x in (a, b):
+                    mask = rng.random(x.shape) < special
+                    x[mask] = rng.choice(_SPECIAL, mask.sum())
+                for idx in order.significance[:tied]:
+                    b[rows, idx] = a[rows, idx]
+                yield np.asfortranarray(a), np.asfortranarray(b)
+
+
+def _old_lex_compare(significance, a, b):
+    """The comparison before its early exit: every coordinate, every row."""
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
+    less, decided = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    for idx in significance:
+        lt, gt = a[..., idx] < b[..., idx], a[..., idx] > b[..., idx]
+        less |= ~decided & lt
+        decided |= lt | gt
+    return less, decided
+
+
+def _assert_oracle(order, got, pairs):
+    """got = (less, differ) holds compare's verdict on each pair (a, b) in turn."""
+    less, differ = got
+    assert less.shape == differ.shape == (len(pairs),)
+    for i, (a, b) in enumerate(pairs):
+        c = _scalar_compare(order, a, b)
+        assert less[i] == (c is Comparison.LT) and differ[i] == (c is not Comparison.EQ)
+
+
+@pytest.mark.parametrize("sig", [sig for dim in (1, 2, 3) for sig in permutations(range(dim))],
+                         ids=str)
+def test_lex_compare_matches_the_scalar_oracle_row_by_row(sig):
+    order = LexOrder(sig)
+    for a, b in _lex_blocks(order, seed=len(sig) * 10 + sig[0]):
+        less, differ = _lex_compare(sig, a, b)
+        assert np.array_equal(lex_less(order, a, b), less)
+        old_less, old_differ = _old_lex_compare(sig, a, b)
+        assert np.array_equal(less, old_less) and np.array_equal(differ, old_differ)
+        _assert_oracle(order, (less, differ), list(zip(a, b)))
+        # one element against a stack, both ways round
+        _assert_oracle(order, _lex_compare(sig, a[0], b), [(a[0], y) for y in b])
+        _assert_oracle(order, _lex_compare(sig, b, a[0]), [(y, a[0]) for y in b])
+
+
+def test_lex_compare_of_single_elements_is_a_0d_array():
+    order = LexOrder((1, 0))
+    for a, b, want in (([0.0, 1.0], [5.0, 2.0], (True, True)),
+                       ([5.0, 1.0], [0.0, 1.0], (False, True)),
+                       ([0.0, 1.0], [-0.0, 1.0], (False, False)),
+                       ([np.nan, 1.0], [0.0, 1.0], (False, False))):
+        a, b = np.array(a), np.array(b)
+        less, differ = _lex_compare(order.significance, a, b)
+        assert type(less) is np.ndarray and less.shape == () and differ.shape == ()
+        assert (bool(less), bool(differ)) == want
+        assert type(lex_less(order, a, b)) is np.ndarray
+    # a 0-dimensional order ties every pair
+    less, differ = _lex_compare((), np.zeros((3, 0)), np.zeros((3, 0)))
+    assert not less.any() and not differ.any()
+
+
+def _pair_block(swap):
+    n = len(swap)
+    return PairBlock(np.empty((n, 0)), np.empty((n, 0)), swap, slice(0, n), slice(0, n))
+
+
+@pytest.mark.parametrize("sig", [(0,), (1, 0), (0, 1, 2), (2, 0, 1)], ids=str)
+def test_first_misordered_matches_the_swap_formula(sig):
+    order = LexOrder(sig)
+    rng = np.random.default_rng(len(sig))
+    for fa, fb in _lex_blocks(order, seed=7 + len(sig)):
+        swap = rng.random(len(fa)) < 0.5
+        less, differ = _lex_compare(sig, fa, fb)
+        old = np.where(swap, less | ~differ, ~less)
+        # every row on its own, then the block's first hit
+        for i in range(len(fa)):
+            hit = _pair_block(swap[i:i + 1]).first_misordered(order, fa[i:i + 1], fb[i:i + 1])
+            assert (hit == 0) == old[i]
+            lo, hi = (fb[i], fa[i]) if swap[i] else (fa[i], fb[i])
+            assert old[i] == (_scalar_compare(order, lo, hi) is not Comparison.LT)
+        first = np.flatnonzero(old)
+        want = int(first[0]) if first.size else None
+        assert _pair_block(swap).first_misordered(order, fa, fb) == want
+
+
+def test_tied_and_nan_images_count_as_misordered():
+    order = LexOrder((0, 1))
+    fa = np.array([[1.0, 2.0], [np.nan, 0.0], [0.0, 1.0], [-0.0, 3.0]])
+    fb = np.array([[1.0, 2.0], [5.0, 0.0], [0.0, np.nan], [0.0, 3.0]])
+    for swap in (False, True):
+        for i in range(len(fa)):
+            block = _pair_block(np.array([swap]))
+            assert block.first_misordered(order, fa[i:i + 1], fb[i:i + 1]) == 0
+    # images in order on both sides of the swap bit are no hit
+    fa, fb = np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([[1.0, 0.0], [2.0, -1.0]])
+    assert _pair_block(np.array([False, True])).first_misordered(order, fa, fb) is None
