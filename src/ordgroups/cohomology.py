@@ -22,7 +22,7 @@ import numpy as np
 from .actions import ExpAction, act, affine_on_semidirect, scale_factors, trivial
 from .errors import DomainError, InputError
 from .groups import Additive, GroupLaw, SemidirectRR, _result
-from .orders import LexOrder, OrderedGroupSpec, SampledPairs, _stream
+from .orders import LexOrder, OrderedGroupSpec, SampledPairs
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
@@ -281,12 +281,12 @@ def ordered_extension(
 
 
 def _action_order_preserving(module: GModule, order_n: LexOrder, cfg: SampleConfig) -> bool:
-    g = cfg.sample(module.H.dim, stream=51, count=min(cfg.count, 256))
-    factors = scale_factors(module.gamma, g)
+    n = min(cfg.count, 256)
+    factors = scale_factors(module.gamma, cfg.sample(module.H.dim, stream=51, count=n))
     if np.any(factors <= 0):
         return False
-    pairs = SampledPairs(order_n, 1, g.shape[0], _stream(cfg, module.N.dim, 52, 53))
-    # factors line up with the raw rows of the draws, not with the kept pairs
+    pairs = SampledPairs(order_n, 1, n,
+                         functools.partial(cfg.sample_blocks, module.N.dim, (52, 53), n))
     _, (hit,) = pairs.scan((order_n, lambda _, block: (
-        factors[block.raw] * block.a, factors[block.raw] * block.b)))
+        factors[block.rows] * block.a, factors[block.rows] * block.b)))
     return hit is None

@@ -14,7 +14,7 @@ from typing import get_type_hints
 import numpy as np
 
 # lazy module objects (see __init__): `eval` and `axioms` never run them
-from . import actions, cohomology, orders
+from . import cohomology, orders
 from .errors import InputError
 from .groups import Additive, Ec, GCd, GroupLaw, KCd, Product, SemidirectRR, SUT3, Tk
 
@@ -78,12 +78,6 @@ def order_from_descriptor(desc) -> orders.LexOrder:
     if desc is None:
         raise InputError("order descriptor needs a 'significance' list")
     return orders.LexOrder(tuple(int(i) for i in desc))
-
-
-def action_from_descriptor(desc: dict) -> actions.ExpAction:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise InputError("action descriptor must be an object with a 'kind' field")
-    return actions.ExpAction(desc["kind"], tuple(float(c) for c in desc.get("coeffs", ())))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .groups import GroupLaw, _element
-from .tolerance import SampleConfig, draw_blocks
+from .tolerance import SampleConfig
 
 
 class Comparison(enum.Enum):
@@ -121,27 +121,25 @@ class InvarianceReport:
 class PairBlock(NamedTuple):
     """One block of sampled pairs: row i is the pair (a[i], b[i]) sorted by
     swap[i], which is true where b[i] < a[i], so lo, hi = b, a there and a, b
-    elsewhere. kept slices the block out of the kept-pair index, which a draw
-    with one row per kept pair (the translating elements g) lines up with; raw
-    holds its rows of the two draws (a slice, or indices when ties were
-    dropped)."""
+    elsewhere. rows is the block's slice of the two draws; keep is false on
+    the rows whose pair ties (equal rows), which are no pair and never hit."""
 
     a: np.ndarray
     b: np.ndarray
     swap: np.ndarray
-    kept: slice
-    raw: slice | np.ndarray
+    rows: slice
+    keep: np.ndarray
 
     def first_misordered(self, order: LexOrder, fa: np.ndarray, fb: np.ndarray) -> int | None:
-        """The first row whose pair lo < hi has images not increasing in order,
-        or None, given fa, fb = f(a), f(b).
+        """The first kept row whose pair lo < hi has images not increasing in
+        order, or None, given fa, fb = f(a), f(b).
 
         Read through the swap bit this is ~lex_less(f(lo), f(hi)) bit for bit,
         NaN included: images that tie (or compare NaN) hit, and images that
         differ are in order exactly where f(a) < f(b) disagrees with swap.
         """
         less, differ = _lex_compare(order.significance, fa, fb)
-        hits = np.flatnonzero(~differ | (less == self.swap))
+        hits = np.flatnonzero((~differ | (less == self.swap)) & self.keep)
         return int(hits[0]) if hits.size else None
 
     def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,16 +149,16 @@ class PairBlock(NamedTuple):
 
 
 class SampledPairs:
-    """Sampled pairs lo < hi from two draws h, h' of n rows, drawn
-    DRAW_BLOCKS row blocks at a time by draw(count, start), which returns rows
-    start .. start + count of h and of h'. No whole draw is held: each pass
+    """Sampled pairs lo < hi from two draws h, h' of n rows. draw() returns
+    an iterator over row blocks of rows 0 .. n, each the block's rows of h
+    and of h' (SampleConfig.sample_blocks). No whole draw is held: each pass
     draws the rows again and builds every level's pair block for a row block
     before moving on.
 
     Level k pairs row j of h with row j of h' whose k most significant
     coordinates are taken from h, so levels > 1 exercise the tie-breaking
-    coordinates. Pairs are indexed level-major with ties (equal rows) dropped,
-    and a draw of one row per kept pair lines up with that index.
+    coordinates. Pair (k, j) reads row k * n + j of a draw of one row per
+    pair; a pair that ties (equal rows) is masked, not dropped.
     """
 
     def __init__(self, order: LexOrder, levels: int, n: int, draw):
@@ -176,64 +174,44 @@ class SampledPairs:
         b[:, shared] = a[:, shared]
         return b
 
-    def blocks(self, offsets=None):
+    def blocks(self):
         """(level, PairBlock) for each row block and level: the levels of one
-        row block in turn, row blocks in order, blocks without a kept pair
-        skipped. Level k's kept index starts at offsets[k], which must be the
-        kept count of the levels below it for the index to be level-major; the
-        default k * n holds when no pair ties."""
-        kept = [k * self.n for k in range(self.levels)] if offsets is None else list(offsets)
+        row block in turn, row blocks in order."""
         rows = slice(0, 0)
-        for h, hp in draw_blocks(self.n, self.draw):
+        for h, hp in self.draw():
             rows = slice(rows.stop, rows.stop + len(h))
             for k in range(self.levels):
                 # the k shared coordinates are equal, so only the rest can decide
-                swap, differ = _lex_compare(self.order.significance[k:], hp, h)
-                a, b, raw = h, self._shared(k, h, hp), rows
-                if not differ.all():
-                    a, b, swap = a[differ], b[differ], swap[differ]
-                    raw = rows.start + np.flatnonzero(differ)
-                if swap.size:
-                    yield k, PairBlock(a, b, swap, slice(kept[k], kept[k] + swap.size), raw)
-                    kept[k] += swap.size
-            del h, hp, a, b  # views of the draws: let them go before the next are made
+                swap, keep = _lex_compare(self.order.significance[k:], hp, h)
+                yield k, PairBlock(h, self._shared(k, h, hp), swap, rows, keep)
+            del h, hp  # views of the draws: let them go before the next are made
 
     def scan(self, *sides, g=None):
         """(pairs, hits): the number of kept pairs and, per side (order,
-        images), the first pair lo < hi in the kept-pair index whose images are
-        not increasing in order, as (g row, lo, hi), or None.
+        images), the first kept pair lo < hi, level-major, whose images are not
+        increasing in order, as (g row, lo, hi), or None.
 
         images(g, block) returns (f(a), f(b)), where g is the block's rows of
-        g(count, start), one row per kept pair (None without g): drawn once per
-        block and shared by the sides. A side evaluates a level only while it
-        has no hit at that level or below, and stops once it has one at level
-        0. A tie below the last level shifts the kept index of the levels above
-        it, so with g the pass is rerun on the counted offsets.
+        g(count, start), pair (k, j) at row k * n + j (None without g): drawn
+        once per block and shared by the sides. A side evaluates a level only
+        while it has no hit at that level or below, and stops once it has one
+        at level 0.
         """
-        offsets = [k * self.n for k in range(self.levels)]
-        while True:
-            counts, hits = [0] * self.levels, [None] * len(sides)
-            first = [self.levels] * len(sides)  # the lowest level with a hit
-            for k, block in self.blocks(offsets):
-                counts[k] += block.swap.size
-                live = [side for side in range(len(sides)) if k < first[side]]
-                gk = None if g is None or not live else g(block.swap.size, block.kept.start)
-                for side in live:
-                    order, images = sides[side]
-                    i = block.first_misordered(order, *images(gk, block))
-                    if i is not None:
-                        first[side] = k
-                        hits[side] = (None if gk is None else gk[i].copy(), *block.pair(i))
-                del block  # views of the draws: let them go before the next are made
-            counted = np.cumsum([0, *counts[:-1]]).tolist()
-            if g is None or counted == offsets:
-                return sum(counts), hits
-            offsets = counted
-
-
-def _stream(cfg: SampleConfig, dim: int, *streams: int):
-    """draw(count, start): rows start .. start + count of each stream."""
-    return lambda count, start: [cfg.sample(dim, s, count, start) for s in streams]
+        pairs, hits = 0, [None] * len(sides)
+        first = [self.levels] * len(sides)  # the lowest level with a hit
+        for k, block in self.blocks():
+            pairs += int(np.count_nonzero(block.keep))
+            live = [side for side in range(len(sides)) if k < first[side]]
+            start = k * self.n + block.rows.start
+            gk = None if g is None or not live else g(len(block.swap), start)
+            for side in live:
+                order, images = sides[side]
+                i = block.first_misordered(order, *images(gk, block))
+                if i is not None:
+                    first[side] = k
+                    hits[side] = (None if gk is None else gk[i].copy(), *block.pair(i))
+            del block  # views of the draws: let them go before the next are made
+        return pairs, hits
 
 
 def _ordered_pairs(order: LexOrder, cfg: SampleConfig, dim: int) -> SampledPairs:
@@ -243,7 +221,8 @@ def _ordered_pairs(order: LexOrder, cfg: SampleConfig, dim: int) -> SampledPairs
     tie-breaking coordinates are exercised with shared-prefix variants: level
     k of h' takes its k most significant coordinates from h.
     """
-    return SampledPairs(order, dim, cfg.count, _stream(cfg, dim, 11, 12))
+    return SampledPairs(order, dim, cfg.count,
+                        functools.partial(cfg.sample_blocks, dim, (11, 12)))
 
 
 def check_translation_invariance(
@@ -251,7 +230,7 @@ def check_translation_invariance(
 ) -> InvarianceReport:
     """Verify g*h < g*h' (left) and h*g < h'*g (right) on sampled h < h'.
 
-    The translating elements g come from stream 13, one row per kept pair.
+    The translating elements g come from stream 13, one row per pair.
     The left and right checks run in one pass over the pairs, so each block
     of g is drawn once; each side keeps its own first counterexample."""
     pairs = _ordered_pairs(spec.order, cfg, spec.law.dim)
@@ -268,11 +247,15 @@ def _translation_sides(spec: OrderedGroupSpec):
             (order, lambda g, block: (law.mul(block.a, g), law.mul(block.b, g))))
 
 
-def _supported(cfg: SampleConfig, dim: int, coords: tuple[int, ...], stream: int,
-               count: int | None = None, start: int = 0) -> np.ndarray:
-    out = cfg.sample(dim, stream, count, start)
-    out[:, [i for i in range(dim) if i not in coords]] = 0.0
-    return out
+def _supported_blocks(cfg: SampleConfig, dim: int, coords: tuple[int, ...], streams):
+    """cfg.sample_blocks(dim, streams) with the coordinates outside coords
+    zeroed."""
+    outside = [i for i in range(dim) if i not in coords]
+    for block in cfg.sample_blocks(dim, streams):
+        for part in block:
+            part[:, outside] = 0.0
+        yield block
+        del block, part  # views of the draws: let them go before the next are made
 
 
 def check_conjugation_order_preserving(
@@ -288,8 +271,8 @@ def check_conjugation_order_preserving(
         raise InputError("normal_coords outside chart dimensions")
 
     _check_closed(law, coords, cfg)
-    pairs = SampledPairs(order, 1, cfg.count, lambda count, start: [
-        _supported(cfg, law.dim, coords, s, count, start) for s in (23, 24)])
+    pairs = SampledPairs(order, 1, cfg.count,
+                         lambda: _supported_blocks(cfg, law.dim, coords, (23, 24)))
 
     def conjugates(g, block):
         ginv = law.inv(g)
@@ -307,8 +290,7 @@ def _check_closed(law: GroupLaw, coords: tuple[int, ...], cfg: SampleConfig) -> 
     if not outside:
         return
     worst = []
-    for a, b in cfg.sample_blocks(law.dim, (21, 22)):
-        a[:, outside] = b[:, outside] = 0.0
+    for a, b in _supported_blocks(cfg, law.dim, coords, (21, 22)):
         worst.append(np.max(np.abs(law.mul(a, b)[:, outside])))
         del a, b  # views of the draws: let them go before the next are made
     if np.max(worst) > 0:

@@ -105,11 +105,18 @@ class SampleConfig:
             out[rows] = block
         return out
 
-    def sample_blocks(self, dim: int, streams):
-        """Per row block of count rows, that block of each stream's draw. The
-        streams are drawn DRAW_BLOCKS blocks at a time."""
-        return draw_blocks(self.count, lambda count, start: [
-            self.sample(dim, s, count, start) for s in streams])
+    def sample_blocks(self, dim: int, streams, count: int | None = None):
+        """Per row block of rows 0 .. count (count defaults to self.count),
+        that block of each stream's draw. The streams are drawn DRAW_BLOCKS
+        blocks at a time through sample."""
+        n = self.count if count is None else count
+        step = DRAW_BLOCKS * BLOCK_ROWS
+        for start in range(0, n, step):
+            draws = [self.sample(dim, s, min(step, n - start), start) for s in streams]
+            for rows in row_blocks(len(draws[0])):
+                yield [d[rows] for d in draws]
+            # freed before the next draw is made, unless the caller holds a block
+            del draws
 
 
 DEFAULT_TOL = Tolerance()
@@ -117,7 +124,7 @@ DEFAULT_TOL = Tolerance()
 # Rows per block of a sampled check. A block of 3 float64 coordinates is
 # 768 KiB, so the few temporaries a check holds per block stay in a 4 MiB L2.
 BLOCK_ROWS = 1 << 15
-# Blocks per draw in draw_blocks: about 3 MiB per stream at 3 coordinates.
+# Blocks per draw in sample_blocks: about 3 MiB per stream at 3 coordinates.
 # glibc's malloc hands freed memory back to the system above a threshold set
 # by the largest mapping it has released. When nothing larger than a block had
 # been freed, each block's temporaries were handed back and faulted in again:
@@ -139,15 +146,3 @@ def row_blocks(n: int):
     for start in range(0, n, BLOCK_ROWS):
         yield slice(start, min(start + BLOCK_ROWS, n))
 
-
-def draw_blocks(n: int, draw):
-    """Per row block of rows 0..n-1, its rows of each array that
-    draw(count, start) returns for rows start .. start + count. draw is called
-    DRAW_BLOCKS blocks at a time."""
-    step = DRAW_BLOCKS * BLOCK_ROWS
-    for start in range(0, n, step):
-        draws = draw(min(step, n - start), start)
-        for rows in row_blocks(len(draws[0])):
-            yield [d[rows] for d in draws]
-        # freed before the next draw is made, unless the caller holds a block
-        del draws

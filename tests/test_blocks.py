@@ -29,7 +29,6 @@ from ordgroups.orders import (
     LexOrder,
     OrderedGroupSpec,
     _ordered_pairs,
-    _supported,
     check_conjugation_order_preserving,
     check_translation_invariance,
     lex_less,
@@ -168,12 +167,13 @@ COARSE = _CoarseSamples(seed=22, count=300)
 
 
 def _whole_sorted_pairs(order, a, b):
-    """Rows of a and b (broadcast, flattened) sorted into lo < hi, ties dropped."""
+    """Rows of a and b (broadcast, flattened) sorted into lo < hi, ties
+    dropped, and the flattened mask of the rows kept."""
     swap = lex_less(order, b, a)
     keep = (swap | lex_less(order, a, b)).reshape(-1)
     lo = np.where(swap[..., None], b, a).reshape(-1, a.shape[-1])
     hi = np.where(swap[..., None], a, b).reshape(-1, a.shape[-1])
-    return lo[keep], hi[keep]
+    return lo[keep], hi[keep], keep
 
 
 def _whole_ordered_pairs(order, cfg, dim):
@@ -194,8 +194,9 @@ def _whole_translation_hits(spec, cfg):
     """(g, lo, hi) as whole arrays, and the first failing pair of the left
     and of the right check."""
     law, order = spec.law, spec.order
-    lo, hi = _whole_ordered_pairs(order, cfg, law.dim)
-    g = cfg.sample(law.dim, stream=13, count=lo.shape[0])
+    lo, hi, keep = _whole_ordered_pairs(order, cfg, law.dim)
+    # pair (k, j) translates by row k * n + j: the flattened levels
+    g = cfg.sample(law.dim, stream=13, count=keep.size)[keep]
     left = _first_misordered(order, law.mul(g, lo), law.mul(g, hi))
     right = _first_misordered(order, law.mul(lo, g), law.mul(hi, g))
     return (g, lo, hi), (left, right)
@@ -207,11 +208,17 @@ def _whole_translation(spec, cfg):
     return InvarianceReport(left is None, right is None, lo.shape[0], ce(left), ce(right))
 
 
+def _whole_supported(cfg, dim, coords, stream):
+    out = cfg.sample(dim, stream)
+    out[:, [i for i in range(dim) if i not in coords]] = 0.0
+    return out
+
+
 def _whole_conjugation(spec, coords, cfg):
     law, order = spec.law, spec.order
-    lo, hi = _whole_sorted_pairs(order, _supported(cfg, law.dim, coords, stream=23),
-                                 _supported(cfg, law.dim, coords, stream=24))
-    g = cfg.sample(law.dim, stream=25, count=lo.shape[0])
+    lo, hi, keep = _whole_sorted_pairs(order, _whole_supported(cfg, law.dim, coords, 23),
+                                       _whole_supported(cfg, law.dim, coords, 24))
+    g = cfg.sample(law.dim, stream=25)[keep]
     ginv = law.inv(g)
     i = _first_misordered(order, law.mul(law.mul(g, lo), ginv), law.mul(law.mul(g, hi), ginv))
     return InvarianceReport(i is None, True, lo.shape[0],
@@ -262,7 +269,7 @@ def test_translation_cases_cover_ties_and_counterexamples():
         spec = OrderedGroupSpec(Ec(1.0), LexOrder((2, 0, 1)))
         rep = check_translation_invariance(spec, cfg)
         assert not rep.passed
-    # the coarse grid ties whole rows, which the pairs drop
+    # the coarse grid ties whole rows, which the pairs mask
     rep = check_translation_invariance(OrderedGroupSpec(Tk(1.0), LexOrder((2, 1, 0))), COARSE)
     assert rep.passed and rep.checked < 3 * COARSE.count
 
@@ -292,7 +299,7 @@ def test_witness_order_matches_the_whole_array_pairs(monkeypatch, cfg, source, t
                                                      matrix, orders):
     w = linear_witness(source, target, matrix,
                        order_pair=(LexOrder(orders[0]), LexOrder(orders[1])))
-    lo, hi = _whole_ordered_pairs(w.order_pair[0], cfg, source.dim)
+    lo, hi, _ = _whole_ordered_pairs(w.order_pair[0], cfg, source.dim)
     with np.errstate(all="ignore"):
         rep = _same_at_every_block_size(monkeypatch, lambda: verify_witness(w, cfg))
         whole = _first_misordered(w.order_pair[1], w.apply(lo), w.apply(hi)) is None
@@ -306,8 +313,8 @@ def _whole_action_order_preserving(module, order_n, cfg):
     factors = scale_factors(module.gamma, g)
     n1 = cfg.sample(module.N.dim, stream=52, count=g.shape[0])
     n2 = cfg.sample(module.N.dim, stream=53, count=g.shape[0])
-    lo, hi = _whole_sorted_pairs(order_n, np.hstack([n1, factors * n1]),
-                                 np.hstack([n2, factors * n2]))
+    lo, hi, _ = _whole_sorted_pairs(order_n, np.hstack([n1, factors * n1]),
+                                    np.hstack([n2, factors * n2]))
     k = module.N.dim
     return bool(np.all(lex_less(order_n, lo[:, k:], hi[:, k:])))
 
@@ -328,32 +335,35 @@ def test_action_order_matches_the_whole_array_pairs(monkeypatch, cfg, coeffs, or
         assert got is _whole_action_order_preserving(module, LexOrder(order), cfg) is preserving
 
 
-def _level_offsets(pairs):
-    """Each level's first index in the kept-pair index: the kept count of the
-    levels below it."""
-    counts = [0] * pairs.levels
-    for k, block in pairs.blocks():
-        counts[k] += block.swap.size
-    return np.cumsum([0, *counts]).tolist()
-
-
 def test_blocks_expose_their_rows_of_the_draws(monkeypatch):
     order = LexOrder((0, 1, 2))
+    n = COARSE.count
     h, hp = COARSE.sample(3, 11), COARSE.sample(3, 12)
+    ref_lo, ref_hi, ref_keep = _whole_ordered_pairs(order, COARSE, 3)
     for size in BLOCK_SIZES:
         monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
         pairs = _ordered_pairs(order, COARSE, 3)
-        offsets = _level_offsets(pairs)
-        kept = offsets[:-1]
-        for k, block in pairs.blocks(kept):
-            assert np.array_equal(h[block.raw], block.a)
+        stop = [0] * pairs.levels
+        lo, hi = np.full((2, pairs.levels, n, 3), np.nan)
+        keep = np.zeros((pairs.levels, n), dtype=bool)
+        for k, block in pairs.blocks():
+            # each level's blocks cover its rows of the draws in order
+            assert block.rows.start == stop[k]
+            stop[k] = block.rows.stop
+            assert np.array_equal(h[block.rows], block.a)
             unshared = list(order.significance[k:])
-            assert np.array_equal(hp[block.raw][:, unshared], block.b[:, unshared])
-            assert block.kept == slice(kept[k], kept[k] + block.swap.size)
-            kept[k] = block.kept.stop
-        # each level fills its stretch of the level-major index
-        assert kept == offsets[1:]
-        assert kept[-1] == pairs.scan()[0] < 3 * COARSE.count
+            assert np.array_equal(hp[block.rows][:, unshared], block.b[:, unshared])
+            swap = block.swap[:, None]
+            lo[k, block.rows] = np.where(swap, block.b, block.a)
+            hi[k, block.rows] = np.where(swap, block.a, block.b)
+            keep[k, block.rows] = block.keep
+        assert stop == [n] * pairs.levels
+        # the kept rows, level-major, are the whole-array pairs
+        keep = keep.reshape(-1)
+        assert np.array_equal(keep, ref_keep)
+        assert np.array_equal(lo.reshape(-1, 3)[keep], ref_lo)
+        assert np.array_equal(hi.reshape(-1, 3)[keep], ref_hi)
+        assert np.count_nonzero(keep) == pairs.scan()[0] < 3 * n
 
 
 class _TiedRows(SampleConfig):
@@ -370,10 +380,10 @@ class _TiedRows(SampleConfig):
 
 
 @pytest.mark.parametrize("size, draw", [(2, 1), (7, 3), (1 << 20, 4)])
-def test_ties_below_the_last_level_shift_the_translating_elements(monkeypatch, size, draw):
+def test_ties_leave_each_pair_its_own_translating_element(monkeypatch, size, draw):
     # x is a homomorphism to R on e_c, so only pairs sharing x can fail: the
     # first hits lie past level 0, whose kept count the ties cut short, and
-    # read their g at the shifted offset
+    # still read the g row of their own level and row
     cfg = _TiedRows(seed=22, count=300)
     spec = OrderedGroupSpec(Ec(1.0), LexOrder((0, 2, 1)))
     ties = len(range(0, cfg.count, 7))
@@ -391,7 +401,7 @@ def test_ties_below_the_last_level_shift_the_translating_elements(monkeypatch, s
 
 
 def test_action_factors_line_up_with_the_raw_rows(monkeypatch):
-    # NaN factors exactly on the rows whose pair ties: those pairs are dropped,
+    # NaN factors exactly on the rows whose pair ties: those pairs are masked,
     # so the action preserves the order only if each kept pair reads the
     # factor of its own row
     from ordgroups import cohomology
@@ -497,6 +507,26 @@ def test_streamed_rows_equal_the_whole_draw(dim):
                 got = cfg.sample(dim, stream, count, start)
                 assert np.array_equal(got, cfg.sample(dim, stream, start + count)[start:])
                 assert got.flags.f_contiguous
+
+
+@pytest.mark.parametrize("count, sizes", [
+    (5, [3, 2]),  # part of one draw, a ragged block
+    (12, [3] * 4),  # one whole draw
+    (13, [3] * 4 + [1]),
+    (31, [3] * 10 + [1]),
+    (None, [3] * 6 + [2]),  # cfg.count
+])
+def test_sample_blocks_are_the_draws_rows(monkeypatch, count, sizes):
+    # a draw is DRAW_BLOCKS = 4 blocks of 3 rows
+    monkeypatch.setattr(tolerance, "BLOCK_ROWS", 3)
+    monkeypatch.setattr(tolerance, "DRAW_BLOCKS", 4)
+    cfg = SampleConfig(seed=3, count=20)
+    blocks = list(cfg.sample_blocks(2, (5, 6), count))
+    assert [len(a) for a, _ in blocks] == sizes
+    for stream, got in zip((5, 6), zip(*blocks)):
+        assert np.array_equal(np.concatenate(got), cfg.sample(2, stream, sum(sizes)))
+        # each coordinate column of a block is contiguous
+        assert all(block.strides[0] == block.itemsize for block in got)
 
 
 def test_pair_blocks_keep_contiguous_columns(monkeypatch):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ordgroups import InputError, dumps, law_from_descriptor, order_from_descriptor
-from ordgroups.jsonio import action_from_descriptor
 
 
 def test_floats_round_trip_through_seventeen_digits():
@@ -41,13 +40,6 @@ def test_order_descriptor_forms():
     assert order_from_descriptor([2, 0, 1]).significance == (2, 0, 1)
     with pytest.raises(InputError):
         order_from_descriptor({})
-
-
-def test_action_descriptor():
-    a = action_from_descriptor({"kind": "character", "coeffs": [1, 0]})
-    assert a.coeffs == (1.0, 0.0)
-    with pytest.raises(InputError):
-        action_from_descriptor({"coeffs": [1]})
 
 
 def test_law_descriptor_requires_family():

@@ -24,7 +24,7 @@ from ordgroups import (
     multiply,
     verify_witness,
 )
-from ordgroups.orders import PairBlock, _lex_compare, _ordered_pairs
+from ordgroups.orders import PairBlock, SampledPairs, _lex_compare, _ordered_pairs
 
 RNG = np.random.default_rng(11)
 
@@ -196,24 +196,23 @@ class _CoarseSamples(SampleConfig):
 
 
 def _assembled_pairs(pairs, cfg):
-    """lo and hi assembled from the blocks through the swap mask, each block
-    at its slice of the level-major kept-pair index."""
-    counts = [0] * pairs.levels
-    for k, block in pairs.blocks():
-        counts[k] += block.swap.size
-    count = sum(counts)
-    assert count == pairs.scan()[0]
+    """lo and hi assembled from the blocks through the swap mask: each level's
+    kept rows, the levels concatenated in order."""
     h = cfg.sample(pairs.order.dim, 11)
-    lo, hi = np.full((2, count, pairs.order.dim), np.nan)
-    filled = np.zeros(count, dtype=int)
-    for _, block in pairs.blocks(np.cumsum([0, *counts[:-1]]).tolist()):
-        assert np.array_equal(h[block.raw], block.a)
+    lo, hi = ([[] for _ in range(pairs.levels)] for _ in range(2))
+    stop = [0] * pairs.levels
+    for k, block in pairs.blocks():
+        # each level's blocks cover its rows of the draws in order
+        assert block.rows.start == stop[k]
+        stop[k] = block.rows.stop
+        assert np.array_equal(h[block.rows], block.a)
+        assert block.keep.shape == block.swap.shape == (len(block.a),)
         swap = block.swap[:, None]
-        lo[block.kept] = np.where(swap, block.b, block.a)
-        hi[block.kept] = np.where(swap, block.a, block.b)
-        filled[block.kept] += 1
-        assert block.kept.stop - block.kept.start == block.swap.size
-    assert (filled == 1).all()
+        lo[k].append(np.where(swap, block.b, block.a)[block.keep])
+        hi[k].append(np.where(swap, block.a, block.b)[block.keep])
+    assert stop == [cfg.count] * pairs.levels
+    lo, hi = (np.concatenate([rows for level in side for rows in level]) for side in (lo, hi))
+    assert len(lo) == pairs.scan()[0]
     return lo, hi
 
 
@@ -228,7 +227,7 @@ def test_ordered_pairs_match_the_per_block_construction(cfg):
             assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi), sig
             assert lex_less(order, lo, hi).all()
             if isinstance(cfg, _CoarseSamples):
-                # ties were dropped, so the tie-removal branch ran
+                # some rows tie, so the tie mask was exercised
                 assert lo.shape[0] < dim * cfg.count
 
 
@@ -318,28 +317,70 @@ def test_lex_compare_of_single_elements_is_a_0d_array():
     assert not less.any() and not differ.any()
 
 
-def _pair_block(swap):
+def _pair_block(swap, keep):
     n = len(swap)
-    return PairBlock(np.empty((n, 0)), np.empty((n, 0)), swap, slice(0, n), slice(0, n))
+    return PairBlock(np.empty((n, 0)), np.empty((n, 0)), swap, slice(0, n), keep)
 
 
 @pytest.mark.parametrize("sig", [(0,), (1, 0), (0, 1, 2), (2, 0, 1)], ids=str)
 def test_first_misordered_matches_the_swap_formula(sig):
+    # a row whose pair ties (keep false) is never a hit, also where its images
+    # tie or are NaN; a kept row keeps the swap formula's verdict
     order = LexOrder(sig)
     rng = np.random.default_rng(len(sig))
+    masked_misses = 0
     for fa, fb in _lex_blocks(order, seed=7 + len(sig)):
         swap = rng.random(len(fa)) < 0.5
+        keep = rng.random(len(fa)) < 0.7
         less, differ = _lex_compare(sig, fa, fb)
         old = np.where(swap, less | ~differ, ~less)
+        masked_misses += np.count_nonzero(~keep & ~differ)
         # every row on its own, then the block's first hit
         for i in range(len(fa)):
-            hit = _pair_block(swap[i:i + 1]).first_misordered(order, fa[i:i + 1], fb[i:i + 1])
-            assert (hit == 0) == old[i]
+            block = _pair_block(swap[i:i + 1], keep[i:i + 1])
+            hit = block.first_misordered(order, fa[i:i + 1], fb[i:i + 1])
+            assert (hit == 0) == (old[i] and keep[i])
             lo, hi = (fb[i], fa[i]) if swap[i] else (fa[i], fb[i])
             assert old[i] == (_scalar_compare(order, lo, hi) is not Comparison.LT)
-        first = np.flatnonzero(old)
+        first = np.flatnonzero(old & keep)
         want = int(first[0]) if first.size else None
-        assert _pair_block(swap).first_misordered(order, fa, fb) == want
+        assert _pair_block(swap, keep).first_misordered(order, fa, fb) == want
+    # masked rows whose images tie or are NaN were among the inputs
+    assert masked_misses > 0
+
+
+def test_scan_counts_and_hits_only_the_kept_pairs():
+    # under x >> y, rows 0 and 3 tie at both levels and row 1 at level 1,
+    # where its x is shared and its y equals h's
+    order = LexOrder((0, 1))
+    h = np.asfortranarray(RNG.uniform(-3, 3, (6, 2)))
+    hp = np.asfortranarray(RNG.uniform(-3, 3, (6, 2)))
+    hp[[0, 3]] = h[[0, 3]]
+    hp[1, 1] = h[1, 1]
+    pairs = SampledPairs(order, 2, 6, lambda: [(h[:4], hp[:4]), (h[4:], hp[4:])])
+    assert [block.keep.tolist() for _, block in pairs.blocks()] == [
+        [False, True, True, False], [False, False, True, False], [True, True], [True, True]]
+
+    def nan_images(g, block):
+        # NaN, so misordered, on every row from g row 8 on: level 1, row 2
+        nan = np.where(g[:, :1] >= 8, np.nan, 0.0)
+        return block.a + nan, block.b + nan
+
+    count, hits = pairs.scan((order, lambda g, block: (block.a, block.b)),
+                             (order, lambda g, block: (np.nan * block.a, np.nan * block.b)),
+                             (order, nan_images),
+                             g=lambda count, start: np.repeat(
+                                 np.arange(start, start + count, dtype=float)[:, None], 2, 1))
+    assert count == 4 + 3
+    # the identity keeps every pair in order; NaN images hit the first kept
+    # pair, level 0 row 1 (g row 1), and from g row 8 the first kept pair at
+    # or past it, level 1 row 2 (g row 6 + 2)
+    assert hits[0] is None
+    for hit, g_row, pair in zip(hits[1:], (1, 6 + 2),
+                                ((h[1], hp[1]), (h[2], (h[2, 0], hp[2, 1])))):
+        assert hit[0].tolist() == [g_row] * 2
+        lo, hi = sorted(map(tuple, pair))
+        assert hit[1].tolist() == list(lo) and hit[2].tolist() == list(hi)
 
 
 def test_tied_and_nan_images_count_as_misordered():
@@ -348,8 +389,12 @@ def test_tied_and_nan_images_count_as_misordered():
     fb = np.array([[1.0, 2.0], [5.0, 0.0], [0.0, np.nan], [0.0, 3.0]])
     for swap in (False, True):
         for i in range(len(fa)):
-            block = _pair_block(np.array([swap]))
-            assert block.first_misordered(order, fa[i:i + 1], fb[i:i + 1]) == 0
+            for keep in (True, False):
+                # a kept pair hits; a masked one (its pair tied) never does
+                block = _pair_block(np.array([swap]), np.array([keep]))
+                hit = block.first_misordered(order, fa[i:i + 1], fb[i:i + 1])
+                assert hit == (0 if keep else None)
     # images in order on both sides of the swap bit are no hit
     fa, fb = np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([[1.0, 0.0], [2.0, -1.0]])
-    assert _pair_block(np.array([False, True])).first_misordered(order, fa, fb) is None
+    block = _pair_block(np.array([False, True]), np.array([True, True]))
+    assert block.first_misordered(order, fa, fb) is None
