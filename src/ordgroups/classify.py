@@ -9,13 +9,14 @@ The three ProdAff labels name the order type of the product-with-a-line
 group; the sign parameter distinguishes the expanding and contracting
 variants, which are not isomorphic as ordered groups.
 
-Six charts present Aff x R: both Product orders of an affine chart with a
-line, GCd(c, 0), GCd(0, d), KCd(c, 0) and KCd(0, d). In each, one coordinate
-is normal, one acts on it by e^(c t) and one is free (central). _roles reads
-those three chart indices, and one branch classifies all six charts from
-them. A lexicographic order is bi-invariant only when the acting coordinate
-is more significant than the normal one, so the free coordinate's place
-picks the order type: first (zyx), between the two (yzx) or last (yxz).
+Both levels read the law's bracket table (GroupLaw.brackets) in one of four
+forms: abelian, every bracket 0; affine, a derived algebra e_k that is not
+central, [e_i, e_k] = chi_i e_k for a character chi; Heisenberg, a central
+derived algebra e_k; derived plane, two coordinates on which the third acts
+by a diagonal 2x2 ad. A lexicographic order is bi-invariant only when its
+coordinate flag is a chain of ideals: the span of its k least significant
+coordinates is an ideal for every k. Named cases: SUT3, whose chart change
+is nonlinear, and the nonsplit Tk(k != 0), whose ad is not diagonal.
 
 Every witness is an explicit coordinate map with named source and target
 laws; classification verifies each witness numerically, once, and returns it
@@ -288,40 +289,41 @@ def enumerate_canonical(dim: int) -> list[tuple[CanonicalClass, GroupLaw, LexOrd
 
 
 # ---------------------------------------------------------------------------
-# group-level classification
+# the bracket table
 
 
-def _is_abelian_law(law: GroupLaw) -> bool:
-    if isinstance(law, Additive):
-        return True
-    if isinstance(law, SemidirectRR):
-        return law.c == 0.0
-    if isinstance(law, Ec):
-        return law.c == 0.0
-    if isinstance(law, (GCd, KCd)):
-        return law.c == 0.0 and law.d == 0.0
-    if isinstance(law, Product):
-        return _is_abelian_law(law.a) and _is_abelian_law(law.b)
-    return False
-
-
-_RN_LABEL = {1: "R", 2: "R2_abelian", 3: "R3"}
-
-
-def _roles(law: GroupLaw):
-    """Chart indices (normal, acting, free) and the exponent c of an Aff x R
-    chart, whose acting coordinate t scales the normal one by e^(c t); None
-    for any other chart. Abelian charts (c = 0) are classified before this."""
-    if isinstance(law, Product):
-        if isinstance(law.a, SemidirectRR) and isinstance(law.b, Additive) and law.b.n == 1:
-            return 0, 1, 2, law.a.c
-        if isinstance(law.a, Additive) and law.a.n == 1 and isinstance(law.b, SemidirectRR):
-            return 1, 2, 0, law.b.c
-    if isinstance(law, GCd) and 0.0 in (law.c, law.d):
-        return (2, 0, 1, law.c) if law.d == 0.0 else (2, 1, 0, law.d)
-    if isinstance(law, KCd) and 0.0 in (law.c, law.d):
-        return (1, 0, 2, law.c) if law.d == 0.0 else (2, 0, 1, law.d)
+def _bracket_form(law: GroupLaw):
+    """The law's bracket table as ("abelian",), ("affine", k, chi),
+    ("heisenberg", k, i, j, b) for [e_i, e_j] = b e_k or ("plane", a, lam) for
+    [e_a, e_p] = lam[p] e_p; None for no table, no form, or past dimension 3."""
+    table = law.brackets()
+    if not table:
+        return None if table is None else ("abelian",)
+    coeff = {**table, **{(k, j, i): -b for (k, i, j), b in table.items()}}
+    derived = sorted({k for k, _, _ in table})
+    if len(derived) == 1 and law.dim <= 3:
+        k = derived[0]
+        if all(k in (i, j) for _, i, j in table):
+            return "affine", k, [coeff.get((k, i, k), 0.0) for i in range(law.dim)]
+        if len(table) == 1:
+            (_, i, j), b = next(iter(table.items()))
+            return "heisenberg", k, i, j, b
+    if len(derived) == 2 and law.dim == 3:
+        a = 3 - sum(derived)
+        if all({i, j} == {a, x} for x, i, j in table):
+            return "plane", a, {p: coeff[p, a, p] for p in derived}
     return None
+
+
+def _admits(table: dict, sig: tuple[int, ...]) -> bool:
+    """Whether the k least significant coordinates of sig span an ideal for
+    every k: no bracket is more significant than its less significant factor."""
+    rank = {c: r for r, c in enumerate(sig)}
+    return all(rank[k] >= max(rank[i], rank[j]) for k, i, j in table)
+
+
+# ---------------------------------------------------------------------------
+# group-level classification
 
 
 def classify_group(
@@ -350,78 +352,48 @@ def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
     if n > 3:
         raise DomainError("classification covers dimensions 1 to 3 only")
 
-    if _is_abelian_law(law):
-        target = Additive(n)
-        return _cls(_RN_LABEL[n], target), linear_witness(law, target, np.eye(n))
-
-    if isinstance(law, SemidirectRR):
-        target = SemidirectRR(1.0)
-        return (
-            _cls("Aff", target),
-            linear_witness(law, target, [[1.0, 0.0], [0.0, law.c]]),
-        )
-
-    if isinstance(law, Ec):
-        # the canonical-to-input scaling map doubles the cocycle coefficient
-        target = heisenberg()
-        return (
-            _cls("Heis", target),
-            linear_witness(target, law, np.diag([1.0, 1.0, 2.0 * law.c])),
-        )
-
     if isinstance(law, SUT3):
         target = heisenberg()
-        return (
-            _cls("Heis", target),
-            function_witness(law, target, sut3_to_heis, heis_to_sut3,
-                             name="sut3_to_heis"),
-        )
-
-    parts = _roles(law)
-    if parts is not None:
-        i_norm, i_act, i_free, c = parts
-        target = Product(SemidirectRR(1.0), Additive(1))
-        matrix = np.zeros((3, 3))
-        matrix[0, i_norm] = 1.0
-        matrix[1, i_act] = c
-        matrix[2, i_free] = 1.0
-        return _cls("ProdAff", target), linear_witness(law, target, matrix)
-
-    if isinstance(law, GCd):
-        # the character c x + d y acts on z; y completes it to plane coordinates
-        target = Product(SemidirectRR(1.0), Additive(1))
-        matrix = [[0.0, 0.0, 1.0], [law.c, law.d, 0.0], [0.0, 1.0, 0.0]]
-        return _cls("ProdAff", target), linear_witness(law, target, matrix)
-
-    if isinstance(law, KCd):
-        c, d = law.c, law.d
-        if abs(c) <= abs(d):
-            t = c / d
-            sd2 = KCd(t, 1.0)
-            return (
-                _cls("SD2", sd2, c=t),
-                linear_witness(law, sd2, np.diag([d, 1.0, 1.0])),
-            )
-        t = d / c
-        sd2 = KCd(t, 1.0)
-        swap_scale = [[c, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-        return (
-            _cls("SD2", sd2, c=t),
-            linear_witness(law, sd2, swap_scale, name="module_swap"),
-        )
-
-    if isinstance(law, Tk):
-        if law.k == 0.0:
-            sd2 = KCd(1.0, 1.0)
-            perm = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-            return _cls("SD2", sd2, c=1.0), linear_witness(law, sd2, perm)
+        return _cls("Heis", target), function_witness(law, target, sut3_to_heis, heis_to_sut3,
+                                                      name="sut3_to_heis")
+    if isinstance(law, Tk) and law.k != 0.0:
         target = Tk(1.0)
-        return (
-            _cls("G3", target),
-            linear_witness(law, target, np.diag([1.0 / law.k, 1.0, 1.0])),
-        )
+        return _cls("G3", target), linear_witness(law, target, np.diag([1.0 / law.k, 1.0, 1.0]))
 
-    raise DomainError(f"descriptor outside the classified families: {type(law).__name__}")
+    form = _bracket_form(law)
+    if form is None:
+        raise DomainError(f"descriptor outside the classified families: {type(law).__name__}")
+    matrix = np.zeros((n, n))
+    if form[0] == "abelian":
+        target = Additive(n)
+        label = {1: "R", 2: "R2_abelian", 3: "R3"}[n]
+        return _cls(label, target), linear_witness(law, target, np.eye(n))
+
+    if form[0] == "heisenberg":
+        # canonical to input: e_0, e_1 to the bracket's factors, e_2 to it
+        _, k, i, j, b = form
+        matrix[i, 0], matrix[j, 1], matrix[k, 2] = 1.0, 1.0, b
+        target = heisenberg()
+        return _cls("Heis", target), linear_witness(target, law, matrix)
+
+    if form[0] == "affine":
+        # rows e_k, the character chi and, in dimension 3, the last coordinate
+        # that completes them
+        _, k, chi = form
+        matrix[0, k], matrix[1] = 1.0, chi
+        target = SemidirectRR(1.0)
+        if n == 3:
+            matrix[2, max({0, 1, 2} - {k, next(i for i, x in enumerate(chi) if x)})] = 1.0
+            target = Product(target, Additive(1))
+        return _cls("Aff" if n == 2 else "ProdAff", target), linear_witness(law, target, matrix)
+
+    # the acting coordinate scaled by the larger eigenvalue, then the plane
+    _, a, lam = form
+    (p, lp), (q, lq) = sorted(lam.items(), key=lambda item: abs(item[1]))
+    matrix[0, a], matrix[1, p], matrix[2, q] = lq, 1.0, 1.0
+    sd2 = KCd(lp / lq, 1.0)
+    return (_cls("SD2", sd2, c=lp / lq),
+            linear_witness(law, sd2, matrix, name="module_swap" if p > q else None))
 
 
 # ---------------------------------------------------------------------------
@@ -478,85 +450,62 @@ def _perm_matrix(src_sig: tuple[int, ...], dst_sig: tuple[int, ...]) -> np.ndarr
 
 
 def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
-    n = law.dim
+    if isinstance(law, Tk) and law.k != 0.0 and sig == (2, 1, 0):
+        s = 1.0 if law.k > 0 else -1.0
+        canon = _cls("T_plus" if s > 0 else "T_minus", Tk(s), (2, 1, 0))
+        return canon, linear_witness(law, canon.law, np.diag([1.0 / abs(law.k), 1.0, 1.0]))
 
-    if _is_abelian_law(law):
-        canon = _canonical_ordered(n)[0]
-        matrix = _perm_matrix(sig, canon.order.significance)
-        return canon, linear_witness(law, canon.law, matrix)
+    form = _bracket_form(law)
+    if form is None or not _admits(law.brackets(), sig):
+        raise DomainError(f"no canonical form for {type(law).__name__} with significance {sig}")
 
-    if isinstance(law, SemidirectRR) and sig == (1, 0):
-        s = 1.0 if law.c > 0 else -1.0
-        canon = _cls("Aff_plus" if s > 0 else "Aff_minus", SemidirectRR(s), (1, 0))
-        return canon, linear_witness(law, canon.law, np.diag([1.0, abs(law.c)]))
+    if form[0] == "abelian":
+        canon = _canonical_ordered(law.dim)[0]
+        return canon, linear_witness(law, canon.law, _perm_matrix(sig, canon.order.significance))
 
-    if isinstance(law, Ec):
-        if sig == (0, 1, 2):
-            s = 1.0 if law.c > 0 else -1.0
-            canon = _cls("E_plus" if s > 0 else "E_minus", Ec(s), (0, 1, 2))
-            return canon, linear_witness(law, canon.law, np.diag([abs(law.c), 1.0, 1.0]))
-        if sig == (1, 0, 2):
-            # swapping the plane coordinates flips the cocycle sign
-            canon, tail = _classify_ordered(Ec(-law.c), (0, 1, 2))
-            return canon, linear_witness(law, canon.law, tail.matrix @ _perm_matrix(sig, (0, 1, 2)))
-
-    if isinstance(law, SUT3) and sig in ((0, 1, 2), (1, 0, 2)):
+    if isinstance(law, SUT3):
         canon, tail = _classify_ordered(heisenberg(), sig)
         fwd = (lambda a: tail.apply(sut3_to_heis(a)))
         bwd = (lambda a: heis_to_sut3(tail.apply_inverse(a)))
         return canon, function_witness(law, canon.law, fwd, bwd,
                                        name="sut3_to_heis . linear")
 
-    parts = _roles(law)
-    if parts is not None:
-        i_norm, i_act, i_free, c = parts
-        if sig.index(i_act) < sig.index(i_norm):
-            # the place of the free coordinate picks the order type
-            s = 1.0 if c > 0 else -1.0
+    # the witness lists the coordinates in significance order and writes the
+    # entries `row` into the acting coordinate's row
+    if form[0] == "affine":
+        # the least significant coordinate acting on e_k acts, and the place
+        # of the remaining coordinate picks the order type
+        _, k, chi = form
+        act = max((i for i, x in enumerate(chi) if x), key=sig.index)
+        s = 1.0 if chi[act] > 0 else -1.0
+        if law.dim == 2:
+            canon = _cls("Aff_plus" if s > 0 else "Aff_minus", SemidirectRR(s), (1, 0))
+        else:
             canon = [_cls("ProdAff_order_zyx", GCd(0.0, s), (0, 1, 2), d=s),
                      _cls("ProdAff_order_yzx", GCd(s, 0.0), (0, 1, 2), c=s),
-                     _cls("ProdAff_order_yxz", KCd(s, 0.0), (0, 1, 2), c=s)][sig.index(i_free)]
-            # coordinates in significance order, the acting one scaled by |c|
-            matrix = _perm_matrix(sig, (0, 1, 2))
-            matrix[:, i_act] *= abs(c)
-            return canon, linear_witness(law, canon.law, matrix)
-
-    if isinstance(law, GCd):
-        if sig == (0, 1, 2):
-            s = 1.0 if law.d > 0 else -1.0
-            canon = _cls("ProdAff_order_zyx", GCd(0.0, s), (0, 1, 2), d=s)
-            matrix = [[1.0, 0.0, 0.0], [s * law.c, s * law.d, 0.0], [0.0, 0.0, 1.0]]
-            return canon, linear_witness(law, canon.law, matrix)
-        if sig == (1, 0, 2):
-            canon, tail = _classify_ordered(GCd(law.d, law.c), (0, 1, 2))
-            return canon, linear_witness(law, canon.law, tail.matrix @ _perm_matrix(sig, (0, 1, 2)))
-
-    if isinstance(law, KCd):
-        c, d = law.c, law.d
-        if sig == (0, 2, 1):
-            canon, tail = _classify_ordered(KCd(d, c), (0, 1, 2))
-            return canon, linear_witness(law, canon.law, tail.matrix @ _perm_matrix(sig, (0, 1, 2)))
-        if sig == (0, 1, 2):
-            if c > 0:
-                canon = _cls("K_plus", KCd(1.0, d / c), (0, 1, 2), f=d / c)
-            else:
-                canon = _cls("K_minus", KCd(-1.0, -d / c), (0, 1, 2), f=-d / c)
-            return canon, linear_witness(law, canon.law, np.diag([abs(c), 1.0, 1.0]))
-
-    if isinstance(law, Tk) and law.k == 0.0 and sig[0] == 2:
-        # split case: listing the coordinates in significance order lands in
-        # the diagonal family, whose two module coordinates are interchangeable
-        canon = _cls("K_plus", KCd(1.0, 1.0), (0, 1, 2), f=1.0)
-        return canon, linear_witness(law, canon.law, _perm_matrix(sig, (0, 1, 2)))
-
-    if isinstance(law, Tk) and sig == (2, 1, 0):
-        s = 1.0 if law.k > 0 else -1.0
-        canon = _cls("T_plus" if s > 0 else "T_minus", Tk(s), (2, 1, 0))
-        return canon, linear_witness(law, canon.law, np.diag([1.0 / abs(law.k), 1.0, 1.0]))
-
-    raise DomainError(
-        f"no canonical form for {type(law).__name__} with significance {sig}"
-    )
+                     _cls("ProdAff_order_yxz", KCd(s, 0.0), (0, 1, 2), c=s),
+                     ][sig.index(3 - k - act)]
+        # s chi's nonzero entries only, so a zero stays 0.0 and never -0.0
+        row = {i: s * x for i, x in enumerate(chi) if x}
+    elif form[0] == "heisenberg":
+        # [e_sig0, e_sig1] = b e_sig2 and E(s) has 2 s: e_sig0 scales by |b| / 2
+        _, _, i, _, b = form
+        b = b if i == sig[0] else -b
+        act, s = sig[0], 1.0 if b > 0 else -1.0
+        canon = _cls("E_plus" if s > 0 else "E_minus", Ec(s), (0, 1, 2))
+        row = {act: abs(b) / 2}
+    else:
+        # e_act leads; the middle coordinate's eigenvalue scales it and its
+        # sign picks K_plus or K_minus
+        _, act, lam = form
+        mid = lam[sig[1]]
+        s, f = 1.0 if mid > 0 else -1.0, lam[sig[2]] / abs(mid)
+        canon = _cls("K_plus" if s > 0 else "K_minus", KCd(s, f), (0, 1, 2), f=f)
+        row = {act: abs(mid)}
+    matrix = _perm_matrix(sig, canon.order.significance)
+    for i, x in row.items():
+        matrix[canon.order.significance[sig.index(act)], i] = x
+    return canon, linear_witness(law, canon.law, matrix)
 
 
 # ---------------------------------------------------------------------------

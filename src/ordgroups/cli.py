@@ -113,8 +113,10 @@ def cmd_eval(args) -> int:
 
 def cmd_axioms(args) -> int:
     law = _law_arg(args)
+    desc = law.descriptor()
+    dumps(desc)  # a law nested too deeply to write fails before its check runs
     rep = check_group_axioms(law, _sample_config(args), _tolerance(args))
-    _emit(args, {"law": law.descriptor(), "report": rep.to_dict()})
+    _emit(args, {"law": desc, "report": rep.to_dict()})
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
@@ -122,13 +124,15 @@ def cmd_order_check(args) -> int:
     law = _law_arg(args)
     order = order_from_descriptor(_indices(args.order))
     spec = orders.OrderedGroupSpec(law, order)
+    coords = _indices(args.normal_coords) if args.normal_coords else None
+    desc = law.descriptor()
+    dumps(desc)  # a law nested too deeply to write fails before its checks run
     cfg = _sample_config(args)
     rep = orders.check_translation_invariance(spec, cfg)
-    payload = {"law": law.descriptor(), "order": list(order.significance),
-               "translation": rep.to_dict()}
+    payload = {"law": desc, "order": list(order.significance), "translation": rep.to_dict()}
     ok = rep.passed
-    if args.normal_coords:
-        crep = orders.check_conjugation_order_preserving(spec, _indices(args.normal_coords), cfg)
+    if coords is not None:
+        crep = orders.check_conjugation_order_preserving(spec, coords, cfg)
         payload["conjugation"] = crep.to_dict()
         ok = ok and crep.passed
     _emit(args, payload)

@@ -63,6 +63,11 @@ def _result(dim: int, *operands) -> np.ndarray:
     return np.empty(shape + (dim,), order="F")
 
 
+def _nonzero(table: dict) -> dict:
+    """A bracket table without its zeros, its entries as Python floats."""
+    return {key: float(b) for key, b in table.items() if b != 0.0}
+
+
 class GroupLaw:
     """Base for all chart group laws. Subclasses are immutable dataclasses
     whose fields are the law's parameters; `family` names them in descriptors."""
@@ -81,6 +86,11 @@ class GroupLaw:
 
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
+
+    def brackets(self) -> dict | None:
+        """The Lie bracket in closed form, {(k, i, j): b} for [e_i, e_j] = b e_k + ...,
+        one entry per antisymmetric pair and no zeros; None if the law declares none."""
+        return None
 
     def descriptor(self) -> dict:
         params = {}
@@ -105,6 +115,9 @@ class Additive(GroupLaw):
     def dim(self):
         return self.n
 
+    def brackets(self):
+        return {}
+
     def mul(self, a, b):
         return a + b
 
@@ -117,6 +130,9 @@ class SemidirectRR(GroupLaw):
     family = "semidirect_rr"
     dim = 2
     c: float = 1.0
+
+    def brackets(self):
+        return _nonzero({(0, 1, 0): self.c})
 
     def mul(self, a, b):
         x1, y1 = a[..., 0], a[..., 1]
@@ -139,6 +155,9 @@ class Ec(GroupLaw):
     family = "e_c"
     dim = 3
     c: float
+
+    def brackets(self):
+        return _nonzero({(2, 0, 1): 2 * self.c})
 
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
@@ -163,6 +182,9 @@ class SUT3(GroupLaw):
     family = "sut3"
     dim = 3
 
+    def brackets(self):
+        return {(2, 0, 1): 1.0}
+
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
@@ -185,6 +207,9 @@ class GCd(GroupLaw):
     dim = 3
     c: float
     d: float
+
+    def brackets(self):
+        return _nonzero({(2, 0, 2): self.c, (2, 1, 2): self.d})
 
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
@@ -210,6 +235,9 @@ class KCd(GroupLaw):
     c: float
     d: float
 
+    def brackets(self):
+        return _nonzero({(1, 0, 1): self.c, (2, 0, 2): self.d})
+
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
@@ -233,6 +261,9 @@ class Tk(GroupLaw):
     family = "t_k"
     dim = 3
     k: float
+
+    def brackets(self):
+        return _nonzero({(0, 2, 0): 1.0, (0, 2, 1): self.k, (1, 2, 1): 1.0})
 
     def mul(self, a, b):
         x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
@@ -268,6 +299,12 @@ class Product(GroupLaw):
     @property
     def dim(self):
         return self.a.dim + self.b.dim
+
+    def brackets(self):
+        ta, tb, k = self.a.brackets(), self.b.brackets(), self.a.dim
+        if ta is None or tb is None:
+            return None
+        return {**ta, **{(x + k, i + k, j + k): b for (x, i, j), b in tb.items()}}
 
     def mul(self, u, v):
         k = self.a.dim

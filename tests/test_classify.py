@@ -34,6 +34,7 @@ from ordgroups import (
     separating_invariant,
     verify_witness,
 )
+from ordgroups.classify import _admits
 from ordgroups.selftest import _law_grid
 
 CFG = SampleConfig(seed=9, count=800)
@@ -117,6 +118,10 @@ def test_split_nonabelian_tk_routes_to_diagonal_family():
 
 def test_out_of_scope_descriptors_rejected():
     law = extension_from_cocycle(heis_module(), heis_cocycle(1.0))
+    # a cocycle law declares no bracket table, nor does a product with one
+    assert law.brackets() is None
+    assert Product(Additive(1), law).brackets() is None
+    assert Product(law, Additive(1)).brackets() is None
     with pytest.raises(DomainError):
         classify_group(law, CFG)
     with pytest.raises(DomainError):
@@ -245,6 +250,9 @@ ROLE_CHARTS = {
     "gcd_y": (lambda c: GCd(0.0, c), (2, 1, 0)),
     "kcd_y": (lambda c: KCd(c, 0.0), (1, 0, 2)),
     "kcd_z": (lambda c: KCd(0.0, c), (2, 0, 1)),
+    # a JSON -0.0 exponent is a zero one: its witness entries stay 0.0
+    "gcd_x_negzero": (lambda c: GCd(c, -0.0), (2, 0, 1)),
+    "kcd_z_negzero": (lambda c: KCd(-0.0, c), (2, 0, 1)),
 }
 
 
@@ -269,11 +277,13 @@ def test_ordered_product_line_then_acting_then_normal(c, chart):
         for row, col in enumerate(sig):
             expected[row, col] = abs(c) if col == act else 1.0
         assert np.array_equal(wit.matrix, expected), sig
+        assert not np.signbit(wit.matrix[wit.matrix == 0.0]).any(), sig
         assert wit.verification.passed and wit.order_verified, sig
 
 
 def test_every_ordered_pair_classifies_with_a_verified_witness():
-    # a pair classifies exactly when its lexicographic order is bi-invariant
+    # a pair classifies exactly when its lexicographic order is bi-invariant,
+    # which is exactly when its coordinate flag is a chain of ideals
     cfg = SampleConfig(seed=3, count=400)
     laws = _law_grid() + [Tk(0.0)]
     for c in (1.0, -1.0, 2.0):
@@ -287,7 +297,8 @@ def test_every_ordered_pair_classifies_with_a_verified_witness():
                 classified = wit.verification.passed
             except DomainError:
                 classified = False
-            if classified != check_translation_invariance(OrderedGroupSpec(law, order), cfg).passed:
+            ordered = check_translation_invariance(OrderedGroupSpec(law, order), cfg).passed
+            if classified != ordered or _admits(law.brackets(), sig) != ordered:
                 wrong.append((law, sig))
     assert wrong == []
 

@@ -402,12 +402,24 @@ def _nested_product(depth):
     return json.dumps(law)
 
 
-def test_product_nested_too_deep_to_report_is_an_input_error(tmp_path, capsys):
+def test_product_nested_too_deep_to_report_is_an_input_error(tmp_path, capsys, monkeypatch):
     # valid JSON well inside the parser's limit, but the report would repeat
-    # the descriptor past the recursion limit of writing it
+    # the descriptor past the recursion limit of writing it; that is known
+    # once the law is built, so no sampled check runs
+    from ordgroups import cli
+
+    def not_called(*args):
+        raise AssertionError("a sampled check ran for a law too deep to report")
+
     law_file = tmp_path / "law.json"
     law_file.write_text(_nested_product(200))
-    _assert_input_error(capsys, "axioms", "--json", str(law_file))
+    monkeypatch.setattr(cli, "check_group_axioms", not_called)
+    monkeypatch.setattr(cli.orders, "check_translation_invariance", not_called)
+    for argv in (("axioms",), ("order-check", "--order", ",".join(map(str, range(201))))):
+        code = main([*argv, "--json", str(law_file)])
+        assert (code, capsys.readouterr().err) == (
+            2, "input error: report nested too deeply to write\n")
+    monkeypatch.undo()
     law_file.write_text(_nested_product(100))
     code, out = run_cli(capsys, "axioms", "--json", str(law_file))
     assert code == 0 and json.loads(out)["law"]["dim"] == 101

@@ -8,7 +8,9 @@ in a ragged one, plus the overflow, NaN and non-ordered cases. The digests
 were recorded from the whole-array evaluation; those of `catalog` and the
 two law descriptors, from the per-class descriptor methods the law fields
 replaced; that of `witness-verify`, from the report whose witness flags
-agree with its verification.
+agree with its verification; those of the swapped charts and the `e_c`
+overflow, from the classifier that dispatched on the law's type before
+classification read the bracket tables.
 """
 
 import contextlib
@@ -40,6 +42,14 @@ REQUESTS = {
     "classify e_c": ("classify", "--law", _law("e_c", c=-4.0), "--order", "0,1,2"),
     "classify g_cd": ("classify", "--law", _law("g_cd", c=1.0, d=2.0), "--order", "0,1,2"),
     "classify t_k": ("classify", "--law", _law("t_k", k=1.0), "--order", "2,1,0"),
+    # charts whose order lists the coordinates out of chart order
+    "classify e_c swapped": ("classify", "--law", _law("e_c", c=-4.0), "--order", "1,0,2"),
+    "classify g_cd swapped": ("classify", "--law", _law("g_cd", c=1.0, d=2.0),
+                              "--order", "1,0,2"),
+    "classify k_cd swapped": ("classify", "--law", _law("k_cd", c=1.0, d=2.0),
+                              "--order", "0,2,1"),
+    # the bracket 2c overflows: the translation check fails first, exit 3
+    "classify e_c overflow": ("classify", "--law", _law("e_c", c=1e308), "--order", "0,1,2"),
     "witness-verify": ("witness-verify", "--source", _law("semidirect_rr", c=2.0),
                        "--target", _law("semidirect_rr", c=1.0), "--matrix", "[[1,0],[0,2]]",
                        "--source-order", "1,0", "--target-order", "1,0"),
@@ -66,6 +76,10 @@ DIGESTS = {
     "classify e_c": (0, "20d8326b5ba3670887f379f25391fed164f8ae8acd3d2362ee77111e17ef9253"),
     "classify g_cd": (0, "343e3174908ab99075c7b5c610c7371e2e7123ca304192a7adff6851f2631b68"),
     "classify t_k": (0, "2151eb6cd9c356ca2a0bd74c29caa42418692c968d7e664493cc22cfdbaae478"),
+    "classify e_c swapped": (0, "32ecc2e02819c863a753188281274cb79c89bec2ed07fdbe179db76647f7525e"),
+    "classify g_cd swapped": (0, "337bcede7711301c59619ff56e1e6864d75ce99dd2cf3f85d92111ec02851198"),
+    "classify k_cd swapped": (0, "ef65bd0fe1b08fe94054c5f8d630bf9a4c44064cabd1faf675c08256fec5867f"),
+    "classify e_c overflow": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "catalog": (0, "20c1b223dba972d1d537445fdd4f87543ce6a9a39ef2f9c1e7951c04d1c6ca52"),
     "cocycle-check g3": (0, "5b9bdc9cca3e24e4e0af8e6f0adbc239ab5c839cabfbdf9a017fdf0a12a8ba54"),
     "order-check control": (4, "079c5c6147b1507571e398428c4d80c91d836bb9d6734a8b3f55a5b12faf9256"),

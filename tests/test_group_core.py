@@ -78,6 +78,46 @@ def test_semidirect_law_matches_matrix_representation():
             assert np.allclose(multiply(law, a, b), expected, atol=1e-12)
 
 
+def _numerical_brackets(law, h=1e-4):
+    """B[k, i, j], the e_k coefficient of [e_i, e_j]: the mixed second central
+    difference of mul at the identity, antisymmetrised in i and j."""
+    n = law.dim
+    signs = np.array([1.0, -1.0])
+    # a = s h e_i against b = t h e_j for every (i, s, j, t) at once
+    a = h * np.eye(n)[:, None, None, None, :] * signs[None, :, None, None, None]
+    b = h * np.eye(n)[None, None, :, None, :] * signs[None, None, None, :, None]
+    mixed = np.einsum("s,t,isjtk->kij", signs, signs, law.mul(a, b)) / (4 * h * h)
+    return mixed - mixed.transpose(0, 2, 1)
+
+
+_BRACKET_PARAMS = (-2.0, -0.5, 0.0, 1.0, 2.5)
+
+
+@pytest.mark.parametrize("law", [
+    Additive(1), Additive(2), Additive(3), SUT3(), Tk(0.0),
+    *(SemidirectRR(c) for c in _BRACKET_PARAMS),
+    *(Ec(c) for c in _BRACKET_PARAMS),
+    *(Tk(k) for k in _BRACKET_PARAMS),
+    *(GCd(c, d) for c in _BRACKET_PARAMS for d in _BRACKET_PARAMS),
+    *(KCd(c, d) for c in _BRACKET_PARAMS for d in _BRACKET_PARAMS),
+    *(Product(SemidirectRR(c), Additive(1)) for c in _BRACKET_PARAMS),
+    *(Product(Additive(1), SemidirectRR(c)) for c in _BRACKET_PARAMS),
+    Product(Additive(1), Ec(-2.0)), Product(SemidirectRR(1.0), SemidirectRR(-0.5)),
+    Product(Additive(2), KCd(1.0, 2.5)),
+    # numpy parameters still give a table of Python floats
+    KCd(np.float64(0.5), np.float64(-2.0)), Product(Additive(1), SemidirectRR(np.float64(2.5))),
+], ids=repr)
+def test_declared_brackets_match_the_second_difference_of_mul(law):
+    table = law.brackets()
+    assert all(type(b) is float and b != 0.0 for b in table.values())
+    # one entry of each antisymmetric pair
+    assert not any((k, j, i) in table for k, i, j in table)
+    declared = np.zeros((law.dim,) * 3)
+    for (k, i, j), b in table.items():
+        declared[k, i, j], declared[k, j, i] = b, -b
+    assert np.allclose(_numerical_brackets(law), declared, rtol=0.0, atol=1e-6)
+
+
 # --- multiply --------------------------------------------------------------
 
 
