@@ -18,9 +18,10 @@ coordinate flag is a chain of ideals: the span of its k least significant
 coordinates is an ideal for every k. Named cases: SUT3, whose chart change
 is nonlinear, and the nonsplit Tk(k != 0), whose ad is not diagonal.
 
-Every witness is an explicit coordinate map with named source and target
-laws; classification verifies each witness numerically, once, and returns it
-carrying that verification.
+Both levels cover dimensions 1 to 3 and reject a larger law before drawing
+any sample. Every witness is an explicit coordinate map with named source and
+target laws; classification verifies each witness numerically, once, and
+returns it carrying that verification, a WitnessReport, as its only verdict.
 """
 
 from __future__ import annotations
@@ -109,14 +110,6 @@ class IsoWitness:
     order_pair: tuple[LexOrder, LexOrder] | None = None
     verification: WitnessReport | None = None
 
-    @property
-    def group_verified(self) -> bool:
-        return self.verification is not None and self.verification.group_ok
-
-    @property
-    def order_verified(self) -> bool:
-        return self.verification is not None and bool(self.verification.order_ok)
-
     def apply(self, a: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return _matvec(self.matrix, a)
@@ -140,8 +133,6 @@ class IsoWitness:
             "order_pair": None
             if self.order_pair is None
             else [list(self.order_pair[0].significance), list(self.order_pair[1].significance)],
-            "group_verified": self.group_verified,
-            "order_verified": self.order_verified,
         }
 
 
@@ -295,13 +286,13 @@ def enumerate_canonical(dim: int) -> list[tuple[CanonicalClass, GroupLaw, LexOrd
 def _bracket_form(law: GroupLaw):
     """The law's bracket table as ("abelian",), ("affine", k, chi),
     ("heisenberg", k, i, j, b) for [e_i, e_j] = b e_k or ("plane", a, lam) for
-    [e_a, e_p] = lam[p] e_p; None for no table, no form, or past dimension 3."""
+    [e_a, e_p] = lam[p] e_p; None for no table or no form."""
     table = law.brackets()
     if not table:
         return None if table is None else ("abelian",)
     coeff = {**table, **{(k, j, i): -b for (k, i, j), b in table.items()}}
     derived = sorted({k for k, _, _ in table})
-    if len(derived) == 1 and law.dim <= 3:
+    if len(derived) == 1:
         k = derived[0]
         if all(k in (i, j) for _, i, j in table):
             return "affine", k, [coeff.get((k, i, k), 0.0) for i in range(law.dim)]
@@ -330,10 +321,17 @@ def classify_group(
     law: GroupLaw, cfg: SampleConfig = SampleConfig(), tol: Tolerance = DEFAULT_TOL
 ) -> tuple[CanonicalClass, IsoWitness]:
     """Canonical group-isomorphism class plus a verified witness map."""
+    _require_dimension(law)
     cls, wit = _classify_group(law)
     rep = verify_witness(wit, cfg, tol)
     _require_invertible(law, cls, rep)
     return cls, dataclasses.replace(wit, verification=rep)
+
+
+def _require_dimension(law: GroupLaw) -> None:
+    """The range both levels classify, checked before any sample is drawn."""
+    if law.dim > 3:
+        raise DomainError("classification covers dimensions 1 to 3 only")
 
 
 def _require_invertible(law: GroupLaw, cls: CanonicalClass, rep: WitnessReport) -> None:
@@ -349,9 +347,6 @@ def _require_invertible(law: GroupLaw, cls: CanonicalClass, rep: WitnessReport) 
 
 def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
     n = law.dim
-    if n > 3:
-        raise DomainError("classification covers dimensions 1 to 3 only")
-
     if isinstance(law, SUT3):
         target = heisenberg()
         return _cls("Heis", target), function_witness(law, target, sut3_to_heis, heis_to_sut3,
@@ -411,9 +406,11 @@ def classify_ordered(
     The pair must already be an ordered group; bi-invariance is checked on
     samples first and a counterexample is reported on failure.
     """
-    # the witness samples nothing, so it is found first and its order claim
-    # checked in the translation check's one pass over the pairs; the errors
-    # keep their order: translation, then no canonical form, then invertibility
+    # the witness samples nothing, so it is found first and its order claim is
+    # checked in the translation check's one pass; errors keep their order:
+    # dimension, order length, translation, no canonical form, invertibility
+    _require_dimension(law)
+    spec = OrderedGroupSpec(law, order)
     try:
         cls, wit = _classify_ordered(law, order.significance)
     except DomainError as exc:
@@ -422,7 +419,7 @@ def classify_ordered(
         # wit makes no order claim yet, so verify_witness checks the group
         # claims only; an invertible witness's order claim joins the pass
         unclassified, rep = None, verify_witness(wit, cfg, tol)
-    sides = _translation_sides(OrderedGroupSpec(law, order))
+    sides = _translation_sides(spec)
     if rep is not None and rep.invertible:
         sides += (_order_side(wit, cls.order),)
     _, (left, right, *monotone) = _ordered_pairs(order, cfg, law.dim).scan(
@@ -465,10 +462,7 @@ def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
 
     if isinstance(law, SUT3):
         canon, tail = _classify_ordered(heisenberg(), sig)
-        fwd = (lambda a: tail.apply(sut3_to_heis(a)))
-        bwd = (lambda a: heis_to_sut3(tail.apply_inverse(a)))
-        return canon, function_witness(law, canon.law, fwd, bwd,
-                                       name="sut3_to_heis . linear")
+        return canon, compose_witness(tail, _classify_group(law)[1])
 
     # the witness lists the coordinates in significance order and writes the
     # entries `row` into the acting coordinate's row
@@ -537,10 +531,6 @@ class NotSeparated:
         return {"separated": False, "samples": self.samples}
 
 
-def _positive(rng, count, box):
-    return rng.uniform(0.5, box, size=count)
-
-
 def _mixed_sign_profile(values: np.ndarray, scale: float):
     """Collapse sampled signed quantities to +1 / 0 / -1, or None when mixed."""
     cut = 1e-9 * max(1.0, scale)
@@ -556,65 +546,38 @@ def _mixed_sign_profile(values: np.ndarray, scale: float):
 
 
 def _invariant_values(spec: OrderedGroupSpec, cfg: SampleConfig) -> dict:
-    law, order = spec.law, spec.order
-    sig = order.significance
-    dim = law.dim
+    law, sig = spec.law, spec.order.significance
     rng = cfg.rng(stream=71)
-    count = cfg.count
-    box = cfg.box
 
-    def rand_g():
-        g = rng.uniform(-box, box, size=(count, dim))
-        g[:, sig[0]] = _positive(rng, count, box)
-        return g
-
-    def supported(idx, positive):
-        v = np.zeros((count, dim))
-        v[:, idx] = _positive(rng, count, box) if positive else rng.uniform(
-            -box, box, size=count)
+    def element(coords, positive):
+        """Rows supported on coords, most significant first; positive in the order if positive."""
+        v = np.zeros((cfg.count, law.dim))
+        for i in coords:
+            low = 0.5 if positive and i == coords[0] else -cfg.box
+            v[:, i] = rng.uniform(low, cfg.box, size=cfg.count)
         return v
 
-    values: dict = {}
-    if dim >= 2:
-        if dim == 2:
-            a = rng.uniform(-box, box, size=(count, dim))
-            b = rng.uniform(-box, box, size=(count, dim))
-            values["abelian"] = DEFAULT_TOL.close(law.mul(a, b), law.mul(b, a))
-            g = rand_g()
-            h = supported(sig[1], positive=True)
-            delta = conjugate(law, g, h)[:, sig[1]] - h[:, sig[1]]
-            values["fiber_conjugation_direction"] = _mixed_sign_profile(
-                delta, float(np.max(np.abs(h))))
-            return values
+    def direction(g, h, i):
+        """The sign of the change conjugation by g makes to coordinate i of h."""
+        return _mixed_sign_profile(conjugate(law, g, h)[:, i] - h[:, i], float(np.max(np.abs(h))))
 
-        # dim 3: convex plane on the two least significant coordinates
-        plane = [sig[1], sig[2]]
-        pa = np.zeros((count, dim))
-        pb = np.zeros((count, dim))
-        for idx in plane:
-            pa[:, idx] = rng.uniform(-box, box, size=count)
-            pb[:, idx] = rng.uniform(-box, box, size=count)
-        values["abelian_convex_plane"] = DEFAULT_TOL.close(law.mul(pa, pb), law.mul(pb, pa))
-
-        g = rand_g()
-        h_mid = supported(sig[1], positive=True)
-        comm2 = commutator(law, g, h_mid)
-        values["commutator_sign"] = _mixed_sign_profile(
-            comm2[:, sig[2]], float(np.max(np.abs(comm2))))
-
-        h_fib = supported(sig[2], positive=True)
-        delta = conjugate(law, g, h_fib)[:, sig[2]] - h_fib[:, sig[2]]
-        values["fiber_conjugation_direction"] = _mixed_sign_profile(
-            delta, float(np.max(np.abs(h_fib))))
-
-        delta = conjugate(law, g, h_mid)[:, sig[1]] - h_mid[:, sig[1]]
-        values["middle_conjugation_direction"] = _mixed_sign_profile(
-            delta, float(np.max(np.abs(h_mid))))
-
-        u_mid = supported(sig[1], positive=True)
-        delta = conjugate(law, u_mid, h_fib)[:, sig[2]] - h_fib[:, sig[2]]
-        values["middle_action_on_fiber"] = _mixed_sign_profile(
-            delta, float(np.max(np.abs(h_fib))))
+    if law.dim < 2:
+        return {}
+    # the convex plane of the middle and fiber coordinates: the whole group
+    # in dimension 2, the two least significant coordinates in dimension 3
+    mid, fib = sig[:3][-2:]
+    a, b = element((mid, fib), False), element((mid, fib), False)
+    g, h_fib = element(sig, True), element((fib,), True)
+    plane = "abelian" if law.dim == 2 else "abelian_convex_plane"
+    values = {plane: DEFAULT_TOL.close(law.mul(a, b), law.mul(b, a)),
+              "fiber_conjugation_direction": direction(g, h_fib, fib)}
+    if law.dim == 2:
+        return values
+    h_mid = element((mid,), True)
+    comm = commutator(law, g, h_mid)
+    values["commutator_sign"] = _mixed_sign_profile(comm[:, fib], float(np.max(np.abs(comm))))
+    values["middle_conjugation_direction"] = direction(g, h_mid, mid)
+    values["middle_action_on_fiber"] = direction(element((mid,), True), h_fib, fib)
     return values
 
 

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 input error, 3 math domain error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -32,9 +31,13 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--box", type=float, default=3.0)
     p.add_argument("--abs-tol", type=float, default=1e-9)
     p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--json", dest="json_file", default=None,
-                   help="read the law/request descriptor from a JSON file")
     p.add_argument("--out", default=None, help="write the JSON report to a file")
+
+
+def _add_law(p: argparse.ArgumentParser):
+    p.add_argument("--law", default=None, help="law descriptor JSON")
+    p.add_argument("--json", dest="json_file", default=None,
+                   help="read the law descriptor from a JSON file")
 
 
 def _parse_json(text: str):
@@ -54,7 +57,7 @@ def _law_arg(args):
             except UnicodeDecodeError as exc:
                 raise InputError(f"{args.json_file} is not UTF-8: {exc}") from exc
         return law_from_descriptor(_parse_json(text))
-    if getattr(args, "law", None) is None:
+    if args.law is None:
         raise InputError("a law descriptor is required (--law or --json)")
     return law_from_descriptor(_parse_json(args.law))
 
@@ -171,17 +174,13 @@ def cmd_witness_verify(args) -> int:
     source = law_from_descriptor(_parse_json(args.source))
     target = law_from_descriptor(_parse_json(args.target))
     matrix = _parse_json(args.matrix)
-    pair = None
-    if args.source_order and args.target_order:
-        pair = (
-            order_from_descriptor(_indices(args.source_order)),
-            order_from_descriptor(_indices(args.target_order)),
-        )
+    claim = [o for o in (args.source_order, args.target_order) if o]
+    if len(claim) == 1:
+        raise InputError("an order claim needs both --source-order and --target-order")
+    pair = tuple(order_from_descriptor(_indices(o)) for o in claim) or None
     wit = classify.linear_witness(source, target, matrix, order_pair=pair)
     rep = classify.verify_witness(wit, _sample_config(args), _tolerance(args))
-    # the verified witness, so its flags agree with the verification
-    _emit(args, {"witness": dataclasses.replace(wit, verification=rep).to_dict(),
-                 "verification": rep.to_dict()})
+    _emit(args, {"witness": wit.to_dict(), "verification": rep.to_dict()})
     return EXIT_OK if rep.passed else EXIT_VERIFY
 
 
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="apply a group operation to elements")
-    p.add_argument("--law", default=None, help="law descriptor JSON")
+    _add_law(p)
     p.add_argument("--op", required=True, choices=["mul", "inv", "conj", "comm"])
     p.add_argument("--a", required=True, help="comma-separated coordinates")
     p.add_argument("--b", default=None, help="second element when the op needs one")
@@ -225,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("axioms", help="sampled group-axiom residuals")
-    p.add_argument("--law", default=None)
+    _add_law(p)
     _add_common(p)
     p.set_defaults(fn=cmd_axioms)
 
     p = sub.add_parser("order-check", help="translation / conjugation order checks")
-    p.add_argument("--law", default=None)
+    _add_law(p)
     p.add_argument("--order", required=True, help="significance list, e.g. 0,1,2")
     p.add_argument("--normal-coords", default=None,
                    help="verify conjugation order preservation on these coordinates")
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cocycle_check)
 
     p = sub.add_parser("classify", help="canonical class plus verified witness")
-    p.add_argument("--law", default=None)
+    _add_law(p)
     p.add_argument("--order", default=None, help="classify as an ordered group")
     _add_common(p)
     p.set_defaults(fn=cmd_classify)

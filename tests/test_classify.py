@@ -52,14 +52,14 @@ def test_central_extension_classifies_to_heisenberg_chart():
     assert wit.source == heisenberg()
     assert wit.target == Ec(3.0)
     assert np.array_equal(wit.matrix, np.diag([1.0, 1.0, 6.0]))
-    assert wit.group_verified
+    assert wit.verification.group_ok
 
 
 def test_nonsplit_family_classifies_to_unit_parameter():
     cls, wit = classify_group(Tk(-2.0), CFG)
     assert cls.label == "G3"
     assert np.array_equal(wit.matrix, np.diag([-0.5, 1.0, 1.0]))
-    assert wit.group_verified
+    assert wit.verification.group_ok
 
 
 def test_abelian_classification():
@@ -76,13 +76,13 @@ def test_unitriangular_chart_is_heisenberg():
     cls, wit = classify_group(SUT3(), CFG)
     assert cls.label == "Heis"
     assert wit.matrix is None
-    assert wit.group_verified
+    assert wit.verification.group_ok
 
 
 def test_affine_group_level():
     cls, wit = classify_group(SemidirectRR(-2.0), CFG)
     assert cls.label == "Aff"
-    assert wit.group_verified
+    assert wit.verification.group_ok
 
 
 def test_product_with_line_classifies_to_prodaff():
@@ -96,7 +96,7 @@ def test_product_with_line_classifies_to_prodaff():
     ):
         cls, wit = classify_group(law, CFG)
         assert cls.label == "ProdAff", law
-        assert wit.group_verified, law
+        assert wit.verification.group_ok, law
 
 
 def test_diagonal_family_normalizes_parameter_into_unit_interval():
@@ -105,7 +105,7 @@ def test_diagonal_family_normalizes_parameter_into_unit_interval():
     assert cls_a.label == cls_b.label == "SD2"
     assert cls_a.param_dict["c"] == pytest.approx(1.0 / 3.0)
     assert cls_a.params == cls_b.params
-    assert wit_a.group_verified and wit_b.group_verified
+    assert wit_a.verification.group_ok and wit_b.verification.group_ok
     assert -1.0 <= cls_a.param_dict["c"] <= 1.0
 
 
@@ -113,7 +113,7 @@ def test_split_nonabelian_tk_routes_to_diagonal_family():
     cls, wit = classify_group(Tk(0.0), CFG)
     assert cls.label == "SD2"
     assert cls.param_dict["c"] == 1.0
-    assert wit.group_verified
+    assert wit.verification.group_ok
 
 
 def test_out_of_scope_descriptors_rejected():
@@ -136,14 +136,14 @@ def test_ordered_affine_chart():
     assert cls.label == "Aff_minus"
     # acting coordinate is scaled in this chart (the normal one stays fixed)
     assert np.array_equal(wit.matrix, np.diag([1.0, 2.0]))
-    assert wit.group_verified and wit.order_verified
+    assert wit.verification.group_ok and wit.verification.order_ok
 
 
 def test_ordered_central_extension():
     cls, wit = classify_ordered(Ec(-4.0), XYZ, CFG)
     assert cls.label == "E_minus"
     assert np.array_equal(wit.matrix, np.diag([4.0, 1.0, 1.0]))
-    assert wit.order_verified
+    assert wit.verification.order_ok
 
 
 def test_ordered_shear_witness():
@@ -151,7 +151,7 @@ def test_ordered_shear_witness():
     assert cls.label == "ProdAff_order_zyx"
     assert cls.param_dict == {"d": 1.0}
     assert np.array_equal(wit.matrix, [[1, 0, 0], [2, 3, 0], [0, 0, 1]])
-    assert wit.group_verified and wit.order_verified
+    assert wit.verification.group_ok and wit.verification.order_ok
 
 
 def test_ordered_gcd_all_sign_cases():
@@ -164,7 +164,7 @@ def test_ordered_gcd_all_sign_cases():
     for law, label, params in cases:
         cls, wit = classify_ordered(law, XYZ, CFG)
         assert (cls.label, cls.param_dict) == (label, params), law
-        assert wit.group_verified and wit.order_verified
+        assert wit.verification.group_ok and wit.verification.order_ok
 
 
 def test_ordered_diagonal_family_carries_its_parameter():
@@ -184,7 +184,7 @@ def test_ordered_kcd_degenerate_routes():
     # a vanishing first exponent leaves the product family, not the diagonal one
     cls, wit = classify_ordered(KCd(0.0, 5.0), XYZ, CFG)
     assert (cls.label, cls.param_dict) == ("ProdAff_order_yzx", {"c": 1.0})
-    assert wit.group_verified and wit.order_verified
+    assert wit.verification.group_ok and wit.verification.order_ok
 
 
 def test_ordered_nonsplit_chart():
@@ -192,7 +192,7 @@ def test_ordered_nonsplit_chart():
     cls, wit = classify_ordered(Tk(-2.0), tchart, CFG)
     assert cls.label == "T_minus"
     assert np.array_equal(wit.matrix, np.diag([0.5, 1.0, 1.0]))
-    assert wit.order_verified
+    assert wit.verification.order_ok
 
     # the split chart is the diagonal family under both orders with z first
     for sig in [(2, 1, 0), (2, 0, 1)]:
@@ -208,37 +208,37 @@ def test_split_nonsplit_chart_witness_reverses_the_chart(seed):
     cls, wit = classify_ordered(Tk(0.0), LexOrder((2, 1, 0)), SampleConfig(seed=seed))
     assert cls.label == "K_plus"
     assert np.array_equal(wit.matrix, [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    assert wit.group_verified and wit.order_verified
+    assert wit.verification.group_ok and wit.verification.order_ok
 
 
 def test_ordered_swapped_plane_flips_the_sign():
     cls, wit = classify_ordered(Ec(2.0), LexOrder((1, 0, 2)), CFG)
     assert cls.label == "E_minus"
-    assert wit.group_verified and wit.order_verified
+    assert wit.verification.group_ok and wit.verification.order_ok
 
 
 def test_ordered_unitriangular_chart():
     cls, wit = classify_ordered(SUT3(), XYZ, CFG)
     assert cls.label == "E_plus"
     assert wit.matrix is None
-    assert wit.group_verified and wit.order_verified
+    assert wit.verification.group_ok and wit.verification.order_ok
 
 
 def test_ordered_products_both_presentations():
     cls, wit = classify_ordered(
         Product(SemidirectRR(2.0), Additive(1)), LexOrder((1, 0, 2)), CFG)
     assert (cls.label, cls.param_dict) == ("ProdAff_order_yxz", {"c": 1.0})
-    assert wit.order_verified
+    assert wit.verification.order_ok
 
     cls, wit = classify_ordered(
         Product(Additive(1), SemidirectRR(-1.5)), LexOrder((2, 1, 0)), CFG)
     assert (cls.label, cls.param_dict) == ("ProdAff_order_yxz", {"c": -1.0})
-    assert wit.order_verified
+    assert wit.verification.order_ok
 
     cls, wit = classify_ordered(
         Product(SemidirectRR(2.0), Additive(1)), LexOrder((1, 2, 0)), CFG)
     assert (cls.label, cls.param_dict) == ("ProdAff_order_yzx", {"c": 1.0})
-    assert wit.order_verified
+    assert wit.verification.order_ok
 
 
 # the charts of Aff x R with c as their exponent, and their (normal, acting,
@@ -278,7 +278,7 @@ def test_ordered_product_line_then_acting_then_normal(c, chart):
             expected[row, col] = abs(c) if col == act else 1.0
         assert np.array_equal(wit.matrix, expected), sig
         assert not np.signbit(wit.matrix[wit.matrix == 0.0]).any(), sig
-        assert wit.verification.passed and wit.order_verified, sig
+        assert wit.verification.passed and wit.verification.order_ok, sig
 
 
 def test_every_ordered_pair_classifies_with_a_verified_witness():
@@ -306,7 +306,7 @@ def test_every_ordered_pair_classifies_with_a_verified_witness():
 def test_ordered_abelian_any_significance():
     cls, wit = classify_ordered(Additive(3), LexOrder((2, 0, 1)), CFG)
     assert cls.label == "R3"
-    assert wit.order_verified
+    assert wit.verification.order_ok
     assert abs(np.linalg.det(wit.matrix)) == 1.0
 
 
@@ -426,7 +426,7 @@ def test_classification_is_idempotent_on_the_catalog():
             got, wit = classify_ordered(law, order, CFG)
             assert (got.label, got.params) == (cls.label, cls.params)
             assert np.array_equal(wit.matrix, np.eye(dim))
-            assert wit.group_verified and wit.order_verified
+            assert wit.verification.group_ok and wit.verification.order_ok
 
 
 def test_enumerate_rejects_other_dimensions():
@@ -561,7 +561,7 @@ def test_classify_ordered_draws_pairs_once_and_verifies_once(monkeypatch, law, s
     assert len(pairs) == 1 and len(verifies) == 1
     # the shared pairs give the report a fresh, full verification would give
     assert wit.verification == verify_witness(wit, CFG)
-    assert wit.group_verified and wit.order_verified
+    assert wit.verification.group_ok and wit.verification.order_ok
 
 
 def test_cli_classify_reports_the_classification_s_own_verification(monkeypatch, capsys):

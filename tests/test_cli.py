@@ -203,6 +203,25 @@ def test_classify_exit_codes(capsys):
     assert json.loads(out)["params"] == {"f": 1e10}
 
 
+@pytest.mark.parametrize("order", [("--order", "0,1,2,3"), ()], ids=["ordered", "group"])
+@pytest.mark.parametrize("factor", [
+    {"family": "additive", "params": {"n": 2}},
+    {"family": "semidirect_rr", "params": {"c": 1}},
+], ids=["additive2^2", "semidirect_rr^2"])
+def test_classify_past_dimension_3_is_a_domain_error_before_any_sample(
+        capsys, monkeypatch, factor, order):
+    from ordgroups.tolerance import SampleConfig
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(SampleConfig, "sample", no_draw)
+    law = json.dumps({"family": "product", "params": {"a": factor, "b": factor}})
+    code = main(["classify", "--law", law, *order])
+    assert (code, capsys.readouterr().err) == (
+        3, "domain error: classification covers dimensions 1 to 3 only\n")
+
+
 def test_witness_verify_roundtrip(capsys):
     code, out = run_cli(
         capsys, "witness-verify",
@@ -223,7 +242,7 @@ def test_witness_verify_roundtrip(capsys):
 
 
 @pytest.mark.parametrize("matrix", ["[[1,0],[0,2]]", "[[1,0],[0,3]]"])
-def test_witness_verify_flags_agree_with_the_verification(capsys, matrix):
+def test_witness_verify_states_its_verdict_once(capsys, matrix):
     code, out = run_cli(
         capsys, "witness-verify",
         "--source", '{"family":"semidirect_rr","params":{"c":2}}',
@@ -232,8 +251,9 @@ def test_witness_verify_flags_agree_with_the_verification(capsys, matrix):
     report = json.loads(out)
     rep, wit = report["verification"], report["witness"]
     assert code == (0 if rep["passed"] else 4)
-    assert wit["group_verified"] is rep["group_ok"]
-    assert wit["order_verified"] is bool(rep["order_ok"])
+    # the witness describes the map; only the verification judges it
+    assert sorted(wit) == ["map", "matrix", "order_pair", "source", "target"]
+    assert wit["order_pair"] == [[1, 0], [1, 0]]
 
 
 def test_witness_verify_invertibility_is_scale_aware(capsys):
@@ -338,7 +358,11 @@ def _assert_input_error(capsys, *argv):
      "--source-order", "1,0.5", "--target-order", "1,0"),
     ("witness-verify", "--source", _SD, "--target", _SD, "--matrix", "[[1,0],[0,1]]",
      "--source-order", "1,0", "--target-order", "one,0"),
-], ids=["order", "classify-order", "normal-coords", "source-order", "target-order"])
+    # half an order claim is no claim to drop silently
+    ("witness-verify", "--source", _SD, "--target", _SD, "--matrix", "[[1,0],[0,1]]",
+     "--source-order", "1,0"),
+], ids=["order", "classify-order", "normal-coords", "source-order", "target-order",
+        "one-sided-order"])
 def test_non_integer_index_list_is_an_input_error(capsys, argv):
     _assert_input_error(capsys, *argv)
 
@@ -366,6 +390,19 @@ def test_box_whose_width_overflows_is_an_input_error(capsys, argv, box):
     # samples are uniform on [-box, box]: a width 2 * box of inf would give
     # inf samples, not an overflow report
     _assert_input_error(capsys, *argv, "--box", box)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cocycle-check", "--cocycle", '{"cocycle":"heis"}'),
+    ("witness-verify", "--source", _SD, "--target", _SD, "--matrix", "[[1,0],[0,1]]"),
+    ("catalog",),
+    ("selftest", "--samples", "1"),
+], ids=["cocycle-check", "witness-verify", "catalog", "selftest"])
+def test_json_is_an_option_of_the_law_commands_only(capsys, argv):
+    # these read no law descriptor: a --json file they ignored would hide a typo
+    code = main([*argv, "--json", "missing.json"])
+    err = capsys.readouterr().err
+    assert code == 2 and "unrecognized arguments: --json missing.json" in err
 
 
 def test_json_naming_a_directory_is_an_input_error(tmp_path, capsys):
@@ -442,8 +479,10 @@ def test_non_finite_law_parameter_is_an_input_error(capsys, law, value):
     ("cocycle-check", "--cocycle", '{"cocycle":"g3","k":"abc"}'),
     ("axioms", "--law", '{"family":"additive","params":{"n":"nan"}}'),
     ("axioms", "--law", '{"family":"additive","params":{"n":2.5}}'),
+    # an order of another length than the law: no KeyError from the bracket table
+    ("classify", "--law", '{"family":"e_c","params":{"c":1}}', "--order", "0,1"),
 ], ids=["cocycle-nan", "cocycle-list", "cocycle-string", "cocycle-text", "additive-nan",
-        "additive-2.5"])
+        "additive-2.5", "classify-order-length"])
 def test_bad_descriptor_is_an_input_error(capsys, argv):
     _assert_input_error(capsys, *argv)
 

@@ -7,10 +7,11 @@ commands run at 40003 samples, so each check spans several blocks and ends
 in a ragged one, plus the overflow, NaN and non-ordered cases. The digests
 were recorded from the whole-array evaluation; those of `catalog` and the
 two law descriptors, from the per-class descriptor methods the law fields
-replaced; that of `witness-verify`, from the report whose witness flags
-agree with its verification; those of the swapped charts and the `e_c`
-overflow, from the classifier that dispatched on the law's type before
-classification read the bracket tables.
+replaced; that of the `e_c` overflow, from the classifier that dispatched
+on the law's type before classification read the bracket tables. Those of
+the six `classify` and two `witness-verify` reports were re-recorded when
+the witness object lost its two verdict flags: each is the earlier report
+with only those keys deleted, and its verification states the verdict once.
 """
 
 import contextlib
@@ -73,20 +74,20 @@ DIGESTS = {
     "axioms from_cocycle heis": (0, "9b89f9e81324697e6d3d70cb1af23e4e93ac41f2fc00265cafa3b7b44a958258"),
     "axioms product": (0, "b9259b1249ebae1144dbe3f83554b43a85ed671f2c601f803c2b6e42a2a71e4c"),
     "axioms t_k": (0, "fef5a09e7abf41ddca2023e9f13008c7c2b42d408990bd88319260c75e40787b"),
-    "classify e_c": (0, "20d8326b5ba3670887f379f25391fed164f8ae8acd3d2362ee77111e17ef9253"),
-    "classify g_cd": (0, "343e3174908ab99075c7b5c610c7371e2e7123ca304192a7adff6851f2631b68"),
-    "classify t_k": (0, "2151eb6cd9c356ca2a0bd74c29caa42418692c968d7e664493cc22cfdbaae478"),
-    "classify e_c swapped": (0, "32ecc2e02819c863a753188281274cb79c89bec2ed07fdbe179db76647f7525e"),
-    "classify g_cd swapped": (0, "337bcede7711301c59619ff56e1e6864d75ce99dd2cf3f85d92111ec02851198"),
-    "classify k_cd swapped": (0, "ef65bd0fe1b08fe94054c5f8d630bf9a4c44064cabd1faf675c08256fec5867f"),
+    "classify e_c": (0, "f1b54f740d75a800d4fdad8954ad47506e00d784106e3845a8bdc1ca8f08810a"),
+    "classify g_cd": (0, "fa7f935a46ca9774b97e4e3a6a891845a5ad2602ede5bee292ef049cb61a5b5b"),
+    "classify t_k": (0, "6aa1d45b2e5cce8b7cf7ed401368352dba8c0c7ce649af124baf4635e3411914"),
+    "classify e_c swapped": (0, "522d93b575b709140cb561416ac477e17e00c905542effaf169c6b160756b74b"),
+    "classify g_cd swapped": (0, "bcee387bcf57e4326851a92e5e69d4829885a123e204c0af196c80eefe0adfa0"),
+    "classify k_cd swapped": (0, "8c0d981ffb7fc6fd4ef6ff081898234927bc6bb7219d4bbd07f50bdadb70906f"),
     "classify e_c overflow": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "catalog": (0, "20c1b223dba972d1d537445fdd4f87543ce6a9a39ef2f9c1e7951c04d1c6ca52"),
     "cocycle-check g3": (0, "5b9bdc9cca3e24e4e0af8e6f0adbc239ab5c839cabfbdf9a017fdf0a12a8ba54"),
     "order-check control": (4, "079c5c6147b1507571e398428c4d80c91d836bb9d6734a8b3f55a5b12faf9256"),
     "order-check k_cd conj": (0, "9c8168924f3fe1b818b6b82b69bb8b109ab600a55d073c8670d1166c398d76c7"),
     "order-check semidirect_rr": (0, "3aa392208fcea10ad30eb135c589c185ce5110d0961929330e90c6f0e42775eb"),
-    "witness-verify": (0, "ec1c057f69cfe00eef4df06901a465efd5d3a2713560aa0c605d52e56cfbabd9"),
-    "witness-verify nan": (4, "930cdf3c8f006ba435fd835d7d4439591a61ee6820607cbb97319d3aff76618b"),
+    "witness-verify": (0, "d87daccedbc6ceb63179c0c13b31d831b4f3c7508e58b4ec288cfe33a1cfe1b6"),
+    "witness-verify nan": (4, "64f3839d67ac04e8c8ce998ca5971866f3fa301b2905b4257be43ad8a0886986"),
 }
 
 

@@ -159,7 +159,7 @@ def test_ordered_property_transports_through_verified_witness():
     source = OrderedGroupSpec(Ec(2.0), LexOrder((0, 1, 2)))
     assert check_translation_invariance(source, cfg).passed
     cls, wit = classify_ordered(source.law, source.order, cfg)
-    assert wit.order_verified and verify_witness(wit, cfg).passed
+    assert wit.verification.order_ok and verify_witness(wit, cfg).passed
     target = OrderedGroupSpec(cls.law, cls.order)
     assert check_translation_invariance(target, cfg).passed
 
