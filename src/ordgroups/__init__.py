@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines, re-exported here
 _PUBLIC = {
-    "actions": "ExpAction act affine_on_semidirect character diagonal infer_exponents "
-               "is_nontrivial standardize_action trivial",
+    "actions": "ExpAction act affine_on_semidirect character diagonal trivial",
     "classify": "CanonicalClass Evidence IsoWitness NotSeparated classify_group "
                 "classify_ordered compose_witness enumerate_canonical function_witness "
                 "invert_witness linear_witness separating_invariant verify_witness",

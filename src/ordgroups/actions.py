@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
 CHARACTER = "character"
 DIAGONAL = "diagonal"
@@ -95,67 +95,3 @@ def act(action: ExpAction, g, n) -> np.ndarray:
             f"module element has {n.shape[-1]} coordinates, action expects {action.module_dim}"
         )
     return scale_factors(action, g) * n
-
-
-def is_nontrivial(action: ExpAction) -> bool:
-    return any(c != 0.0 for c in action.coeffs)
-
-
-def standardize_action(action: ExpAction) -> tuple[ExpAction, np.ndarray]:
-    """Reduce a nontrivial character to the first-coordinate exponential.
-
-    Returns (standard, psi) with act(action, x, n) == act(standard, psi @ x, n)
-    and psi an exactly invertible matrix: first row is the coefficient vector,
-    remaining rows are standard basis vectors skipping the pivot column.
-    """
-    if action.kind != CHARACTER:
-        raise DomainError("standardization is defined for character actions")
-    if not is_nontrivial(action):
-        raise DomainError("trivial action cannot be standardized")
-    c = np.asarray(action.coeffs)
-    n = c.shape[0]
-    pivot = int(np.flatnonzero(c)[0])
-    rows = [c]
-    for j in range(n):
-        if j != pivot:
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append(e)
-    psi = np.stack(rows, axis=0)
-    standard = character(*([1.0] + [0.0] * (n - 1)))
-    return standard, psi
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    coeffs: np.ndarray
-    residual: float
-    used: int
-
-
-def infer_exponents(samples) -> ExponentFit:
-    """Least-squares recovery of character exponents from (g, n, g.n) triples.
-
-    Uses log(output / n) = <c, g>; zero-module samples are skipped.
-    """
-    rows, rhs = [], []
-    for g, n, out in samples:
-        g = np.atleast_1d(np.asarray(g, dtype=float))
-        n = float(np.asarray(n).reshape(-1)[0])
-        out = float(np.asarray(out).reshape(-1)[0])
-        if n == 0.0:
-            continue
-        ratio = out / n
-        if ratio <= 0:
-            raise DomainError("sample ratio not positive: data is not a character action")
-        rows.append(g)
-        rhs.append(np.log(ratio))
-    if not rows:
-        raise DomainError("no usable samples (all module parts zero)")
-    a = np.stack(rows, axis=0)
-    b = np.asarray(rhs)
-    if a.shape[0] < a.shape[1] or np.linalg.matrix_rank(a) < a.shape[1]:
-        raise DomainError("acting samples do not span the chart (rank-deficient fit)")
-    coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.max(np.abs(a @ coeffs - b))) if a.size else 0.0
-    return ExponentFit(coeffs=coeffs, residual=residual, used=len(rows))

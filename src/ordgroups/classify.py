@@ -22,6 +22,8 @@ Both levels cover dimensions 1 to 3 and reject a larger law before drawing
 any sample. Every witness is an explicit coordinate map with named source and
 target laws; classification verifies each witness numerically, once, and
 returns it carrying that verification, a WitnessReport, as its only verdict.
+The separating invariants are read off the same table under the order's flag
+and draw no sample.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from .groups import (
     SemidirectRR,
     SUT3,
     Tk,
-    commutator,
-    conjugate,
     heis_to_sut3,
     heisenberg,
     sut3_to_heis,
@@ -290,7 +290,7 @@ def _bracket_form(law: GroupLaw):
     table = law.brackets()
     if not table:
         return None if table is None else ("abelian",)
-    coeff = {**table, **{(k, j, i): -b for (k, i, j), b in table.items()}}
+    coeff = _coefficients(table)
     derived = sorted({k for k, _, _ in table})
     if len(derived) == 1:
         k = derived[0]
@@ -304,6 +304,11 @@ def _bracket_form(law: GroupLaw):
         if all({i, j} == {a, x} for x, i, j in table):
             return "plane", a, {p: coeff[p, a, p] for p in derived}
     return None
+
+
+def _coefficients(table: dict) -> dict:
+    """The table closed under antisymmetry: b for both (k, i, j) and (k, j, i)."""
+    return {**table, **{(k, j, i): -b for (k, i, j), b in table.items()}}
 
 
 def _admits(table: dict, sig: tuple[int, ...]) -> bool:
@@ -511,7 +516,6 @@ class Evidence:
     invariant: str
     value_a: object
     value_b: object
-    samples: int
 
     def to_dict(self):
         return {
@@ -519,66 +523,49 @@ class Evidence:
             "invariant": self.invariant,
             "value_a": self.value_a,
             "value_b": self.value_b,
-            "samples": self.samples,
         }
 
 
 @dataclass(frozen=True)
 class NotSeparated:
-    samples: int = 0
-
     def to_dict(self):
-        return {"separated": False, "samples": self.samples}
+        return {"separated": False}
 
 
-def _mixed_sign_profile(values: np.ndarray, scale: float):
-    """Collapse sampled signed quantities to +1 / 0 / -1, or None when mixed."""
-    cut = 1e-9 * max(1.0, scale)
-    pos = values > cut
-    neg = values < -cut
-    if pos.all():
-        return 1
-    if neg.all():
-        return -1
-    if (~pos & ~neg).all():
-        return 0
-    return None
+def _table_invariants(spec: OrderedGroupSpec) -> dict:
+    """The battery read off the bracket table under the order's flag.
 
-
-def _invariant_values(spec: OrderedGroupSpec, cfg: SampleConfig) -> dict:
+    Each direction is the sign of a Lie-algebra character over the positive
+    cone: None (mixed) when the character reads a coordinate other than the
+    leading one, since the cone holds elements whose leading coordinate is
+    tiny next to the others.
+    """
     law, sig = spec.law, spec.order.significance
-    rng = cfg.rng(stream=71)
+    _require_dimension(law)
+    table = law.brackets()
+    if table is None or not _admits(table, sig):
+        raise DomainError(f"{type(law).__name__} with significance {sig} has no bracket "
+                          f"table whose flag is a chain of ideals")
+    coeff = _coefficients(table)
 
-    def element(coords, positive):
-        """Rows supported on coords, most significant first; positive in the order if positive."""
-        v = np.zeros((cfg.count, law.dim))
-        for i in coords:
-            low = 0.5 if positive and i == coords[0] else -cfg.box
-            v[:, i] = rng.uniform(low, cfg.box, size=cfg.count)
-        return v
+    def sign(k, i, j):
+        """The sign of the coefficient of e_k in [e_i, e_j]."""
+        b = coeff.get((k, i, j), 0.0)
+        return (b > 0) - (b < 0)
 
-    def direction(g, h, i):
-        """The sign of the change conjugation by g makes to coordinate i of h."""
-        return _mixed_sign_profile(conjugate(law, g, h)[:, i] - h[:, i], float(np.max(np.abs(h))))
-
-    if law.dim < 2:
+    if law.dim == 1:
         return {}
-    # the convex plane of the middle and fiber coordinates: the whole group
-    # in dimension 2, the two least significant coordinates in dimension 3
-    mid, fib = sig[:3][-2:]
-    a, b = element((mid, fib), False), element((mid, fib), False)
-    g, h_fib = element(sig, True), element((fib,), True)
-    plane = "abelian" if law.dim == 2 else "abelian_convex_plane"
-    values = {plane: DEFAULT_TOL.close(law.mul(a, b), law.mul(b, a)),
-              "fiber_conjugation_direction": direction(g, h_fib, fib)}
     if law.dim == 2:
-        return values
-    h_mid = element((mid,), True)
-    comm = commutator(law, g, h_mid)
-    values["commutator_sign"] = _mixed_sign_profile(comm[:, fib], float(np.max(np.abs(comm))))
-    values["middle_conjugation_direction"] = direction(g, h_mid, mid)
-    values["middle_action_on_fiber"] = direction(element((mid,), True), h_fib, fib)
-    return values
+        s0, fib = sig
+        return {"abelian": not table, "fiber_conjugation_direction": sign(fib, s0, fib)}
+    s0, mid, fib = sig
+    return {
+        "abelian_convex_plane": all({i, j} != {mid, fib} for _, i, j in table),
+        "commutator_sign": None if sign(fib, fib, mid) else sign(fib, s0, mid),
+        "fiber_conjugation_direction": None if sign(fib, mid, fib) else sign(fib, s0, fib),
+        "middle_conjugation_direction": sign(mid, s0, mid),
+        "middle_action_on_fiber": sign(fib, mid, fib),
+    }
 
 
 _BATTERY = (
@@ -591,24 +578,21 @@ _BATTERY = (
 )
 
 
-def separating_invariant(
-    a: OrderedGroupSpec, b: OrderedGroupSpec, cfg: SampleConfig = SampleConfig()
-):
+def separating_invariant(a: OrderedGroupSpec, b: OrderedGroupSpec):
     """First computable invariant telling the two ordered specs apart.
 
-    Both specs are assumed to pass the ordered-group checks. Returns Evidence
-    naming the invariant, or NotSeparated when the battery cannot tell them
-    apart (as for the diagonal family, whose parameter is catalog knowledge).
+    Each spec must have dimension 1 to 3 and a law that declares a bracket
+    table under which its order's flag is a chain of ideals (the ordered
+    groups classify_ordered admits), or this is a DomainError. The invariants are read off that table, so no
+    sample is drawn. Returns Evidence naming the invariant, or NotSeparated
+    when the battery cannot tell them apart (as for the diagonal family,
+    whose parameter is catalog knowledge).
     """
+    va, vb = _table_invariants(a), _table_invariants(b)
     if a.law.dim != b.law.dim:
-        return Evidence("dimension", a.law.dim, b.law.dim, 0)
-    va = _invariant_values(a, cfg)
-    vb = _invariant_values(b, cfg)
+        return Evidence("dimension", a.law.dim, b.law.dim)
     for name in _BATTERY:
-        if name not in va or name not in vb:
-            continue
-        if va[name] is None or vb[name] is None:
-            continue
-        if va[name] != vb[name]:
-            return Evidence(name, va[name], vb[name], cfg.count)
-    return NotSeparated(samples=cfg.count)
+        x, y = va.get(name), vb.get(name)
+        if x is not None and y is not None and x != y:
+            return Evidence(name, x, y)
+    return NotSeparated()

@@ -385,26 +385,26 @@ def criterion_separating_invariants(cfg: RunConfig) -> CriterionResult:
     xy = LexOrder((0, 1, 2))
     e_plus = OrderedGroupSpec(Ec(1.0), xy)
     e_minus = OrderedGroupSpec(Ec(-1.0), xy)
-    ev = separating_invariant(e_plus, e_minus, sc)
+    ev = separating_invariant(e_plus, e_minus)
     details["e_pair"] = ev.to_dict()
     sep_e = isinstance(ev, Evidence) and ev.invariant == "commutator_sign"
 
     rev = LexOrder((1, 0))
     ev = separating_invariant(
         OrderedGroupSpec(SemidirectRR(1.0), rev),
-        OrderedGroupSpec(SemidirectRR(-1.0), rev), sc)
+        OrderedGroupSpec(SemidirectRR(-1.0), rev))
     details["aff_pair"] = ev.to_dict()
     sep_aff = isinstance(ev, Evidence) and "conjugation" in ev.invariant
 
     sep_abelian = True
     for gg, kk in ((GCd(0.0, 1.0), KCd(1.0, 0.0)), (GCd(0.0, -1.0), KCd(-1.0, 0.0))):
         ev = separating_invariant(
-            OrderedGroupSpec(gg, xy), OrderedGroupSpec(kk, xy), sc)
+            OrderedGroupSpec(gg, xy), OrderedGroupSpec(kk, xy))
         sep_abelian = sep_abelian and isinstance(ev, Evidence) and (
             ev.invariant == "abelian_convex_plane")
     details["nontrivial_vs_product_pair"] = sep_abelian
 
-    ev = separating_invariant(e_plus, OrderedGroupSpec(Ec(1.0), xy), sc)
+    ev = separating_invariant(e_plus, OrderedGroupSpec(Ec(1.0), xy))
     details["identical_not_separated"] = not isinstance(ev, Evidence)
 
     passed = all([exact_ok, signs_ok, sep_e, sep_aff, sep_abelian,

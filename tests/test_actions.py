@@ -1,20 +1,15 @@
-"""Exponential actions: evaluation, standardization, exponent recovery."""
+"""Exponential actions: evaluation, multiplicativity, positive scale factors."""
 
 import numpy as np
 import pytest
 
 from ordgroups import (
-    DomainError,
     InputError,
     SemidirectRR,
     act,
     affine_on_semidirect,
     character,
     diagonal,
-    infer_exponents,
-    is_nontrivial,
-    standardize_action,
-    trivial,
 )
 from ordgroups.actions import scale_factors
 
@@ -47,13 +42,6 @@ def test_act_checks_dimensions():
         act(diagonal(1.0, 2.0), [1.0], [1.0])
 
 
-def test_is_nontrivial():
-    assert not is_nontrivial(character(0.0, 0.0))
-    assert is_nontrivial(character(2.0, -1.0))
-    assert not is_nontrivial(diagonal(0.0, 0.0))
-    assert not is_nontrivial(trivial(3))
-
-
 def test_actions_are_multiplicative():
     # gamma(g h) = gamma(g) . gamma(h) over the acting group's own law
     g = RNG.uniform(-3, 3, (500, 2))
@@ -81,99 +69,6 @@ def test_scale_factors_always_positive_hence_monotone():
             seq = np.sort(RNG.uniform(-3, 3, (50, action.module_dim)), axis=0)
             scaled = act(action, row, seq)
             assert np.all(np.diff(scaled, axis=0) >= 0)
-
-
-# --- standardization -----------------------------------------------------------
-
-
-def test_standardize_worked_examples():
-    _, psi = standardize_action(character(3.0, 0.0))
-    assert np.array_equal(psi, np.diag([3.0, 1.0]))
-    _, psi = standardize_action(character(1.0, 0.0))
-    assert np.array_equal(psi, np.eye(2))
-    _, psi = standardize_action(character(2.0, 5.0))
-    assert np.array_equal(psi, [[2.0, 5.0], [0.0, 1.0]])
-
-
-def test_standardize_pivot_not_in_first_column():
-    std, psi = standardize_action(character(0.0, 2.0))
-    assert np.array_equal(psi, [[0.0, 2.0], [1.0, 0.0]])
-    assert abs(np.linalg.det(psi)) > 1e-12
-    assert std.coeffs == (1.0, 0.0)
-
-
-def test_standardize_agrees_with_original_action():
-    action = character(-1.5, 0.0, 2.5)
-    std, psi = standardize_action(action)
-    x = RNG.uniform(-3, 3, (400, 3))
-    n = RNG.uniform(-3, 3, (400, 1))
-    assert np.allclose(act(action, x, n), act(std, x @ psi.T, n), rtol=1e-12)
-    assert abs(np.linalg.det(psi)) > 1e-12
-
-
-def test_standardize_rejects_trivial_and_non_character():
-    with pytest.raises(DomainError):
-        standardize_action(character(0.0, 0.0))
-    with pytest.raises(DomainError):
-        standardize_action(diagonal(1.0, 2.0))
-
-
-# --- exponent recovery -----------------------------------------------------------
-
-
-def _samples_from(action, count, dim):
-    out = []
-    for _ in range(count):
-        g = RNG.uniform(-3, 3, dim)
-        n = RNG.uniform(-3, 3, 1)
-        out.append((g, n, act(action, g, n)))
-    return out
-
-
-def test_infer_exponents_round_trip():
-    fit = infer_exponents(_samples_from(character(1.0, 0.0), 50, 2))
-    assert np.allclose(fit.coeffs, [1.0, 0.0], atol=1e-9)
-    assert fit.residual <= 1e-9
-
-
-def test_infer_exponents_trivial_action():
-    fit = infer_exponents(_samples_from(character(0.0, 0.0, 0.0), 40, 3))
-    assert np.allclose(fit.coeffs, 0.0, atol=1e-12)
-
-
-def test_infer_exponents_diagonal_channelwise():
-    d = diagonal(2.0, 1.0)
-    first, second = [], []
-    for _ in range(50):
-        t = RNG.uniform(-3, 3, 1)
-        n = RNG.uniform(-3, 3, 2)
-        out = act(d, t, n)
-        first.append((t, n[:1], out[:1]))
-        second.append((t, n[1:], out[1:]))
-    assert np.allclose(infer_exponents(first).coeffs, [2.0], atol=1e-9)
-    assert np.allclose(infer_exponents(second).coeffs, [1.0], atol=1e-9)
-
-
-def test_infer_exponents_skips_zero_module_samples():
-    action = character(1.0, -1.0)
-    samples = _samples_from(action, 30, 2)
-    samples.insert(0, (np.array([1.0, 1.0]), np.array([0.0]), np.array([0.0])))
-    fit = infer_exponents(samples)
-    assert fit.used == 30
-    assert np.allclose(fit.coeffs, [1.0, -1.0], atol=1e-9)
-
-
-def test_infer_exponents_rank_deficient():
-    action = character(1.0, 2.0)
-    g = np.array([1.0, 1.0])
-    samples = [(g * i, np.array([1.0]), act(action, g * i, [1.0])) for i in (1, 2, 3)]
-    with pytest.raises(DomainError):
-        infer_exponents(samples)
-
-
-def test_infer_exponents_rejects_sign_flips():
-    with pytest.raises(DomainError):
-        infer_exponents([(np.array([1.0]), np.array([1.0]), np.array([-2.0]))])
 
 
 def test_character_factors_do_not_depend_on_the_sample_layout():

@@ -1,6 +1,7 @@
 """Canonical classification, witness verification, separating invariants."""
 
-from itertools import permutations
+import functools
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from ordgroups import (
     check_translation_invariance,
     classify_group,
     classify_ordered,
+    commutator,
     compose_witness,
+    conjugate,
     enumerate_canonical,
     extension_from_cocycle,
     heis_cocycle,
@@ -34,8 +37,9 @@ from ordgroups import (
     separating_invariant,
     verify_witness,
 )
-from ordgroups.classify import _admits
-from ordgroups.selftest import _law_grid
+from ordgroups.classify import _admits, _table_invariants
+from ordgroups.selftest import _law_grid, _paper_witnesses
+from ordgroups.tolerance import DEFAULT_TOL
 
 CFG = SampleConfig(seed=9, count=800)
 XYZ = LexOrder((0, 1, 2))
@@ -441,7 +445,7 @@ def test_enumerate_rejects_other_dimensions():
 
 def test_central_pair_separated_by_commutator_sign():
     ev = separating_invariant(
-        OrderedGroupSpec(Ec(1.0), XYZ), OrderedGroupSpec(Ec(-1.0), XYZ), CFG)
+        OrderedGroupSpec(Ec(1.0), XYZ), OrderedGroupSpec(Ec(-1.0), XYZ))
     assert isinstance(ev, Evidence)
     assert ev.invariant == "commutator_sign"
     assert (ev.value_a, ev.value_b) == (1, -1)
@@ -450,7 +454,7 @@ def test_central_pair_separated_by_commutator_sign():
 def test_affine_pair_separated_by_conjugation_direction():
     ev = separating_invariant(
         OrderedGroupSpec(SemidirectRR(1.0), REV2),
-        OrderedGroupSpec(SemidirectRR(-1.0), REV2), CFG)
+        OrderedGroupSpec(SemidirectRR(-1.0), REV2))
     assert isinstance(ev, Evidence)
     assert ev.invariant == "fiber_conjugation_direction"
     assert (ev.value_a, ev.value_b) == (1, -1)
@@ -459,7 +463,7 @@ def test_affine_pair_separated_by_conjugation_direction():
 def test_abelian_pair_separated_from_affine():
     ev = separating_invariant(
         OrderedGroupSpec(Additive(2), REV2),
-        OrderedGroupSpec(SemidirectRR(1.0), REV2), CFG)
+        OrderedGroupSpec(SemidirectRR(1.0), REV2))
     assert isinstance(ev, Evidence)
     assert ev.invariant == "abelian"
 
@@ -467,7 +471,7 @@ def test_abelian_pair_separated_from_affine():
 def test_nontrivial_action_separated_from_product_by_convex_plane():
     ev = separating_invariant(
         OrderedGroupSpec(GCd(0.0, 1.0), XYZ),
-        OrderedGroupSpec(KCd(1.0, 0.0), XYZ), CFG)
+        OrderedGroupSpec(KCd(1.0, 0.0), XYZ))
     assert isinstance(ev, Evidence)
     assert ev.invariant == "abelian_convex_plane"
     assert (ev.value_a, ev.value_b) == (False, True)
@@ -476,7 +480,7 @@ def test_nontrivial_action_separated_from_product_by_convex_plane():
 def test_nonsplit_pair_separated_by_commutator_sign():
     t = LexOrder((2, 1, 0))
     ev = separating_invariant(
-        OrderedGroupSpec(Tk(1.0), t), OrderedGroupSpec(Tk(-1.0), t), CFG)
+        OrderedGroupSpec(Tk(1.0), t), OrderedGroupSpec(Tk(-1.0), t))
     assert isinstance(ev, Evidence)
     assert ev.invariant == "commutator_sign"
 
@@ -484,48 +488,193 @@ def test_nonsplit_pair_separated_by_commutator_sign():
 def test_plane_action_variants_separated():
     ev = separating_invariant(
         OrderedGroupSpec(GCd(0.0, 1.0), XYZ),
-        OrderedGroupSpec(GCd(0.0, -1.0), XYZ), CFG)
+        OrderedGroupSpec(GCd(0.0, -1.0), XYZ))
     assert isinstance(ev, Evidence)
     assert ev.invariant == "middle_action_on_fiber"
 
     ev = separating_invariant(
         OrderedGroupSpec(GCd(1.0, 0.0), XYZ),
-        OrderedGroupSpec(GCd(-1.0, 0.0), XYZ), CFG)
+        OrderedGroupSpec(GCd(-1.0, 0.0), XYZ))
     assert isinstance(ev, Evidence)
     assert ev.invariant == "fiber_conjugation_direction"
 
 
 def test_identical_specs_not_separated():
     out = separating_invariant(
-        OrderedGroupSpec(Ec(1.0), XYZ), OrderedGroupSpec(Ec(1.0), XYZ), CFG)
+        OrderedGroupSpec(Ec(1.0), XYZ), OrderedGroupSpec(Ec(1.0), XYZ))
     assert isinstance(out, NotSeparated)
 
 
 def test_diagonal_family_parameter_is_catalog_knowledge():
     out = separating_invariant(
         OrderedGroupSpec(KCd(1.0, 2.0), XYZ),
-        OrderedGroupSpec(KCd(1.0, 3.0), XYZ), CFG)
+        OrderedGroupSpec(KCd(1.0, 3.0), XYZ))
     assert isinstance(out, NotSeparated)
+
+
+@pytest.mark.parametrize("law_a, law_b, sig", [
+    (GCd(1.0, 0.1), GCd(-1.0, 0.1), (0, 1, 2)),
+    (GCd(0.1, 2.0), GCd(0.1, -1.0), (1, 0, 2)),
+])
+def test_one_ordered_class_is_not_separated_by_the_sign_of_a_mixed_character(law_a, law_b, sig):
+    # e_sig0 and e_sig1 both act on e_z, so the fiber's conjugation character
+    # reads the middle coordinate too: on the positive cone, where g_sig0 may
+    # be tiny next to |g_sig1|, its sign is mixed. A box with g_sig0 >= 0.5
+    # once read it as the sign of the leading coefficient alone.
+    order = LexOrder(sig)
+    out = separating_invariant(OrderedGroupSpec(law_a, order), OrderedGroupSpec(law_b, order))
+    assert isinstance(out, NotSeparated)
+    assert classify_ordered(law_a, order)[0] == classify_ordered(law_b, order)[0]
+
+
+@pytest.mark.parametrize("spec", [
+    # span{e_x, e_z} is no ideal: [e_z, e_y] = k e_x + e_y
+    OrderedGroupSpec(Tk(3.0), LexOrder((1, 2, 0))),
+    OrderedGroupSpec(extension_from_cocycle(heis_module(), heis_cocycle(1.0)), XYZ),
+], ids=["flag not a chain of ideals", "no bracket table"])
+def test_separating_invariant_rejects_a_spec_outside_the_admitted_ordered_groups(spec):
+    other = OrderedGroupSpec(Ec(1.0), XYZ)
+    for a, b in ((spec, other), (other, spec)):
+        with pytest.raises(DomainError, match="chain of ideals"):
+            separating_invariant(a, b)
 
 
 def test_dimension_mismatch_is_evidence():
     ev = separating_invariant(
-        OrderedGroupSpec(Additive(2), REV2), OrderedGroupSpec(Additive(3), XYZ), CFG)
+        OrderedGroupSpec(Additive(2), REV2), OrderedGroupSpec(Additive(3), XYZ))
     assert isinstance(ev, Evidence)
     assert ev.invariant == "dimension"
 
 
-def test_battery_separates_the_whole_catalog_pairwise():
+def test_battery_separates_the_whole_catalog_pairwise(monkeypatch):
     # every pair of distinct canonical classes in one dimension is told apart;
-    # within the diagonal families only the catalog parameter distinguishes
+    # within the diagonal families only the catalog parameter distinguishes.
+    # The battery reads the bracket tables and draws no sample.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(SampleConfig, "sample", no_draw)
+    monkeypatch.setattr(SampleConfig, "rng", no_draw)
     for dim in (2, 3):
         entries = enumerate_canonical(dim)
         for i, (cls_a, law_a, ord_a) in enumerate(entries):
             for cls_b, law_b, ord_b in entries[i + 1:]:
                 ev = separating_invariant(
-                    OrderedGroupSpec(law_a, ord_a), OrderedGroupSpec(law_b, ord_b), CFG)
+                    OrderedGroupSpec(law_a, ord_a), OrderedGroupSpec(law_b, ord_b))
                 assert isinstance(ev, Evidence), (cls_a.label, cls_a.params,
                                                   cls_b.label, cls_b.params)
+
+
+@functools.lru_cache(maxsize=None)
+def _classified_specs():
+    """(spec, class, witness) for every pair whose flag the law's table admits:
+    the selftest grid, the catalog, and GCd/KCd over a 9-value grid that
+    reaches exponents ten times apart."""
+    grid = (-2.0, -1.0, -0.5, -0.1, 0.0, 0.1, 0.5, 1.0, 2.0)
+    laws = _law_grid() + [law for dim in (1, 2, 3) for _, law, _ in enumerate_canonical(dim)]
+    laws += [family(c, d) for family in (GCd, KCd) for c in grid for d in grid]
+    cfg = SampleConfig(seed=3, count=200)
+    out = []
+    for law in dict.fromkeys(laws):
+        for sig in permutations(range(law.dim)):
+            if _admits(law.brackets(), sig):
+                cls, wit = classify_ordered(law, LexOrder(sig), cfg)
+                out.append((OrderedGroupSpec(law, LexOrder(sig)), cls, wit))
+    return out
+
+
+def test_specs_of_one_ordered_class_are_never_separated():
+    # the classifier is the oracle: a verified order-preserving witness joins
+    # the two specs, so no invariant of ordered groups may tell them apart
+    classes = {}
+    for spec, cls, wit in _classified_specs():
+        assert wit.verification.passed, spec
+        classes.setdefault((cls.label, cls.params), []).append(spec)
+    separated = [(a, b, ev) for specs in classes.values()
+                 for i, a in enumerate(specs) for b in specs[i + 1:]
+                 if isinstance(ev := separating_invariant(a, b), Evidence)]
+    assert separated == []
+
+
+def _cone(rng, dim, coords, n=600):
+    """n elements supported on coords and positive in an order that ranks
+    coords[0] first: it is 1e-3 in every other row and up to 3 elsewhere,
+    and the other coordinates reach +-30."""
+    x = np.zeros((n, dim))
+    x[:, coords[0]] = np.where(np.arange(n) % 2, 1e-3, rng.uniform(1e-3, 3.0, n))
+    for i in coords[1:]:
+        x[:, i] = rng.uniform(-30.0, 30.0, n)
+    return x
+
+
+def _sampled_sign(values, scale):
+    """+1, -1 or 0 when every row has that sign beyond 1e-9 of the scale, else None."""
+    cut = 1e-9 * max(1.0, scale)
+    signs = set(np.where(values > cut, 1, np.where(values < -cut, -1, 0)).tolist())
+    return signs.pop() if len(signs) == 1 else None
+
+
+def test_table_invariants_are_the_group_s_signs_across_the_positive_cone():
+    # each value the table gives, None included, is what conjugations and
+    # commutators of the group show where a box of half-width 3 never looks
+    rng = np.random.default_rng(16)
+    wrong = []
+    for spec, _, _ in _classified_specs():
+        law, sig = spec.law, spec.order.significance
+        if law.dim == 1:
+            continue
+
+        def direction(g, h, i):
+            return _sampled_sign(conjugate(law, g, h)[:, i] - h[:, i], np.abs(h).max())
+
+        mid, fib = sig[-2:]
+        a, b = _cone(rng, law.dim, sig[-2:]), _cone(rng, law.dim, sig[-2:])
+        g, h_fib = _cone(rng, law.dim, sig), _cone(rng, law.dim, (fib,))
+        sampled = {"abelian" if law.dim == 2 else "abelian_convex_plane":
+                   DEFAULT_TOL.close(law.mul(a, b), law.mul(b, a)),
+                   "fiber_conjugation_direction": direction(g, h_fib, fib)}
+        if law.dim == 3:
+            h_mid = _cone(rng, 3, (mid,))
+            comm = commutator(law, g, h_mid)
+            sampled["commutator_sign"] = _sampled_sign(comm[:, fib], np.abs(comm).max())
+            sampled["middle_conjugation_direction"] = direction(g, h_mid, mid)
+            sampled["middle_action_on_fiber"] = direction(_cone(rng, 3, (mid,)), h_fib, fib)
+        table = _table_invariants(spec)
+        wrong += [(spec, name, v, sampled[name]) for name, v in table.items()
+                  if sampled[name] != v]
+    assert wrong == []
+
+
+def _bracket(table, u, v):
+    """[u, v] from the bracket table, bilinear in the two coordinate vectors."""
+    out = np.zeros(len(u))
+    for (k, i, j), b in table.items():
+        out[k] += b * (u[i] * v[j] - u[j] * v[i])
+    return out
+
+
+def _lie_defects(wit):
+    """The pairs i < j where M [e_i, e_j] and [M e_i, M e_j] differ beyond 1e-12
+    relative: a linear group isomorphism's differential preserves brackets."""
+    m, src, tgt = wit.matrix, wit.source.brackets(), wit.target.brackets()
+    e = np.eye(len(m))
+    out = []
+    for i, j in combinations(range(len(m)), 2):
+        lhs, rhs = m @ _bracket(src, e[i], e[j]), _bracket(tgt, m[:, i], m[:, j])
+        if np.abs(lhs - rhs).max() > 1e-12 * max(1.0, np.abs(lhs).max(), np.abs(rhs).max()):
+            out.append((i, j, lhs.tolist(), rhs.tolist()))
+    return out
+
+
+def test_linear_witnesses_are_lie_algebra_homomorphisms():
+    witnesses = [wit for _, _, wit in _classified_specs()]
+    witnesses += [classify_group(law, SampleConfig(seed=3, count=200))[1]
+                  for law in dict.fromkeys(spec.law for spec, _, _ in _classified_specs())]
+    witnesses += [wit for _, wit in _paper_witnesses()]
+    linear = [wit for wit in witnesses if wit.matrix is not None]
+    assert len(linear) > 500
+    failing = [(wit.source, wit.target, d) for wit in linear if (d := _lie_defects(wit))]
+    assert failing == []
 
 
 # --- one pair draw and one verification per classification --------------------------
