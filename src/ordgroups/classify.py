@@ -583,10 +583,10 @@ def separating_invariant(a: OrderedGroupSpec, b: OrderedGroupSpec):
 
     Each spec must have dimension 1 to 3 and a law that declares a bracket
     table under which its order's flag is a chain of ideals (the ordered
-    groups classify_ordered admits), or this is a DomainError. The invariants are read off that table, so no
-    sample is drawn. Returns Evidence naming the invariant, or NotSeparated
-    when the battery cannot tell them apart (as for the diagonal family,
-    whose parameter is catalog knowledge).
+    groups classify_ordered admits), or this is a DomainError. The invariants
+    are read off that table, so no sample is drawn. Returns Evidence naming
+    the invariant, or NotSeparated when the battery cannot tell them apart
+    (as for the diagonal family, whose parameter is catalog knowledge).
     """
     va, vb = _table_invariants(a), _table_invariants(b)
     if a.law.dim != b.law.dim:

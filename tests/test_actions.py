@@ -11,7 +11,13 @@ from ordgroups import (
     character,
     diagonal,
 )
-from ordgroups.actions import scale_factors
+from ordgroups.actions import (
+    AFFINE_ON_SEMIDIRECT,
+    DIAGONAL,
+    ExpAction,
+    scale_factors,
+    trivial,
+)
 
 RNG = np.random.default_rng(23)
 
@@ -40,6 +46,24 @@ def test_act_checks_dimensions():
         act(character(1.0), [1.0, 2.0], [1.0])
     with pytest.raises(InputError):
         act(diagonal(1.0, 2.0), [1.0], [1.0])
+
+
+def test_trivial_action_fixes_every_module_element():
+    for k in (1, 2, 3):
+        g = RNG.uniform(-30, 30, (100, k))
+        n = RNG.uniform(-3, 3, (100, 1))
+        assert np.array_equal(scale_factors(trivial(k), g), np.ones((100, 1)))
+        assert np.array_equal(act(trivial(k), g, n), n)
+
+
+def test_action_constructors_reject_malformed_exponents():
+    with pytest.raises(InputError, match="unknown action kind"):
+        ExpAction("rotation", (1.0,))
+    with pytest.raises(InputError, match="exactly two"):
+        ExpAction(DIAGONAL, (1.0,))
+    with pytest.raises(InputError, match="single exponent"):
+        ExpAction(AFFINE_ON_SEMIDIRECT, (1.0, 2.0))
+    assert diagonal(2, -1).descriptor() == {"kind": "diagonal", "coeffs": [2.0, -1.0]}
 
 
 def test_actions_are_multiplicative():

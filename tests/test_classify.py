@@ -539,6 +539,32 @@ def test_separating_invariant_rejects_a_spec_outside_the_admitted_ordered_groups
             separating_invariant(a, b)
 
 
+def test_separating_invariant_past_dimension_3_is_a_domain_error():
+    spec = OrderedGroupSpec(Product(Additive(2), Additive(2)), LexOrder((0, 1, 2, 3)))
+    with pytest.raises(DomainError, match="dimensions 1 to 3 only"):
+        separating_invariant(spec, spec)
+
+
+@pytest.mark.parametrize("law, sig, abelian, direction", [
+    (Additive(2), (0, 1), True, 0),
+    (SemidirectRR(2.0), (1, 0), False, 1),
+    (SemidirectRR(-0.5), (1, 0), False, -1),
+], ids=["abelian", "expanding", "contracting"])
+def test_dimension_two_invariants_read_off_the_table(law, sig, abelian, direction):
+    # [e_y, e_x] = c e_x: conjugation by the leading e_y scales the fiber by
+    # e^{c g_y}, which expands it on the positive cone when c > 0
+    assert _table_invariants(OrderedGroupSpec(law, LexOrder(sig))) == {
+        "abelian": abelian, "fiber_conjugation_direction": direction}
+
+
+def test_one_dimensional_specs_carry_no_invariant():
+    line = OrderedGroupSpec(Additive(1), LexOrder((0,)))
+    assert _table_invariants(line) == {}
+    assert isinstance(separating_invariant(line, line), NotSeparated)
+    ev = separating_invariant(line, OrderedGroupSpec(Additive(2), REV2))
+    assert (ev.invariant, ev.value_a, ev.value_b) == ("dimension", 1, 2)
+
+
 def test_dimension_mismatch_is_evidence():
     ev = separating_invariant(
         OrderedGroupSpec(Additive(2), REV2), OrderedGroupSpec(Additive(3), XYZ))
