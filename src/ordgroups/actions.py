@@ -31,6 +31,10 @@ class ExpAction:
             raise InputError(f"unknown action kind {self.kind!r}")
         coeffs = tuple(float(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+        # a finite exponent gives a positive scaling, which preserves every
+        # lexicographic order of the module
+        if not all(np.isfinite(coeffs)):
+            raise InputError(f"action exponents must be finite, got {coeffs}")
         if self.kind == DIAGONAL and len(coeffs) != 2:
             raise InputError("diagonal action takes exactly two exponents")
         if self.kind == AFFINE_ON_SEMIDIRECT and len(coeffs) != 1:

@@ -13,10 +13,12 @@ Both levels read the law's bracket table (GroupLaw.brackets) in one of four
 forms: abelian, every bracket 0; affine, a derived algebra e_k that is not
 central, [e_i, e_k] = chi_i e_k for a character chi; Heisenberg, a central
 derived algebra e_k; derived plane, two coordinates on which the third acts
-by a diagonal 2x2 ad. A lexicographic order is bi-invariant only when its
+by a diagonal 2x2 ad. A lexicographic order is bi-invariant exactly when its
 coordinate flag is a chain of ideals: the span of its k least significant
-coordinates is an ideal for every k. Named cases: SUT3, whose chart change
-is nonlinear, and the nonsplit Tk(k != 0), whose ad is not diagonal.
+coordinates is an ideal for every k. The ordered level decides that from the
+table alone, and a pair it does not admit is a domain error naming the
+bracket that breaks the flag. Named cases: SUT3, whose chart change is
+nonlinear, and the nonsplit Tk(k != 0), whose ad is not diagonal.
 
 Both levels cover dimensions 1 to 3 and reject a larger law before drawing
 any sample. Every witness is an explicit coordinate map with named source and
@@ -50,12 +52,7 @@ from .groups import (
     heisenberg,
     sut3_to_heis,
 )
-from .orders import (
-    LexOrder,
-    OrderedGroupSpec,
-    _ordered_pairs,
-    _translation_sides,
-)
+from .orders import LexOrder, OrderedGroupSpec, _ordered_pairs
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
@@ -226,18 +223,14 @@ def verify_witness(
         del x, y, v  # views of the draws: let them go before the next are made
     hom, roundtrip = (float(v) for v in worst)
 
+    # w maps each source pair lo < hi to a pair increasing in the target order
     order_ok = None
     if w.order_pair is not None:
-        pairs = _ordered_pairs(w.order_pair[0], cfg, w.source.dim)
-        order_ok = pairs.scan(_order_side(w, w.order_pair[1]))[1][0] is None
+        source, target = w.order_pair
+        side = target, lambda g, block: (w.apply(block.a), w.apply(block.b))
+        order_ok = _ordered_pairs(source, cfg, w.source.dim).scan(side)[1][0] is None
 
     return WitnessReport(hom, roundtrip, True, group_ok, order_ok, cfg.count)
-
-
-def _order_side(w: IsoWitness, target: LexOrder):
-    """The check that w maps each source pair lo < hi to a pair increasing in
-    target, as a SampledPairs.scan side."""
-    return target, lambda g, block: (w.apply(block.a), w.apply(block.b))
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +304,31 @@ def _coefficients(table: dict) -> dict:
     return {**table, **{(k, j, i): -b for (k, i, j), b in table.items()}}
 
 
-def _admits(table: dict, sig: tuple[int, ...]) -> bool:
-    """Whether the k least significant coordinates of sig span an ideal for
-    every k: no bracket is more significant than its less significant factor."""
+def _breaking_bracket(table: dict, sig: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """The first entry (k, i, j) of the table whose e_k is more significant
+    than the less significant of e_i and e_j. None exactly when the k least
+    significant coordinates of sig span an ideal for every k."""
     rank = {c: r for r, c in enumerate(sig)}
-    return all(rank[k] >= max(rank[i], rank[j]) for k, i, j in table)
+    return next(((k, i, j) for k, i, j in table if rank[k] < max(rank[i], rank[j])), None)
+
+
+def _admits(table: dict, sig: tuple[int, ...]) -> bool:
+    """Whether the flag of sig is a chain of ideals under the table."""
+    return _breaking_bracket(table, sig) is None
+
+
+def _admitted_table(law: GroupLaw, sig: tuple[int, ...]) -> dict | None:
+    """The law's bracket table, None when it declares none; a DomainError
+    naming the bracket that breaks the flag when the table does not admit sig."""
+    table = law.brackets()
+    bad = None if table is None else _breaking_bracket(table, sig)
+    if bad is not None:
+        k, i, j = bad
+        raise DomainError(f"{type(law).__name__} with significance {sig} is not an ordered "
+                          f"group: [e_{i}, e_{j}] = {table[bad]} e_{k} is more significant "
+                          f"than e_{max(i, j, key=sig.index)}, so the flag is not a chain of "
+                          f"ideals")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -408,39 +421,17 @@ def classify_ordered(
 ) -> tuple[CanonicalClass, IsoWitness]:
     """Canonical ordered class with an order-preserving verified witness.
 
-    The pair must already be an ordered group; bi-invariance is checked on
-    samples first and a counterexample is reported on failure.
+    Whether the pair is an ordered group is read off the law's bracket table
+    and draws no sample: a pair whose flag is not a chain of ideals is a
+    DomainError naming the bracket that breaks it. Only the witness is
+    checked on samples.
     """
-    # the witness samples nothing, so it is found first and its order claim is
-    # checked in the translation check's one pass; errors keep their order:
-    # dimension, order length, translation, no canonical form, invertibility
     _require_dimension(law)
-    spec = OrderedGroupSpec(law, order)
-    try:
-        cls, wit = _classify_ordered(law, order.significance)
-    except DomainError as exc:
-        unclassified, rep = exc, None
-    else:
-        # wit makes no order claim yet, so verify_witness checks the group
-        # claims only; an invertible witness's order claim joins the pass
-        unclassified, rep = None, verify_witness(wit, cfg, tol)
-    sides = _translation_sides(spec)
-    if rep is not None and rep.invertible:
-        sides += (_order_side(wit, cls.order),)
-    _, (left, right, *monotone) = _ordered_pairs(order, cfg, law.dim).scan(
-        *sides, g=functools.partial(cfg.sample, law.dim, 13))
-    if left is not None or right is not None:
-        ce = left or right
-        side = "left" if left else "right"
-        raise DomainError(
-            f"pair is not an ordered group: {side} translation fails at "
-            f"g={ce[0].tolist()}, h={ce[1].tolist()}, h'={ce[2].tolist()}"
-        )
-    if unclassified is not None:
-        raise unclassified
-    _require_invertible(law, cls, rep)
+    OrderedGroupSpec(law, order)  # the order's length against the law's dimension
+    cls, wit = _classify_ordered(law, order.significance)
     wit = dataclasses.replace(wit, order_pair=(order, cls.order))
-    rep = dataclasses.replace(rep, order_ok=monotone[0] is None)
+    rep = verify_witness(wit, cfg, tol)
+    _require_invertible(law, cls, rep)
     return cls, dataclasses.replace(wit, verification=rep)
 
 
@@ -452,13 +443,14 @@ def _perm_matrix(src_sig: tuple[int, ...], dst_sig: tuple[int, ...]) -> np.ndarr
 
 
 def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
+    _admitted_table(law, sig)
     if isinstance(law, Tk) and law.k != 0.0 and sig == (2, 1, 0):
         s = 1.0 if law.k > 0 else -1.0
         canon = _cls("T_plus" if s > 0 else "T_minus", Tk(s), (2, 1, 0))
         return canon, linear_witness(law, canon.law, np.diag([1.0 / abs(law.k), 1.0, 1.0]))
 
     form = _bracket_form(law)
-    if form is None or not _admits(law.brackets(), sig):
+    if form is None:
         raise DomainError(f"no canonical form for {type(law).__name__} with significance {sig}")
 
     if form[0] == "abelian":
@@ -542,8 +534,8 @@ def _table_invariants(spec: OrderedGroupSpec) -> dict:
     """
     law, sig = spec.law, spec.order.significance
     _require_dimension(law)
-    table = law.brackets()
-    if table is None or not _admits(table, sig):
+    table = _admitted_table(law, sig)
+    if table is None:
         raise DomainError(f"{type(law).__name__} with significance {sig} has no bracket "
                           f"table whose flag is a chain of ideals")
     coeff = _coefficients(table)

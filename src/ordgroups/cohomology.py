@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .actions import ExpAction, act, affine_on_semidirect, scale_factors, trivial
+from .actions import ExpAction, act, affine_on_semidirect, trivial
 from .errors import DomainError, InputError
 from .groups import Additive, GroupLaw, SemidirectRR, _result
 from .orders import LexOrder, OrderedGroupSpec
@@ -265,13 +265,11 @@ def ordered_extension(
 ) -> OrderedGroupSpec:
     """Extension law ordered lexicographically, quotient chart most significant.
 
-    Requires the action to preserve the module order; exponential scalings are
-    positive, which is verified on samples rather than assumed.
+    The action preserves the module order: ExpAction admits finite exponents
+    only, so each coordinate's scaling e^{finite} is positive.
     """
     if order_h.dim != module.H.dim or order_n.dim != module.N.dim:
         raise InputError("orders do not match module chart dimensions")
-    if not _action_order_preserving(module, cfg):
-        raise DomainError("action does not preserve the module order")
     law = extension_from_cocycle(module, f, cfg, tol)
     k = module.N.dim
     significance = tuple(k + i for i in order_h.significance) + tuple(
@@ -279,11 +277,3 @@ def ordered_extension(
     )
     return OrderedGroupSpec(law=law, order=LexOrder(significance))
 
-
-def _action_order_preserving(module: GModule, cfg: SampleConfig) -> bool:
-    """A positive scaling of each coordinate preserves every lexicographic
-    order exactly, so the action does when each sampled factor is finite and
-    positive."""
-    n = min(cfg.count, 256)
-    factors = scale_factors(module.gamma, cfg.sample(module.H.dim, stream=51, count=n))
-    return bool(np.all(np.isfinite(factors) & (factors > 0)))

@@ -55,14 +55,11 @@ class OrderedGroupSpec:
 
 
 def compare(order: LexOrder, a, b) -> Comparison:
-    a = _element(a, order.dim)
-    b = _element(b, order.dim)
-    for idx in order.significance:
-        if a[idx] < b[idx]:
-            return Comparison.LT
-        if a[idx] > b[idx]:
-            return Comparison.GT
-    return Comparison.EQ
+    a, b = _element(a, order.dim), _element(b, order.dim)
+    less, differ = _lex_compare(order.significance, a, b)
+    if less:
+        return Comparison.LT
+    return Comparison.GT if differ else Comparison.EQ
 
 
 def _lex_compare(significance, a: np.ndarray, b: np.ndarray):
@@ -233,18 +230,13 @@ def check_translation_invariance(
     The translating elements g come from stream 13, one row per pair.
     The left and right checks run in one pass over the pairs, so each block
     of g is drawn once; each side keeps its own first counterexample."""
-    pairs = _ordered_pairs(spec.order, cfg, spec.law.dim)
-    checked, (left, right) = pairs.scan(*_translation_sides(spec),
-                                        g=functools.partial(cfg.sample, spec.law.dim, 13))
+    law, order = spec.law, spec.order
+    checked, (left, right) = _ordered_pairs(order, cfg, law.dim).scan(
+        (order, lambda g, block: (law.mul(g, block.a), law.mul(g, block.b))),
+        (order, lambda g, block: (law.mul(block.a, g), law.mul(block.b, g))),
+        g=functools.partial(cfg.sample, law.dim, 13))
     return InvarianceReport(left_ok=left is None, right_ok=right is None, checked=checked,
                             counterexample_left=left, counterexample_right=right)
-
-
-def _translation_sides(spec: OrderedGroupSpec):
-    """The left and right translation checks as SampledPairs.scan sides."""
-    law, order = spec.law, spec.order
-    return ((order, lambda g, block: (law.mul(g, block.a), law.mul(g, block.b))),
-            (order, lambda g, block: (law.mul(block.a, g), law.mul(block.b, g))))
 
 
 def _supported_blocks(cfg: SampleConfig, dim: int, coords: tuple[int, ...], streams):

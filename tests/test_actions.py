@@ -66,6 +66,15 @@ def test_action_constructors_reject_malformed_exponents():
     assert diagonal(2, -1).descriptor() == {"kind": "diagonal", "coeffs": [2.0, -1.0]}
 
 
+@pytest.mark.parametrize("make", [lambda: character(float("inf")),
+                                  lambda: diagonal(float("nan"), 1.0)],
+                         ids=["character-inf", "diagonal-nan"])
+def test_action_constructors_reject_non_finite_exponents(make):
+    # only a finite exponent makes every scaling positive, hence order preserving
+    with pytest.raises(InputError, match="must be finite"):
+        make()
+
+
 def test_actions_are_multiplicative():
     # gamma(g h) = gamma(g) . gamma(h) over the acting group's own law
     g = RNG.uniform(-3, 3, (500, 2))

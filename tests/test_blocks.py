@@ -10,18 +10,14 @@ The ordered-pair checks are also compared with the whole-array construction
 they replaced, which materialized the sorted pairs lo < hi.
 """
 
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ordgroups import tolerance
-from ordgroups.actions import diagonal
 from ordgroups.classify import classify_ordered, linear_witness, verify_witness
-from ordgroups.cohomology import GModule, _action_order_preserving, check_cocycle, \
-    cocycle_residual, g3_cocycle, heis_cocycle
-from ordgroups.errors import DomainError
+from ordgroups.cohomology import check_cocycle, cocycle_residual, g3_cocycle, heis_cocycle
 from ordgroups.groups import SUT3, Additive, Ec, GCd, KCd, SemidirectRR, Tk, check_group_axioms
 from ordgroups.jsonio import dumps
 from ordgroups.orders import (
@@ -306,35 +302,6 @@ def test_witness_order_matches_the_whole_array_pairs(monkeypatch, cfg, source, t
     assert rep.order_ok is whole
 
 
-def _whole_action_order_preserving(module, order_n, cfg):
-    from ordgroups.actions import scale_factors
-
-    g = cfg.sample(module.H.dim, stream=51, count=min(cfg.count, 256))
-    factors = scale_factors(module.gamma, g)
-    n1 = cfg.sample(module.N.dim, stream=52, count=g.shape[0])
-    n2 = cfg.sample(module.N.dim, stream=53, count=g.shape[0])
-    lo, hi, _ = _whole_sorted_pairs(order_n, np.hstack([n1, factors * n1]),
-                                    np.hstack([n2, factors * n2]))
-    k = module.N.dim
-    return bool(np.all(lex_less(order_n, lo[:, k:], hi[:, k:])))
-
-
-@pytest.mark.parametrize("cfg, coeffs, order, preserving", [
-    (CFG, (1.0, -2.0), (0, 1), True),
-    (COARSE, (1.0, -2.0), (0, 1), True),
-    (COARSE, (1.0, -2.0), (1, 0), True),
-    # e^{240 t} overflows at t = 3: an inf factor, and a tie at inf lets the
-    # second coordinate misorder a pair
-    (COARSE, (240.0, 1.0), (0, 1), False),
-], ids=["continuous", "coarse", "coarse-reversed", "coarse-overflow"])
-def test_action_order_matches_the_whole_array_pairs(cfg, coeffs, order, preserving):
-    # the factor test gives the verdict a scan of the sampled pairs gives
-    module = GModule(H=Additive(1), N=Additive(2), gamma=diagonal(*coeffs))
-    with np.errstate(all="ignore"):
-        got = _action_order_preserving(module, cfg)
-        assert got is _whole_action_order_preserving(module, LexOrder(order), cfg) is preserving
-
-
 def test_blocks_expose_their_rows_of_the_draws(monkeypatch):
     order = LexOrder((0, 1, 2))
     n = COARSE.count
@@ -394,10 +361,6 @@ def test_ties_leave_each_pair_its_own_translating_element(monkeypatch, size, dra
     rep = check_translation_invariance(spec, cfg)
     assert rep.checked == 3 * (cfg.count - ties)
     assert dumps(rep) == dumps(_whole_translation(spec, cfg))
-    g, lo, hi = rep.counterexample_left
-    with pytest.raises(DomainError, match=re.escape(
-            f"left translation fails at g={g.tolist()}, h={lo.tolist()}, h'={hi.tolist()}")):
-        classify_ordered(spec.law, spec.order, cfg)
 
 
 def _peak_in_sample_arrays(check, count=1 << 19, dim=3):

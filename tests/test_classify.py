@@ -315,8 +315,21 @@ def test_ordered_abelian_any_significance():
 
 
 def test_non_ordered_pair_raises_with_counterexample():
-    with pytest.raises(DomainError, match="translation"):
+    # the counterexample is the bracket that breaks the flag, read off the table
+    with pytest.raises(DomainError) as exc:
         classify_ordered(SemidirectRR(1.0), LexOrder((0, 1)), CFG)
+    assert str(exc.value) == (
+        "SemidirectRR with significance (0, 1) is not an ordered group: [e_1, e_0] = 1.0 e_0 "
+        "is more significant than e_1, so the flag is not a chain of ideals")
+
+
+@pytest.mark.parametrize("law", [GCd(0.0, 30.0), KCd(0.0, 30.0)], ids=["g_cd", "k_cd"])
+def test_ordered_pair_whose_translated_images_tie_classifies(law):
+    # z1 + e^{30 y1} z2 absorbs z1 on most samples, so translated images of
+    # pairs that differ only in z tie in floating point; the table admits the
+    # order, and the witness verifies
+    _, wit = classify_ordered(law, XYZ, CFG)
+    assert wit.verification.passed
 
 
 # --- witness verification -----------------------------------------------------------
@@ -732,8 +745,17 @@ def test_classify_ordered_draws_pairs_once_and_verifies_once(monkeypatch, law, s
 
     pairs = _count_calls(monkeypatch, "_ordered_pairs", classify_mod)
     verifies = _count_calls(monkeypatch, "verify_witness", classify_mod)
+    streams, rng = [], SampleConfig.rng
+
+    def counting_rng(self, stream=0):
+        streams.append(stream)
+        return rng(self, stream)
+
+    monkeypatch.setattr(SampleConfig, "rng", counting_rng)
     _, wit = classify_ordered(law, LexOrder(sig), CFG)
     assert len(pairs) == 1 and len(verifies) == 1
+    # the table decides bi-invariance: no translating element (stream 13) is drawn
+    assert streams and 13 not in streams
     # the shared pairs give the report a fresh, full verification would give
     assert wit.verification == verify_witness(wit, CFG)
     assert wit.verification.group_ok and wit.verification.order_ok
