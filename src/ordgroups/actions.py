@@ -1,10 +1,13 @@
 """Exponential actions on abelian chart groups.
 
-Three kinds cover everything in scope:
+An action is its exponent matrix C, one row per module coordinate and one
+column per acting coordinate: g scales module coordinate m by e^{(C g)_m}.
+C is also the action's part of the bracket table, [e_{h_j}, e_{n_m}] =
+C[m][j] e_{n_m}. The constructors:
 
-  character(c1, ..., cn)     g acts on scalars by e^{c . g}
-  diagonal(c, d)             scalar t acts on the plane by (e^{c t} u, e^{d t} v)
-  affine_on_semidirect(c)    (x, y) in a semidirect chart acts on scalars by e^{c y}
+  character(c1, ..., cn)     ((c1, ..., cn),)  g acts on scalars by e^{c . g}
+  diagonal(c, d)             ((c,), (d,))      scalar t acts on the plane by (e^{c t} u, e^{d t} v)
+  affine_on_semidirect(c)    ((0, c),)         (x, y) in a semidirect chart acts on scalars by e^{c y}
 """
 
 from __future__ import annotations
@@ -14,62 +17,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-
-CHARACTER = "character"
-DIAGONAL = "diagonal"
-AFFINE_ON_SEMIDIRECT = "affine_on_semidirect"
-_KINDS = (CHARACTER, DIAGONAL, AFFINE_ON_SEMIDIRECT)
+from .groups import _matvec
 
 
 @dataclass(frozen=True)
 class ExpAction:
-    kind: str
-    coeffs: tuple[float, ...]
+    exponents: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InputError(f"unknown action kind {self.kind!r}")
-        coeffs = tuple(float(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        rows = tuple(tuple(float(c) for c in row) for row in self.exponents)
+        object.__setattr__(self, "exponents", rows)
         # a finite exponent gives a positive scaling, which preserves every
         # lexicographic order of the module
-        if not all(np.isfinite(coeffs)):
-            raise InputError(f"action exponents must be finite, got {coeffs}")
-        if self.kind == DIAGONAL and len(coeffs) != 2:
-            raise InputError("diagonal action takes exactly two exponents")
-        if self.kind == AFFINE_ON_SEMIDIRECT and len(coeffs) != 1:
-            raise InputError("affine_on_semidirect takes a single exponent")
+        widths = {len(row) for row in rows}
+        if len(widths) != 1 or 0 in widths or not np.all(np.isfinite(rows)):
+            raise InputError("action exponents must be finite and form a non-empty "
+                             f"rectangular matrix, got {rows}")
 
     @property
     def acting_dim(self) -> int:
-        if self.kind == CHARACTER:
-            return len(self.coeffs)
-        if self.kind == DIAGONAL:
-            return 1
-        return 2
+        return len(self.exponents[0])
 
     @property
     def module_dim(self) -> int:
-        return 2 if self.kind == DIAGONAL else 1
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "coeffs": list(self.coeffs)}
+        return len(self.exponents)
 
 
 def character(*coeffs: float) -> ExpAction:
-    return ExpAction(CHARACTER, tuple(coeffs))
+    return ExpAction((coeffs,))
 
 
 def trivial(acting_dim: int) -> ExpAction:
-    return ExpAction(CHARACTER, (0.0,) * acting_dim)
+    return ExpAction(((0.0,) * acting_dim,))
 
 
 def diagonal(c: float, d: float) -> ExpAction:
-    return ExpAction(DIAGONAL, (c, d))
+    return ExpAction(((c,), (d,)))
 
 
 def affine_on_semidirect(c: float) -> ExpAction:
-    return ExpAction(AFFINE_ON_SEMIDIRECT, (c,))
+    return ExpAction(((0.0, c),))
 
 
 def scale_factors(action: ExpAction, g: np.ndarray) -> np.ndarray:
@@ -79,16 +66,8 @@ def scale_factors(action: ExpAction, g: np.ndarray) -> np.ndarray:
         raise InputError(
             f"acting element has {g.shape[-1]} coordinates, action expects {action.acting_dim}"
         )
-    if action.kind == CHARACTER:
-        c = np.asarray(action.coeffs)
-        # BLAS may sum a column-major g in another order: keep the row-major bits
-        return np.exp(np.ascontiguousarray(g) @ c)[..., None]
-    if action.kind == DIAGONAL:
-        t = g[..., 0]
-        c, d = action.coeffs
-        return np.stack([np.exp(c * t), np.exp(d * t)], axis=-1)
-    # affine_on_semidirect ignores the normal coordinate of the acting chart
-    return np.exp(action.coeffs[0] * g[..., 1])[..., None]
+    out = _matvec(np.asarray(action.exponents), g)
+    return np.exp(out, out=out)
 
 
 def act(action: ExpAction, g, n) -> np.ndarray:

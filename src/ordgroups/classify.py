@@ -48,6 +48,7 @@ from .groups import (
     SemidirectRR,
     SUT3,
     Tk,
+    _matvec,
     heis_to_sut3,
     heisenberg,
     sut3_to_heis,
@@ -75,25 +76,6 @@ def _cls(label, law, order=None, **params) -> CanonicalClass:
     items = tuple(sorted((k, float(v)) for k, v in params.items()))
     o = LexOrder(order) if isinstance(order, tuple) else order
     return CanonicalClass(label=label, params=items, law=law, order=o)
-
-
-def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row-by-row application, accumulating nonzero terms in column order.
-
-    Matches the operation order of the law implementations bit for bit, so
-    witnesses like the shear maps reproduce the exponent arguments exactly
-    instead of differing by an ulp that e^24 then amplifies.
-    """
-    out = np.empty(a.shape[:-1] + (matrix.shape[0],), order="F")
-    for i in range(matrix.shape[0]):
-        acc = None
-        for j in range(matrix.shape[1]):
-            mij = matrix[i, j]
-            if mij != 0.0:
-                term = a[..., j] if mij == 1.0 else mij * a[..., j]
-                acc = term if acc is None else acc + term
-        out[..., i] = 0.0 if acc is None else acc
-    return out
 
 
 @dataclass(frozen=True)

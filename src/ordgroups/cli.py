@@ -93,21 +93,16 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(args.abs_tol, args.rel_tol)
 
 
+_OPS = {"mul": multiply, "inv": invert, "conj": conjugate, "comm": commutator}
+
+
 def cmd_eval(args) -> int:
     law = _law_arg(args)
     a = _coords(args.a)
     if args.op != "inv" and args.b is None:
         raise InputError(f"--op {args.op} needs a second element (--b)")
-    if args.op == "mul":
-        result = multiply(law, a, _coords(args.b))
-    elif args.op == "inv":
-        result = invert(law, a)
-    elif args.op == "conj":
-        result = conjugate(law, a, _coords(args.b))
-    elif args.op == "comm":
-        result = commutator(law, a, _coords(args.b))
-    else:
-        raise InputError(f"unknown op {args.op!r}")
+    operands = (a,) if args.op == "inv" else (a, _coords(args.b))
+    result = _OPS[args.op](law, *operands)
     if not np.all(np.isfinite(result)):
         raise DomainError("result overflowed the floating-point range")
     _emit(args, {"result": result})
@@ -179,6 +174,11 @@ def cmd_witness_verify(args) -> int:
         raise InputError("an order claim needs both --source-order and --target-order")
     pair = tuple(order_from_descriptor(_indices(o)) for o in claim) or None
     wit = classify.linear_witness(source, target, matrix, order_pair=pair)
+    # 1e400 parses as inf and null as NaN: malformed input, not a singular map
+    bad = np.argwhere(~np.isfinite(wit.matrix))
+    if bad.size:
+        i, j = bad[0]
+        raise InputError(f"witness matrix entry [{i}][{j}] must be finite, got {matrix[i][j]!r}")
     rep = classify.verify_witness(wit, _sample_config(args), _tolerance(args))
     _emit(args, {"witness": wit.to_dict(), "verification": rep.to_dict()})
     return EXIT_OK if rep.passed else EXIT_VERIFY
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="apply a group operation to elements")
     _add_law(p)
-    p.add_argument("--op", required=True, choices=["mul", "inv", "conj", "comm"])
+    p.add_argument("--op", required=True, choices=list(_OPS))
     p.add_argument("--a", required=True, help="comma-separated coordinates")
     p.add_argument("--b", default=None, help="second element when the op needs one")
     _add_common(p)

@@ -68,6 +68,26 @@ def _nonzero(table: dict) -> dict:
     return {key: float(b) for key, b in table.items() if b != 0.0}
 
 
+def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row-by-row application, accumulating nonzero terms in column order.
+
+    Matches the operation order of the law implementations bit for bit, so
+    witnesses like the shear maps reproduce the exponent arguments exactly
+    instead of differing by an ulp that e^24 then amplifies. No value depends
+    on the memory layout of `a`.
+    """
+    out = np.empty(a.shape[:-1] + (matrix.shape[0],), order="F")
+    for i in range(matrix.shape[0]):
+        acc = None
+        for j in range(matrix.shape[1]):
+            mij = matrix[i, j]
+            if mij != 0.0:
+                term = a[..., j] if mij == 1.0 else mij * a[..., j]
+                acc = term if acc is None else acc + term
+        out[..., i] = 0.0 if acc is None else acc
+    return out
+
+
 class GroupLaw:
     """Base for all chart group laws. Subclasses are immutable dataclasses
     whose fields are the law's parameters; `family` names them in descriptors."""
@@ -350,27 +370,25 @@ def commutator(law: GroupLaw, g, h) -> np.ndarray:
     return law.mul(law.mul(law.mul(g, h), law.inv(g)), law.inv(h))
 
 
-def sut3_to_heis(a) -> np.ndarray:
-    """Chart change transporting the unitriangular law to the Heisenberg law."""
+def _shear(a, s: float) -> np.ndarray:
+    """(x, y, z) -> (x, y, z + s x y), the chart changes between SUT3 and Heisenberg."""
     a = np.asarray(a, dtype=float)
     if a.shape[-1] != 3:
         raise InputError("chart change needs 3 coordinates")
     x, y, z = a[..., 0], a[..., 1], a[..., 2]
     out = _result(3, a)
     out[..., :2] = a[..., :2]
-    np.subtract(z, 0.5 * x * y, out=out[..., 2])
+    np.add(z, s * x * y, out=out[..., 2])
     return out
+
+
+def sut3_to_heis(a) -> np.ndarray:
+    """Chart change transporting the unitriangular law to the Heisenberg law."""
+    return _shear(a, -0.5)
 
 
 def heis_to_sut3(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape[-1] != 3:
-        raise InputError("chart change needs 3 coordinates")
-    x, y, z = a[..., 0], a[..., 1], a[..., 2]
-    out = _result(3, a)
-    out[..., :2] = a[..., :2]
-    np.add(z, 0.5 * x * y, out=out[..., 2])
-    return out
+    return _shear(a, 0.5)
 
 
 def one_param_through(law: KCd, g, w) -> np.ndarray:

@@ -357,6 +357,8 @@ def criterion_separating_invariants(cfg: RunConfig) -> CriterionResult:
     details = {}
     rng = sc.rng(stream=91)
     n = sc.count
+    # uniform needs low <= high: below a box of 0.5 the positive coordinates are the box
+    low = min(0.5, sc.box)
 
     # commutator in the central-extension family: exact value, full separation
     exact_ok = True
@@ -364,13 +366,13 @@ def criterion_separating_invariants(cfg: RunConfig) -> CriterionResult:
     for c in (1.0, -1.0):
         law = Ec(c)
         g = np.column_stack([
-            rng.uniform(0.5, sc.box, n),
+            rng.uniform(low, sc.box, n),
             rng.uniform(-sc.box, sc.box, n),
             rng.uniform(-sc.box, sc.box, n),
         ])
         h = np.column_stack([
             np.zeros(n),
-            rng.uniform(0.5, sc.box, n),
+            rng.uniform(low, sc.box, n),
             rng.uniform(-sc.box, sc.box, n),
         ])
         comm = commutator(law, g, h)

@@ -301,6 +301,14 @@ def test_selftest_absurd_tolerance_reports_failures(capsys):
     assert failing  # locations of the floating-point failures
 
 
+@pytest.mark.parametrize("box", ["0.4", "1e-300"])
+def test_selftest_box_below_its_positive_draws_is_no_traceback(capsys, box):
+    # criterion 6 draws positive coordinates from 0.5 up to the box
+    code, out = run_cli(capsys, "selftest", "--samples", "60", "--box", box)
+    assert code in (0, 4)
+    assert json.loads(out)["passed"] == (code == 0)
+
+
 def test_reports_are_byte_identical(capsys):
     args = ["selftest", "--samples", "40", "--seed", "3"]
     _, first = run_cli(capsys, *args)
@@ -368,6 +376,17 @@ def test_non_integer_index_list_is_an_input_error(capsys, argv):
 @pytest.mark.parametrize("op", ["mul", "conj", "comm"])
 def test_eval_binary_op_without_b_is_an_input_error(capsys, op):
     _assert_input_error(capsys, "eval", "--law", _SD, "--op", op, "--a", "1,0")
+
+
+@pytest.mark.parametrize("matrix, entry", [("[[1,0],[0,1e400]]", "[1][1] must be finite, got inf"),
+                                           ("[[1,null],[0,1]]", "[0][1] must be finite, got None"),
+                                           ("[[NaN,0],[0,1]]", "[0][0] must be finite, got nan")],
+                         ids=["overflow", "null", "nan"])
+def test_non_finite_witness_matrix_entry_is_an_input_error(capsys, matrix, entry):
+    # malformed input, not a false "not invertible" verdict (exit 4)
+    code = main(["witness-verify", "--source", _SD, "--target", _SD, "--matrix", matrix])
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: witness matrix entry {entry}\n"
 
 
 @pytest.mark.parametrize("matrix", ["[[1,0],[0,1],[0,0]]", "[[1,0,0],[0,1,0]]", "[[1,0],[0]]"])

@@ -36,7 +36,7 @@ CFG = SampleConfig(seed=5, count=600)
 
 
 def line_module(action) -> GModule:
-    return GModule(H=Additive(len(action.coeffs)), N=Additive(1), gamma=action)
+    return GModule(H=Additive(action.acting_dim), N=Additive(1), gamma=action)
 
 
 # --- coboundary formula ----------------------------------------------------
