@@ -24,6 +24,8 @@ Both levels cover dimensions 1 to 3 and reject a larger law before drawing
 any sample. Every witness is an explicit coordinate map with named source and
 target laws; classification verifies each witness numerically, once, and
 returns it carrying that verification, a WitnessReport, as its only verdict.
+A linear witness's order claim is decided exactly from its matrix; a function
+witness's claim (SUT3 and compositions through it) is checked on samples.
 The separating invariants are read off the same table under the order's flag
 and draw no sample.
 """
@@ -89,6 +91,15 @@ class IsoWitness:
     order_pair: tuple[LexOrder, LexOrder] | None = None
     verification: WitnessReport | None = None
 
+    def __post_init__(self):
+        # an order claim whose length differs from its law's dimension is
+        # malformed input, rejected before any sample is drawn
+        for side, law, order in zip(("source", "target"), (self.source, self.target),
+                                    self.order_pair or ()):
+            if order.dim != law.dim:
+                raise InputError(f"{side} order {order.significance} has length {order.dim}, "
+                                 f"but the {side} law has dimension {law.dim}")
+
     def apply(self, a: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return _matvec(self.matrix, a)
@@ -136,7 +147,13 @@ def function_witness(source, target, forward, inverse, order_pair=None, name=Non
 def invert_witness(w: IsoWitness) -> IsoWitness:
     pair = None if w.order_pair is None else (w.order_pair[1], w.order_pair[0])
     if w.matrix is not None:
-        return linear_witness(w.target, w.source, np.linalg.inv(w.matrix), order_pair=pair)
+        m = np.linalg.inv(w.matrix)
+        if pair is not None and _monotone(w.matrix, *w.order_pair):
+            # the inverse of a triangular matrix is triangular: what inv leaves
+            # above the triangle is rounding of exact zeros
+            frame = np.ix_(pair[1].significance, pair[0].significance)
+            m[frame] = np.tril(m[frame])
+        return linear_witness(w.target, w.source, m, order_pair=pair)
     return function_witness(w.target, w.source, w.inverse, w.forward,
                             order_pair=pair, name=f"inverse({w.map_name})")
 
@@ -209,10 +226,30 @@ def verify_witness(
     order_ok = None
     if w.order_pair is not None:
         source, target = w.order_pair
-        side = target, lambda g, block: (w.apply(block.a), w.apply(block.b))
-        order_ok = _ordered_pairs(source, cfg, w.source.dim).scan(side)[1][0] is None
+        if w.matrix is not None:
+            order_ok = _monotone(w.matrix, source, target)
+        else:
+            side = target, lambda g, block: (w.apply(block.a), w.apply(block.b))
+            order_ok = _ordered_pairs(source, cfg, w.source.dim).scan(side)[1][0] is None
 
     return WitnessReport(hom, roundtrip, True, group_ok, order_ok, cfg.count)
+
+
+def _monotone(matrix: np.ndarray, source: LexOrder, target: LexOrder) -> bool:
+    """Whether v -> matrix @ v is increasing from the source order to the
+    target order, decided exactly from the invertible matrix.
+
+    Both orders are additive, so f(h') - f(h) = matrix (h' - h), and the map is
+    increasing exactly when it takes every positive difference to a positive
+    one. Read with rows in target significance and columns in source
+    significance, that holds exactly when the matrix is lower triangular with
+    a positive diagonal: the first nonzero entry of a difference then leads
+    its image with the same sign, and an entry above the diagonal, however
+    small, lets a large enough difference in a less significant coordinate
+    outweigh a leading one.
+    """
+    a = matrix[np.ix_(target.significance, source.significance)]
+    return not np.triu(a, 1).any() and bool((np.diag(a) > 0).all())
 
 
 # ---------------------------------------------------------------------------

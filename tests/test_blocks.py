@@ -10,15 +10,26 @@ The ordered-pair checks are also compared with the whole-array construction
 they replaced, which materialized the sorted pairs lo < hi.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ordgroups import tolerance
-from ordgroups.classify import classify_ordered, linear_witness, verify_witness
+from ordgroups.classify import classify_ordered, function_witness, linear_witness, verify_witness
 from ordgroups.cohomology import check_cocycle, cocycle_residual, g3_cocycle, heis_cocycle
-from ordgroups.groups import SUT3, Additive, Ec, GCd, KCd, SemidirectRR, Tk, check_group_axioms
+from ordgroups.groups import (
+    SUT3,
+    Additive,
+    Ec,
+    GCd,
+    KCd,
+    SemidirectRR,
+    Tk,
+    _matvec,
+    check_group_axioms,
+)
 from ordgroups.jsonio import dumps
 from ordgroups.orders import (
     InvarianceReport,
@@ -282,6 +293,15 @@ def test_conjugation_matches_the_whole_array_pairs(monkeypatch, cfg, law, order,
     assert dumps(rep) == dumps(_whole_conjugation(spec, coords, cfg))
 
 
+def _matvec_witness(source, target, matrix, orders):
+    """The map a -> matrix @ a as a function witness, whose order claim is
+    checked on the sampled pairs rather than decided from a matrix."""
+    m = np.asarray(matrix, dtype=float)
+    m_inv = np.linalg.inv(m)
+    return function_witness(source, target, lambda a: _matvec(m, a), lambda a: _matvec(m_inv, a),
+                            order_pair=(LexOrder(orders[0]), LexOrder(orders[1])))
+
+
 @pytest.mark.parametrize("cfg", [CFG, COARSE], ids=["continuous", "coarse"])
 @pytest.mark.parametrize("source, target, matrix, orders", [
     (SemidirectRR(2.0), SemidirectRR(1.0), [[1, 0], [0, 2]], ((1, 0), (1, 0))),
@@ -293,13 +313,75 @@ def test_conjugation_matches_the_whole_array_pairs(monkeypatch, cfg, law, order,
 ])
 def test_witness_order_matches_the_whole_array_pairs(monkeypatch, cfg, source, target,
                                                      matrix, orders):
-    w = linear_witness(source, target, matrix,
-                       order_pair=(LexOrder(orders[0]), LexOrder(orders[1])))
+    w = _matvec_witness(source, target, matrix, orders)
     lo, hi, _ = _whole_ordered_pairs(w.order_pair[0], cfg, source.dim)
     with np.errstate(all="ignore"):
         rep = _same_at_every_block_size(monkeypatch, lambda: verify_witness(w, cfg))
         whole = _first_misordered(w.order_pair[1], w.apply(lo), w.apply(hi)) is None
     assert rep.order_ok is whole
+
+
+def test_an_overflowing_linear_witness_is_monotone_but_no_homomorphism():
+    # the sampled images tie at inf, but the matrix is a positive diagonal: the
+    # order claim holds, and the overflow shows in the group check instead
+    w = linear_witness(Additive(2), Additive(2), [[1e308, 0], [0, 1e308]],
+                       order_pair=(LexOrder((0, 1)), LexOrder((0, 1))))
+    with np.errstate(all="ignore"):
+        rep = verify_witness(w, CFG)
+    assert rep.order_ok is True and rep.group_ok is False and not rep.passed
+
+
+def _oracle_matrices(rng, n):
+    """In the frame of rows in target and columns in source significance:
+    lower triangular matrices with a positive diagonal, each also with one
+    diagonal entry negated and with one entry of size 0.5 to 2 above the
+    diagonal."""
+    out = []
+    for _ in range(3):
+        a = np.tril(rng.uniform(-2, 2, (n, n)), -1) + np.diag(rng.uniform(0.5, 2, n))
+        negated = a.copy()
+        i = rng.integers(n)
+        negated[i, i] *= -1
+        out += [a, negated]
+        if n > 1:
+            above = a.copy()
+            i, j = sorted(rng.choice(n, 2, replace=False))
+            above[i, j] = rng.choice((-1, 1)) * rng.uniform(0.5, 2)
+            out.append(above)
+    return out
+
+
+def test_linear_witness_order_matches_the_whole_array_pairs():
+    # the matrix rule against the sampled reference, wherever no images tie
+    rng = np.random.default_rng(5)
+    verdicts = []
+    for n in (1, 2, 3):
+        for ssig, tsig in itertools.product(itertools.permutations(range(n)), repeat=2):
+            source, target = LexOrder(ssig), LexOrder(tsig)
+            lo, hi, _ = _whole_ordered_pairs(source, CFG, n)
+            for a in _oracle_matrices(rng, n):
+                m = np.zeros((n, n))
+                m[np.ix_(tsig, ssig)] = a
+                w = linear_witness(Additive(n), Additive(n), m, order_pair=(source, target))
+                f_lo, f_hi = w.apply(lo), w.apply(hi)
+                if (~lex_less(target, f_lo, f_hi) & ~lex_less(target, f_hi, f_lo)).any():
+                    continue
+                whole = _first_misordered(target, f_lo, f_hi) is None
+                assert verify_witness(w, CFG).order_ok is whole, (ssig, tsig, a)
+                verdicts.append(whole)
+    assert len(verdicts) > 300 and True in verdicts and False in verdicts
+
+
+def test_linear_witness_order_rejects_what_the_samples_miss():
+    # (x, y) -> (x + 1e-12 y, y) reverses (0, 0) < (1e-13, -1), but sampled
+    # differences in x dwarf 1e-12 y; the matrix rule sees the entry
+    matrix, orders = [[1, 1e-12], [0, 1]], ((0, 1), (0, 1))
+    sampled = verify_witness(_matvec_witness(Additive(2), Additive(2), matrix, orders), CFG)
+    assert sampled.order_ok is True
+    w = linear_witness(Additive(2), Additive(2), matrix,
+                       order_pair=(LexOrder(orders[0]), LexOrder(orders[1])))
+    rep = verify_witness(w, CFG)
+    assert rep.group_ok and rep.order_ok is False and not rep.passed
 
 
 def test_blocks_expose_their_rows_of_the_draws(monkeypatch):

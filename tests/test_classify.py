@@ -29,6 +29,7 @@ from ordgroups import (
     conjugate,
     enumerate_canonical,
     extension_from_cocycle,
+    function_witness,
     heis_cocycle,
     heis_module,
     heisenberg,
@@ -336,7 +337,7 @@ def test_ordered_pair_whose_translated_images_tie_classifies(law):
 
 
 def test_chart_change_witness_verifies_tightly():
-    from ordgroups import function_witness, heis_to_sut3, sut3_to_heis
+    from ordgroups import heis_to_sut3, sut3_to_heis
 
     wit = function_witness(SUT3(), heisenberg(), sut3_to_heis, heis_to_sut3)
     rep = verify_witness(wit, CFG)
@@ -389,6 +390,19 @@ def test_corrupted_witness_fails():
     assert rep.hom_residual > 1e-6
 
 
+@pytest.mark.parametrize("pair", [((0, 1, 2), (1, 0)), ((1, 0), (0,))], ids=["source", "target"])
+def test_witness_order_claim_must_match_the_dimension(monkeypatch, pair):
+    from ordgroups import InputError
+
+    # both constructors reject the claim before any sample is drawn
+    monkeypatch.setattr(SampleConfig, "rng", lambda *_: pytest.fail("a sample was drawn"))
+    law, claim = SemidirectRR(1.0), tuple(LexOrder(sig) for sig in pair)
+    with pytest.raises(InputError, match="has length"):
+        linear_witness(law, law, np.eye(2), order_pair=claim)
+    with pytest.raises(InputError, match="has length"):
+        function_witness(law, law, lambda a: a, lambda a: a, order_pair=claim)
+
+
 def test_singular_witness_reported_not_inverted():
     wit = linear_witness(Additive(2), Additive(2), [[1.0, 1.0], [1.0, 1.0]])
     rep = verify_witness(wit, CFG)
@@ -419,6 +433,18 @@ def test_witness_composition_through_the_canonical_chart():
     rep = verify_witness(direct, CFG)
     assert rep.passed
     assert rep.hom_residual <= 1e-9
+
+
+def test_inverse_and_composite_of_an_ordered_linear_witness_keep_its_order_claim():
+    # inv of the shear [[1, 0, 0], [2, 3, 0], [0, 0, 1]] leaves 2.8e-17 above
+    # the diagonal, which the exact order rule would read as a real entry
+    ordered = [w for _, w in _paper_witnesses() if w.matrix is not None and w.order_pair]
+    ordered += [classify_ordered(law, order, CFG)[1] for law, order in
+                [(GCd(2.0, 3.0), XYZ), (GCd(1.0, 2.0), LexOrder((1, 0, 2))), (Ec(-4.0), XYZ)]]
+    for w in ordered:
+        back = invert_witness(w)
+        assert verify_witness(back, CFG).order_ok, w.matrix
+        assert verify_witness(compose_witness(w, back), CFG).order_ok, w.matrix
 
 
 # --- canonical catalog ----------------------------------------------------------------
@@ -753,7 +779,13 @@ def test_classify_ordered_draws_pairs_once_and_verifies_once(monkeypatch, law, s
 
     monkeypatch.setattr(SampleConfig, "rng", counting_rng)
     _, wit = classify_ordered(law, LexOrder(sig), CFG)
-    assert len(pairs) == 1 and len(verifies) == 1
+    # a linear witness's order claim is read off its matrix, so it draws no
+    # pair stream (11 or 12); the SUT3 chart change is a function and draws once
+    linear = wit.matrix is not None
+    assert linear is not isinstance(law, SUT3)
+    assert len(pairs) == (0 if linear else 1) and len(verifies) == 1
+    pair_streams = [s for s in streams if s in (11, 12)]
+    assert pair_streams == ([] if linear else [11, 12])
     # the table decides bi-invariance: no translating element (stream 13) is drawn
     assert streams and 13 not in streams
     # the shared pairs give the report a fresh, full verification would give

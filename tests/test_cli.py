@@ -396,6 +396,18 @@ def test_witness_between_dimensions_is_an_input_error(capsys, matrix):
                         "--matrix", matrix)
 
 
+@pytest.mark.parametrize("orders, message", [
+    (("0,1,2", "1,0"), "source order (0, 1, 2) has length 3, but the source law has dimension 2"),
+    (("1,0", "0"), "target order (0,) has length 1, but the target law has dimension 2"),
+], ids=["source", "target"])
+def test_order_claim_of_the_wrong_length_is_an_input_error(capsys, orders, message):
+    # malformed input, not a failed order claim (exit 4)
+    code = main(["witness-verify", "--source", _SD, "--target", _SD, "--matrix", "[[1,0],[0,1]]",
+                 "--source-order", orders[0], "--target-order", orders[1]])
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 
 @pytest.mark.parametrize("box", ["1e308", "9e307", "inf"])
 @pytest.mark.parametrize("argv", [
