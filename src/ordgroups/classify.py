@@ -9,16 +9,21 @@ The three ProdAff labels name the order type of the product-with-a-line
 group; the sign parameter distinguishes the expanding and contracting
 variants, which are not isomorphic as ordered groups.
 
-Both levels read the law's bracket table (GroupLaw.brackets) in one of four
-forms: abelian, every bracket 0; affine, a derived algebra e_k that is not
-central, [e_i, e_k] = chi_i e_k for a character chi; Heisenberg, a central
-derived algebra e_k; derived plane, two coordinates on which the third acts
-by a diagonal 2x2 ad. A lexicographic order is bi-invariant exactly when its
-coordinate flag is a chain of ideals: the span of its k least significant
-coordinates is an ideal for every k. The ordered level decides that from the
-table alone, and a pair it does not admit is a domain error naming the
-bracket that breaks the flag. Named cases: SUT3, whose chart change is
-nonlinear, and the nonsplit Tk(k != 0), whose ad is not diagonal.
+The group level reads the law's bracket table (GroupLaw.brackets) in one of
+four forms: abelian, every bracket 0; affine, a derived algebra e_k that is
+not central, [e_i, e_k] = chi_i e_k for a character chi; Heisenberg, a
+central derived algebra e_k; derived plane, two coordinates on which the
+third acts by a diagonal 2x2 ad. Its named cases are SUT3 and the nonsplit
+Tk(k != 0), whose ad is not diagonal.
+
+A lexicographic order is bi-invariant exactly when its coordinate flag is a
+chain of ideals: the span of its k least significant coordinates is an ideal
+for every k. The ordered level decides that from the table alone, and a pair
+it does not admit is a domain error naming the bracket that breaks the flag.
+An admitted table, written in the flag's rank coordinates, is its flag table:
+it has at most four slots, A, B, C and D (_SLOTS). The ordered level picks the
+class from which slots are nonzero, and the separating invariants are their
+signs. Its one named case is SUT3, whose chart change is nonlinear.
 
 Both levels cover dimensions 1 to 3 and reject a larger law before drawing
 any sample. Every witness is an explicit coordinate map with named source and
@@ -26,8 +31,7 @@ target laws; classification verifies each witness numerically, once, and
 returns it carrying that verification, a WitnessReport, as its only verdict.
 A linear witness's order claim is decided exactly from its matrix; a function
 witness's claim (SUT3 and compositions through it) is checked on samples.
-The separating invariants are read off the same table under the order's flag
-and draw no sample.
+The separating invariants draw no sample.
 """
 
 from __future__ import annotations
@@ -256,66 +260,46 @@ def _monotone(matrix: np.ndarray, source: LexOrder, target: LexOrder) -> bool:
 # canonical realizations
 
 
-def _canonical_ordered(dim: int) -> list[CanonicalClass]:
-    if dim == 1:
-        return [_cls("R", Additive(1), (0,))]
+# The ordered kinds of each dimension, each named by the nonzero slots of its
+# flag table ("" is abelian), and the abelian classes' labels and orders.
+_KINDS = {1: ("",), 2: ("", "A"), 3: ("", "B", "C", "D", "A", "AC", "ABC")}
+_ABELIAN = {1: ("R", (0,)), 2: ("R2_abelian", (1, 0)), 3: ("R3", (0, 1, 2))}
+
+
+def _ordered_class(dim: int, kind: str, s: float, f: float | None) -> CanonicalClass:
+    """The canonical ordered class of a kind in dim: s is the sign of the
+    character that leads it, f (K only) its fiber character over |A|."""
+    sign = "plus" if s > 0 else "minus"
+    if not kind:
+        label, order = _ABELIAN[dim]
+        return _cls(label, Additive(dim), order)
     if dim == 2:
-        return [
-            _cls("R2_abelian", Additive(2), (1, 0)),
-            _cls("Aff_plus", SemidirectRR(1.0), (1, 0)),
-            _cls("Aff_minus", SemidirectRR(-1.0), (1, 0)),
-        ]
-    if dim == 3:
-        out = [
-            _cls("R3", Additive(3), (0, 1, 2)),
-            _cls("E_plus", Ec(1.0), (0, 1, 2)),
-            _cls("E_minus", Ec(-1.0), (0, 1, 2)),
-            _cls("ProdAff_order_yzx", GCd(1.0, 0.0), (0, 1, 2), c=1),
-            _cls("ProdAff_order_yzx", GCd(-1.0, 0.0), (0, 1, 2), c=-1),
-            _cls("ProdAff_order_zyx", GCd(0.0, 1.0), (0, 1, 2), d=1),
-            _cls("ProdAff_order_zyx", GCd(0.0, -1.0), (0, 1, 2), d=-1),
-            _cls("ProdAff_order_yxz", KCd(1.0, 0.0), (0, 1, 2), c=1),
-            _cls("ProdAff_order_yxz", KCd(-1.0, 0.0), (0, 1, 2), c=-1),
-            # representatives of the one-parameter families: f is free
-            _cls("K_plus", KCd(1.0, 2.0), (0, 1, 2), f=2.0),
-            _cls("K_minus", KCd(-1.0, 2.0), (0, 1, 2), f=2.0),
-            _cls("T_plus", Tk(1.0), (2, 1, 0)),
-            _cls("T_minus", Tk(-1.0), (2, 1, 0)),
-        ]
-        return out
-    raise InputError("canonical catalogs exist for dimensions 1, 2, 3")
+        return _cls(f"Aff_{sign}", SemidirectRR(s), (1, 0))
+    if kind == "B":
+        return _cls(f"E_{sign}", Ec(s), (0, 1, 2))
+    if kind == "C":
+        return _cls("ProdAff_order_yzx", GCd(s, 0.0), (0, 1, 2), c=s)
+    if kind == "D":
+        return _cls("ProdAff_order_zyx", GCd(0.0, s), (0, 1, 2), d=s)
+    if kind == "A":
+        return _cls("ProdAff_order_yxz", KCd(s, 0.0), (0, 1, 2), c=s)
+    if kind == "AC":
+        return _cls(f"K_{sign}", KCd(s, f), (0, 1, 2), f=f)
+    return _cls(f"T_{sign}", Tk(s), (2, 1, 0))
 
 
 def enumerate_canonical(dim: int) -> list[tuple[CanonicalClass, GroupLaw, LexOrder]]:
-    """The ordered canonical catalog: (class, law, order) per class."""
-    return [(c, c.law, c.order) for c in _canonical_ordered(dim)]
+    """The ordered canonical catalog: (class, law, order) per class, each kind
+    with both signs. K's f is free; the catalog represents it by 2."""
+    if dim not in _KINDS:
+        raise InputError("canonical catalogs exist for dimensions 1, 2, 3")
+    classes = [_ordered_class(dim, kind, s, 2.0) for kind in _KINDS[dim]
+               for s in ((1.0, -1.0) if kind else (1.0,))]
+    return [(c, c.law, c.order) for c in classes]
 
 
 # ---------------------------------------------------------------------------
 # the bracket table
-
-
-def _bracket_form(law: GroupLaw):
-    """The law's bracket table as ("abelian",), ("affine", k, chi),
-    ("heisenberg", k, i, j, b) for [e_i, e_j] = b e_k or ("plane", a, lam) for
-    [e_a, e_p] = lam[p] e_p; None for no table or no form."""
-    table = law.brackets()
-    if not table:
-        return None if table is None else ("abelian",)
-    coeff = _coefficients(table)
-    derived = sorted({k for k, _, _ in table})
-    if len(derived) == 1:
-        k = derived[0]
-        if all(k in (i, j) for _, i, j in table):
-            return "affine", k, [coeff.get((k, i, k), 0.0) for i in range(law.dim)]
-        if len(table) == 1:
-            (_, i, j), b = next(iter(table.items()))
-            return "heisenberg", k, i, j, b
-    if len(derived) == 2 and law.dim == 3:
-        a = 3 - sum(derived)
-        if all({i, j} == {a, x} for x, i, j in table):
-            return "plane", a, {p: coeff[p, a, p] for p in derived}
-    return None
 
 
 def _coefficients(table: dict) -> dict:
@@ -331,23 +315,36 @@ def _breaking_bracket(table: dict, sig: tuple[int, ...]) -> tuple[int, int, int]
     return next(((k, i, j) for k, i, j in table if rank[k] < max(rank[i], rank[j])), None)
 
 
-def _admits(table: dict, sig: tuple[int, ...]) -> bool:
-    """Whether the flag of sig is a chain of ideals under the table."""
-    return _breaking_bracket(table, sig) is None
+# The slots a chain of ideals leaves in a flag table of dimension 3: A, the
+# leading coordinate's character on the middle quotient; B, the fiber part of
+# [e_0, e_1]; C and D, the leading and the middle coordinate's characters on
+# the fiber. Dimension 2 has only A; the Jacobi identity gives A D = 0.
+_SLOTS = ((1, 0, 1), (2, 0, 1), (2, 0, 2), (2, 1, 2))
 
 
-def _admitted_table(law: GroupLaw, sig: tuple[int, ...]) -> dict | None:
-    """The law's bracket table, None when it declares none; a DomainError
-    naming the bracket that breaks the flag when the table does not admit sig."""
+def _flag_table(law: GroupLaw, sig: tuple[int, ...]) -> dict | None:
+    """The law's bracket table in the rank coordinates of sig, rank 0 the most
+    significant: {(k, i, j): b} with i < j for [e_sig[i], e_sig[j]] = b e_sig[k].
+    None when the law declares no table; a DomainError naming the bracket that
+    breaks the flag when the table does not admit sig."""
     table = law.brackets()
-    bad = None if table is None else _breaking_bracket(table, sig)
+    if table is None:
+        return None
+    bad = _breaking_bracket(table, sig)
     if bad is not None:
         k, i, j = bad
         raise DomainError(f"{type(law).__name__} with significance {sig} is not an ordered "
                           f"group: [e_{i}, e_{j}] = {table[bad]} e_{k} is more significant "
                           f"than e_{max(i, j, key=sig.index)}, so the flag is not a chain of "
                           f"ideals")
-    return table
+    rank = {c: r for r, c in enumerate(sig)}
+    return {(rank[k], rank[i], rank[j]): b
+            for (k, i, j), b in _coefficients(table).items() if rank[i] < rank[j]}
+
+
+def _slots(flag: dict) -> list[float]:
+    """A, B, C and D of a flag table, 0.0 for an empty slot."""
+    return [flag.get(slot, 0.0) for slot in _SLOTS]
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +389,21 @@ def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
         target = Tk(1.0)
         return _cls("G3", target), linear_witness(law, target, np.diag([1.0 / law.k, 1.0, 1.0]))
 
-    form = _bracket_form(law)
-    if form is None:
-        raise DomainError(f"descriptor outside the classified families: {type(law).__name__}")
-    matrix = np.zeros((n, n))
-    if form[0] == "abelian":
+    # the table in one of four forms: abelian; affine, [e_i, e_k] = chi_i e_k
+    # for one derived coordinate e_k; Heisenberg, one central derived
+    # coordinate; derived plane, [e_a, e_p] = lam_p e_p on the other two
+    table = law.brackets()
+    if table == {}:
         target = Additive(n)
-        label = {1: "R", 2: "R2_abelian", 3: "R3"}[n]
-        return _cls(label, target), linear_witness(law, target, np.eye(n))
-
-    if form[0] == "heisenberg":
-        # canonical to input: e_0, e_1 to the bracket's factors, e_2 to it
-        _, k, i, j, b = form
-        matrix[i, 0], matrix[j, 1], matrix[k, 2] = 1.0, 1.0, b
-        target = heisenberg()
-        return _cls("Heis", target), linear_witness(target, law, matrix)
-
-    if form[0] == "affine":
+        return _cls(_ABELIAN[n][0], target), linear_witness(law, target, np.eye(n))
+    coeff = _coefficients(table or {})
+    derived = sorted({k for k, _, _ in coeff})
+    matrix = np.zeros((n, n))
+    if len(derived) == 1 and all(derived[0] in (i, j) for _, i, j in table):
         # rows e_k, the character chi and, in dimension 3, the last coordinate
         # that completes them
-        _, k, chi = form
+        k = derived[0]
+        chi = [coeff.get((k, i, k), 0.0) for i in range(n)]
         matrix[0, k], matrix[1] = 1.0, chi
         target = SemidirectRR(1.0)
         if n == 3:
@@ -419,13 +411,24 @@ def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
             target = Product(target, Additive(1))
         return _cls("Aff" if n == 2 else "ProdAff", target), linear_witness(law, target, matrix)
 
-    # the acting coordinate scaled by the larger eigenvalue, then the plane
-    _, a, lam = form
-    (p, lp), (q, lq) = sorted(lam.items(), key=lambda item: abs(item[1]))
-    matrix[0, a], matrix[1, p], matrix[2, q] = lq, 1.0, 1.0
-    sd2 = KCd(lp / lq, 1.0)
-    return (_cls("SD2", sd2, c=lp / lq),
-            linear_witness(law, sd2, matrix, name="module_swap" if p > q else None))
+    if len(derived) == 1 and len(table) == 1:
+        # canonical to input: e_0, e_1 to the bracket's factors, e_2 to it
+        (k, i, j), b = next(iter(table.items()))
+        matrix[i, 0], matrix[j, 1], matrix[k, 2] = 1.0, 1.0, b
+        target = heisenberg()
+        return _cls("Heis", target), linear_witness(target, law, matrix)
+
+    if len(derived) == 2 and n == 3:
+        a = 3 - sum(derived)
+        if all({i, j} == {a, x} for x, i, j in table):
+            # the acting coordinate scaled by the larger eigenvalue, then the plane
+            lam = {p: coeff[p, a, p] for p in derived}
+            (p, lp), (q, lq) = sorted(lam.items(), key=lambda item: abs(item[1]))
+            matrix[0, a], matrix[1, p], matrix[2, q] = lq, 1.0, 1.0
+            sd2 = KCd(lp / lq, 1.0)
+            return (_cls("SD2", sd2, c=lp / lq),
+                    linear_witness(law, sd2, matrix, name="module_swap" if p > q else None))
+    raise DomainError(f"descriptor outside the classified families: {type(law).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -462,59 +465,38 @@ def _perm_matrix(src_sig: tuple[int, ...], dst_sig: tuple[int, ...]) -> np.ndarr
 
 
 def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
-    _admitted_table(law, sig)
-    if isinstance(law, Tk) and law.k != 0.0 and sig == (2, 1, 0):
-        s = 1.0 if law.k > 0 else -1.0
-        canon = _cls("T_plus" if s > 0 else "T_minus", Tk(s), (2, 1, 0))
-        return canon, linear_witness(law, canon.law, np.diag([1.0 / abs(law.k), 1.0, 1.0]))
-
-    form = _bracket_form(law)
-    if form is None:
-        raise DomainError(f"no canonical form for {type(law).__name__} with significance {sig}")
-
-    if form[0] == "abelian":
-        canon = _canonical_ordered(law.dim)[0]
-        return canon, linear_witness(law, canon.law, _perm_matrix(sig, canon.order.significance))
-
+    flag = _flag_table(law, sig)
     if isinstance(law, SUT3):
         canon, tail = _classify_ordered(heisenberg(), sig)
         return canon, compose_witness(tail, _classify_group(law)[1])
 
-    # the witness lists the coordinates in significance order and writes the
-    # entries `row` into the acting coordinate's row
-    if form[0] == "affine":
-        # the least significant coordinate acting on e_k acts, and the place
-        # of the remaining coordinate picks the order type
-        _, k, chi = form
-        act = max((i for i, x in enumerate(chi) if x), key=sig.index)
-        s = 1.0 if chi[act] > 0 else -1.0
-        if law.dim == 2:
-            canon = _cls("Aff_plus" if s > 0 else "Aff_minus", SemidirectRR(s), (1, 0))
-        else:
-            canon = [_cls("ProdAff_order_zyx", GCd(0.0, s), (0, 1, 2), d=s),
-                     _cls("ProdAff_order_yzx", GCd(s, 0.0), (0, 1, 2), c=s),
-                     _cls("ProdAff_order_yxz", KCd(s, 0.0), (0, 1, 2), c=s),
-                     ][sig.index(3 - k - act)]
-        # s chi's nonzero entries only, so a zero stays 0.0 and never -0.0
-        row = {i: s * x for i, x in enumerate(chi) if x}
-    elif form[0] == "heisenberg":
-        # [e_sig0, e_sig1] = b e_sig2 and E(s) has 2 s: e_sig0 scales by |b| / 2
-        _, _, i, _, b = form
-        b = b if i == sig[0] else -b
-        act, s = sig[0], 1.0 if b > 0 else -1.0
-        canon = _cls("E_plus" if s > 0 else "E_minus", Ec(s), (0, 1, 2))
-        row = {act: abs(b) / 2}
+    # the nonzero slots name the kind (a law with no table has none) and
+    # `lead`, the character whose sign picks the class; the witness sends each
+    # rank to the same rank and then takes `entries`, {(rank row, rank
+    # column): x}, each x nonzero
+    a, b, c, d = _slots(flag or {})
+    kind = None if flag is None else "".join(n for n, x in zip("ABCD", (a, b, c, d)) if x)
+    if kind in ("", "A", "C", "AC"):
+        # the leading coordinate scales by the size of its first character
+        lead = a or c or 1.0
+        entries = {(0, 0): abs(lead)} if kind else {}
+    elif kind in ("D", "CD"):
+        # the middle coordinate's row is the fiber's character, negated if D < 0
+        lead, kind = d, "D"
+        entries = {(1, r): x if d > 0 else -x for r, x in enumerate((c, d)) if x}
+    elif kind == "B":
+        # E(s) has B = 2 s: the leading coordinate scales by |B| / 2
+        lead, entries = b, {(0, 0): abs(b) / 2}
+    elif kind == "ABC" and a == c == 1.0:
+        # T(s) has B = s: the fiber scales by 1 / |B|
+        lead, entries = b, {(2, 2): 1.0 / abs(b)}
     else:
-        # e_act leads; the middle coordinate's eigenvalue scales it and its
-        # sign picks K_plus or K_minus
-        _, act, lam = form
-        mid = lam[sig[1]]
-        s, f = 1.0 if mid > 0 else -1.0, lam[sig[2]] / abs(mid)
-        canon = _cls("K_plus" if s > 0 else "K_minus", KCd(s, f), (0, 1, 2), f=f)
-        row = {act: abs(mid)}
+        raise DomainError(f"no canonical form for {type(law).__name__} with significance {sig}")
+    s = 1.0 if lead > 0 else -1.0
+    canon = _ordered_class(law.dim, kind, s, c / abs(a) if kind == "AC" else None)
     matrix = _perm_matrix(sig, canon.order.significance)
-    for i, x in row.items():
-        matrix[canon.order.significance[sig.index(act)], i] = x
+    for (row, col), x in entries.items():
+        matrix[canon.order.significance[row], sig[col]] = x
     return canon, linear_witness(law, canon.law, matrix)
 
 
@@ -544,38 +526,30 @@ class NotSeparated:
 
 
 def _table_invariants(spec: OrderedGroupSpec) -> dict:
-    """The battery read off the bracket table under the order's flag.
+    """The battery: the signs of the flag table's slots.
 
     Each direction is the sign of a Lie-algebra character over the positive
-    cone: None (mixed) when the character reads a coordinate other than the
-    leading one, since the cone holds elements whose leading coordinate is
-    tiny next to the others.
+    cone: None (mixed) when D makes the character read the middle coordinate
+    too, since the cone holds elements whose leading coordinate is tiny next
+    to the others.
     """
     law, sig = spec.law, spec.order.significance
     _require_dimension(law)
-    table = _admitted_table(law, sig)
-    if table is None:
+    flag = _flag_table(law, sig)
+    if flag is None:
         raise DomainError(f"{type(law).__name__} with significance {sig} has no bracket "
                           f"table whose flag is a chain of ideals")
-    coeff = _coefficients(table)
-
-    def sign(k, i, j):
-        """The sign of the coefficient of e_k in [e_i, e_j]."""
-        b = coeff.get((k, i, j), 0.0)
-        return (b > 0) - (b < 0)
-
+    a, b, c, d = ((x > 0) - (x < 0) for x in _slots(flag))
     if law.dim == 1:
         return {}
     if law.dim == 2:
-        s0, fib = sig
-        return {"abelian": not table, "fiber_conjugation_direction": sign(fib, s0, fib)}
-    s0, mid, fib = sig
+        return {"abelian": not flag, "fiber_conjugation_direction": a}
     return {
-        "abelian_convex_plane": all({i, j} != {mid, fib} for _, i, j in table),
-        "commutator_sign": None if sign(fib, fib, mid) else sign(fib, s0, mid),
-        "fiber_conjugation_direction": None if sign(fib, mid, fib) else sign(fib, s0, fib),
-        "middle_conjugation_direction": sign(mid, s0, mid),
-        "middle_action_on_fiber": sign(fib, mid, fib),
+        "abelian_convex_plane": not d,
+        "commutator_sign": None if d else b,
+        "fiber_conjugation_direction": None if d else c,
+        "middle_conjugation_direction": a,
+        "middle_action_on_fiber": d,
     }
 
 

@@ -24,6 +24,9 @@ class Tolerance:
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise InputError("tolerances must be strictly positive")
+        if not (np.isfinite(self.abs_tol) and np.isfinite(self.rel_tol)):
+            # an infinite bound passes every finite gap: it would check nothing
+            raise InputError("tolerances must be finite")
 
     def verdict(self, gap, parts) -> tuple[float, bool]:
         """The largest gap (NaN if any is), and whether every gap passes

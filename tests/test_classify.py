@@ -38,7 +38,7 @@ from ordgroups import (
     separating_invariant,
     verify_witness,
 )
-from ordgroups.classify import _admits, _table_invariants
+from ordgroups.classify import _breaking_bracket, _flag_table, _table_invariants
 from ordgroups.selftest import _law_grid, _paper_witnesses
 from ordgroups.tolerance import DEFAULT_TOL
 
@@ -303,7 +303,8 @@ def test_every_ordered_pair_classifies_with_a_verified_witness():
             except DomainError:
                 classified = False
             ordered = check_translation_invariance(OrderedGroupSpec(law, order), cfg).passed
-            if classified != ordered or _admits(law.brackets(), sig) != ordered:
+            admitted = _breaking_bracket(law.brackets(), sig) is None
+            if classified != ordered or admitted != ordered:
                 wrong.append((law, sig))
     assert wrong == []
 
@@ -578,6 +579,14 @@ def test_separating_invariant_rejects_a_spec_outside_the_admitted_ordered_groups
             separating_invariant(a, b)
 
 
+def test_separating_invariant_on_a_law_with_no_bracket_table_says_so():
+    spec = OrderedGroupSpec(extension_from_cocycle(heis_module(), heis_cocycle(1.0)), XYZ)
+    with pytest.raises(DomainError) as exc:
+        separating_invariant(spec, OrderedGroupSpec(Ec(1.0), XYZ))
+    assert str(exc.value) == ("CocycleLaw with significance (0, 1, 2) has no bracket table "
+                              "whose flag is a chain of ideals")
+
+
 def test_separating_invariant_past_dimension_3_is_a_domain_error():
     spec = OrderedGroupSpec(Product(Additive(2), Additive(2)), LexOrder((0, 1, 2, 3)))
     with pytest.raises(DomainError, match="dimensions 1 to 3 only"):
@@ -642,7 +651,7 @@ def _classified_specs():
     out = []
     for law in dict.fromkeys(laws):
         for sig in permutations(range(law.dim)):
-            if _admits(law.brackets(), sig):
+            if _breaking_bracket(law.brackets(), sig) is None:
                 cls, wit = classify_ordered(law, LexOrder(sig), cfg)
                 out.append((OrderedGroupSpec(law, LexOrder(sig)), cls, wit))
     return out
@@ -659,6 +668,28 @@ def test_specs_of_one_ordered_class_are_never_separated():
                  for i, a in enumerate(specs) for b in specs[i + 1:]
                  if isinstance(ev := separating_invariant(a, b), Evidence)]
     assert separated == []
+
+
+def test_flag_tables_fill_four_slots_and_name_catalog_classes():
+    # a chain of ideals leaves the slots A = (1,0,1), B = (2,0,1), C = (2,0,2)
+    # and D = (2,1,2), and the Jacobi identity on the flag basis reads A D = 0.
+    # Each ordered class is a catalog entry, K up to its free f.
+    slots = {1: set(), 2: {(1, 0, 1)}, 3: {(1, 0, 1), (2, 0, 1), (2, 0, 2), (2, 1, 2)}}
+    catalog = {(cls.label, cls.params): cls
+               for dim in (1, 2, 3) for cls, _, _ in enumerate_canonical(dim)}
+    wrong = []
+    for spec, cls, _ in _classified_specs():
+        flag = _flag_table(spec.law, spec.order.significance)
+        a, d = flag.get((1, 0, 1), 0.0), flag.get((2, 1, 2), 0.0)
+        if not set(flag) <= slots[spec.law.dim] or a * d != 0.0:
+            wrong.append((spec, flag))
+        if cls.label.startswith("K_"):
+            k = catalog[cls.label, (("f", 2.0),)]
+            if (cls.law, cls.order) != (KCd(k.law.c, cls.param_dict["f"]), k.order):
+                wrong.append((spec, cls))
+        elif cls != catalog.get((cls.label, cls.params)):
+            wrong.append((spec, cls))
+    assert wrong == []
 
 
 def _cone(rng, dim, coords, n=600):

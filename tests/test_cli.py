@@ -421,6 +421,16 @@ def test_box_whose_width_overflows_is_an_input_error(capsys, argv, box):
     _assert_input_error(capsys, *argv, "--box", box)
 
 
+@pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+def test_an_infinite_tolerance_is_an_input_error(capsys, flag):
+    # diag(1, 5) is no homomorphism of the affine group (hom_residual about
+    # 8.5e6), and an infinite bound would pass it
+    argv = ["witness-verify", "--source", _SD, "--target", _SD, "--matrix", "[[1,0],[0,5]]"]
+    assert main(argv) == 4
+    assert main(argv + [flag, "inf"]) == 2
+    assert capsys.readouterr().err == "input error: tolerances must be finite\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("cocycle-check", "--cocycle", '{"cocycle":"heis"}'),
     ("witness-verify", "--source", _SD, "--target", _SD, "--matrix", "[[1,0],[0,1]]"),
@@ -537,3 +547,11 @@ def test_not_an_ordered_group_message_prints_plain_floats(capsys):
     assert err == ("domain error: SemidirectRR with significance (0, 1) is not an ordered "
                    "group: [e_1, e_0] = 1.0 e_0 is more significant than e_1, so the flag "
                    "is not a chain of ideals\n")
+
+
+def test_an_order_on_a_law_with_no_bracket_table_has_no_canonical_form(capsys):
+    code = main(["classify", "--law", '{"family":"from_cocycle","params":{"cocycle":"heis"}}',
+                 "--order", "0,1,2"])
+    assert code == 3
+    assert capsys.readouterr().err == ("domain error: no canonical form for CocycleLaw with "
+                                       "significance (0, 1, 2)\n")
