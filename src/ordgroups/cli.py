@@ -201,6 +201,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    _tolerance(args)  # a malformed tolerance is an input error, not failed criteria
     cfg = selftest.RunConfig(seed=args.seed, samples=args.samples, box=args.box,
                              abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     report = selftest.run_all(cfg)

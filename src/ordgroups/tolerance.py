@@ -84,7 +84,7 @@ class SampleConfig:
         return np.random.default_rng((self.seed, stream))
 
     def sample(self, dim: int, stream: int = 0, count: int | None = None,
-               start: int = 0) -> np.ndarray:
+               start: int = 0, out: np.ndarray | None = None) -> np.ndarray:
         """Rows start .. start + count (count defaults to self.count) of the
         stream's one row-major uniform draw, as a coordinate-major (count, dim)
         array. The generator skips the first start rows (PCG64 advances by any
@@ -94,11 +94,13 @@ class SampleConfig:
 
         Each block is filled as Generator.uniform(-box, box) fills it, bit for
         bit: -box + 2 box u for u from Generator.random, in one reused
-        row-major buffer, copied once into the result."""
+        row-major buffer, copied once into the result: out, a given (count,
+        dim) array, or a new coordinate-major one."""
         n = self.count if count is None else count
         rng = self.rng(stream)
         rng.bit_generator.advance(start * dim)
-        out = np.empty((n, dim), order="F")
+        if out is None:
+            out = np.empty((n, dim), order="F")
         buf = np.empty((min(n, BLOCK_ROWS), dim))
         for rows in row_blocks(n):
             block = buf[:rows.stop - rows.start]
@@ -110,16 +112,33 @@ class SampleConfig:
 
     def sample_blocks(self, dim: int, streams, count: int | None = None):
         """Per row block of rows 0 .. count (count defaults to self.count),
-        that block of each stream's draw. The streams are drawn DRAW_BLOCKS
-        blocks at a time through sample."""
+        that block of each stream's draw. The streams are drawn through sample
+        in groups of DRAW_BLOCKS blocks, each group one new array holding every
+        stream. Past one group, one worker thread fills the next group while
+        the caller checks this one (Generator.random releases the GIL)."""
         n = self.count if count is None else count
         step = DRAW_BLOCKS * BLOCK_ROWS
-        for start in range(0, n, step):
-            draws = [self.sample(dim, s, min(step, n - start), start) for s in streams]
-            for rows in row_blocks(len(draws[0])):
+
+        def group(start):
+            # allocated on the calling thread; the returned call fills it
+            out = np.empty((len(streams), dim, min(step, n - start)))
+            return lambda: [self.sample(dim, s, out.shape[2], start, part.T)
+                            for s, part in zip(streams, out)]
+
+        if n <= step:
+            draws = [self.sample(dim, s, n) for s in streams]
+            for rows in row_blocks(n):
                 yield [d[rows] for d in draws]
-            # freed before the next draw is made, unless the caller holds a block
-            del draws
+            return
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1) as worker:
+            ahead = worker.submit(group(0))
+            for start in range(step, n + step, step):
+                draws = ahead.result()
+                if start < n:
+                    ahead = worker.submit(group(start))
+                for rows in row_blocks(len(draws[0])):
+                    yield [d[rows] for d in draws]
 
 
 DEFAULT_TOL = Tolerance()
@@ -127,14 +146,15 @@ DEFAULT_TOL = Tolerance()
 # Rows per block of a sampled check. A block of 3 float64 coordinates is
 # 768 KiB, so the few temporaries a check holds per block stay in a 4 MiB L2.
 BLOCK_ROWS = 1 << 15
-# Blocks per draw in sample_blocks: about 3 MiB per stream at 3 coordinates.
-# glibc's malloc hands freed memory back to the system above a threshold set
-# by the largest mapping it has released. When nothing larger than a block had
-# been freed, each block's temporaries were handed back and faulted in again:
-# a 10^6-row axiom check after a cocycle check took about 85,000 page faults
-# and 0.2 s more (x86-64 Linux, glibc, numpy 2.4). Freeing one draw of 4
-# blocks lifts the threshold above the temporaries of a block.
-DRAW_BLOCKS = 4
+# Blocks per draw group in sample_blocks, which holds the group being checked
+# and the next one, being drawn: together 4 blocks per stream, about 3 MiB at 3
+# coordinates. Each group is one array for all its streams, and the memory it
+# frees keeps glibc from handing each block's temporaries back to the system
+# and faulting them in again: two cycles of the 8 bulk benchmark commands at
+# 10^6 rows took 47,000 minor page faults, against 380,000 with one array per
+# stream at 2 blocks and 109,000 with per-stream draws of 4 blocks and no
+# worker (x86-64 Linux, glibc, numpy 2.4).
+DRAW_BLOCKS = 2
 
 
 def row_blocks(n: int):

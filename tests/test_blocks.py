@@ -11,6 +11,7 @@ they replaced, which materialized the sorted pairs lo < hi.
 """
 
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from ordgroups import tolerance
 from ordgroups.classify import classify_ordered, function_witness, linear_witness, verify_witness
 from ordgroups.cohomology import check_cocycle, cocycle_residual, g3_cocycle, heis_cocycle
+from ordgroups.errors import InputError
 from ordgroups.groups import (
     SUT3,
     Additive,
@@ -166,8 +168,8 @@ def test_cocycle_residual(monkeypatch, cochain, cfg, nan):
 class _CoarseSamples(SampleConfig):
     """Samples rounded to a coarse grid, so coordinates and whole rows tie."""
 
-    def sample(self, dim, stream=0, count=None, start=0):
-        return np.round(super().sample(dim, stream, count, start))
+    def sample(self, dim, stream=0, count=None, start=0, out=None):
+        return np.round(super().sample(dim, stream, count, start, out), out=out)
 
 
 COARSE = _CoarseSamples(seed=22, count=300)
@@ -420,8 +422,8 @@ class _TiedRows(SampleConfig):
     stream 11: those pairs tie at every level, and no coordinate ties
     elsewhere."""
 
-    def sample(self, dim, stream=0, count=None, start=0):
-        out = super().sample(dim, stream, count, start)
+    def sample(self, dim, stream=0, count=None, start=0, out=None):
+        out = super().sample(dim, stream, count, start, out)
         if stream == 12:
             rows = np.flatnonzero((start + np.arange(len(out))) % 7 == 0)
             out[rows] = super().sample(dim, 11, count, start)[rows]
@@ -447,8 +449,9 @@ def test_ties_leave_each_pair_its_own_translating_element(monkeypatch, size, dra
 
 def _peak_in_sample_arrays(check, count=1 << 19, dim=3):
     """The peak memory check(cfg) allocates at count rows, in units of one
-    (count, dim) float64 array. 2^19 rows are 4 draws of DRAW_BLOCKS blocks,
-    so a streamed draw is a quarter of a whole one."""
+    (count, dim) float64 array. 2^19 rows are 8 groups of DRAW_BLOCKS blocks,
+    so a streamed group and the next one, drawn ahead, are a quarter of a
+    whole draw."""
     tracemalloc.start()
     try:
         check(SampleConfig(count=count))
@@ -538,14 +541,14 @@ def test_streamed_rows_equal_the_whole_draw(dim):
 
 
 @pytest.mark.parametrize("count, sizes", [
-    (5, [3, 2]),  # part of one draw, a ragged block
-    (12, [3] * 4),  # one whole draw
+    (5, [3, 2]),  # part of one group, a ragged block
+    (12, [3] * 4),  # one whole group
     (13, [3] * 4 + [1]),
     (31, [3] * 10 + [1]),
     (None, [3] * 6 + [2]),  # cfg.count
 ])
 def test_sample_blocks_are_the_draws_rows(monkeypatch, count, sizes):
-    # a draw is DRAW_BLOCKS = 4 blocks of 3 rows
+    # a group is DRAW_BLOCKS = 4 blocks of 3 rows; past one, a worker draws
     monkeypatch.setattr(tolerance, "BLOCK_ROWS", 3)
     monkeypatch.setattr(tolerance, "DRAW_BLOCKS", 4)
     cfg = SampleConfig(seed=3, count=20)
@@ -555,6 +558,77 @@ def test_sample_blocks_are_the_draws_rows(monkeypatch, count, sizes):
         assert np.array_equal(np.concatenate(got), cfg.sample(2, stream, sum(sizes)))
         # each coordinate column of a block is contiguous
         assert all(block.strides[0] == block.itemsize for block in got)
+
+
+# --- the next draw group, filled on a worker thread ----------------------------
+
+# five draw groups of DRAW_BLOCKS = 2 blocks of 2^15 rows
+PREFETCHED = 300_000
+
+
+def _witness_verify(cfg):
+    # the README example: semidirect_rr(2) -> semidirect_rr(1) by diag(1, 2)
+    orders = (LexOrder((1, 0)), LexOrder((1, 0)))
+    return verify_witness(linear_witness(SemidirectRR(2.0), SemidirectRR(1.0),
+                                         [[1, 0], [0, 2]], order_pair=orders), cfg)
+
+
+@pytest.mark.parametrize("check", [
+    lambda cfg: check_group_axioms(Tk(1.0), cfg),
+    lambda cfg: check_cocycle(g3_cocycle(1.0), cfg),
+    lambda cfg: classify_ordered(Ec(-4.0), LexOrder((0, 1, 2)), cfg),
+    _witness_verify,
+    lambda cfg: check_conjugation_order_preserving(
+        OrderedGroupSpec(KCd(1.0, 1.0), LexOrder((0, 1, 2))), (1, 2), cfg),
+], ids=["axioms", "cocycle", "classification", "witness", "conjugation"])
+def test_prefetched_groups_give_the_one_group_report(monkeypatch, check):
+    threads = set()
+    sample = SampleConfig.sample
+
+    def recording(self, *args, **kwargs):
+        threads.add(threading.get_ident())
+        return sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampleConfig, "sample", recording)
+    cfg = SampleConfig(seed=22, count=PREFETCHED)
+    prefetched = dumps(check(cfg))
+    assert threads - {threading.get_ident()}  # some group was drawn on the worker
+    threads.clear()
+    # one group covers every row: no worker runs
+    monkeypatch.setattr(tolerance, "DRAW_BLOCKS", -(-PREFETCHED // tolerance.BLOCK_ROWS))
+    assert dumps(check(cfg)) == prefetched
+    assert threads == {threading.get_ident()}
+
+
+class _WorkerRejects(SampleConfig):
+    """Draws that the worker thread rejects as malformed input."""
+
+    def sample(self, dim, stream=0, count=None, start=0, out=None):
+        if start and threading.current_thread() is not threading.main_thread():
+            raise InputError(f"rows from {start} rejected")
+        return super().sample(dim, stream, count, start, out)
+
+
+def test_an_input_error_on_the_worker_reaches_the_caller():
+    group = tolerance.DRAW_BLOCKS * tolerance.BLOCK_ROWS
+    blocks = _WorkerRejects(count=PREFETCHED).sample_blocks(3, (1, 2))
+    seen = 0
+    with pytest.raises(InputError, match=f"^rows from {group} rejected$"):
+        for _ in blocks:
+            seen += 1
+    # the first group's blocks came before the error
+    assert seen == tolerance.DRAW_BLOCKS
+
+
+def test_closing_the_blocks_after_the_first_raises_nothing():
+    running = threading.active_count()
+    blocks = SampleConfig(count=PREFETCHED).sample_blocks(3, (1, 2))
+    first = next(blocks)
+    assert threading.active_count() == running + 1
+    blocks.close()
+    # the group in flight is finished and the worker joined
+    assert threading.active_count() == running
+    assert np.array_equal(first[1], SampleConfig(count=PREFETCHED).sample(3, 2, len(first[1])))
 
 
 def test_pair_blocks_keep_contiguous_columns(monkeypatch):

@@ -431,6 +431,18 @@ def test_an_infinite_tolerance_is_an_input_error(capsys, flag):
     assert capsys.readouterr().err == "input error: tolerances must be finite\n"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--abs-tol", "0"), ("--abs-tol", "nan"), ("--rel-tol", "inf"),
+])
+def test_selftest_rejects_a_malformed_tolerance_as_axioms_does(capsys, flag, value):
+    # one input error before any criterion runs, not a failed report per criterion
+    assert main(["axioms", "--law", '{"family":"additive","params":{"n":1}}', flag, value]) == 2
+    expected = capsys.readouterr().err
+    assert main(["selftest", "--samples", "10", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == expected
+
+
 @pytest.mark.parametrize("argv", [
     ("cocycle-check", "--cocycle", '{"cocycle":"heis"}'),
     ("witness-verify", "--source", _SD, "--target", _SD, "--matrix", "[[1,0],[0,1]]"),

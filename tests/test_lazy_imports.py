@@ -26,6 +26,7 @@ print(json.dumps({
     "executed": sorted(name for name, m in sys.modules.items()
                        if name.startswith("ordgroups.") and type(m) is types.ModuleType),
     "registered": sorted(name for name in sys.modules if name.startswith("ordgroups.")),
+    "futures": "concurrent.futures" in sys.modules,
 }))
 """
 
@@ -73,6 +74,16 @@ def test_classify_runs_no_cohomology_actions_or_selftest(tmp_path):
     assert got["executed"] == [f"ordgroups.{m}" for m in ("classify", "cli", "errors", "groups",
                                                           "jsonio", "orders", "tolerance")]
     assert got["registered"] == _EVERY
+    # 1000 samples fit in one draw group: no worker thread, no thread pool
+    assert got["futures"] is False
+
+
+def test_a_draw_past_one_group_loads_the_thread_pool(tmp_path):
+    out = tmp_path / "out"
+    got = _fresh(_CLI_PROBE, str(out), "axioms", "--law", '{"family":"t_k","params":{"k":1}}',
+                 "--samples", "300000")
+    assert got["code"] == 0
+    assert got["futures"] is True
 
 
 def test_every_public_name_is_its_submodule_s_attribute():

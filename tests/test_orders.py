@@ -191,8 +191,8 @@ def _reference_ordered_pairs(order, cfg, dim):
 class _CoarseSamples(SampleConfig):
     """Samples rounded to a coarse grid, so coordinates and whole rows tie."""
 
-    def sample(self, dim, stream=0, count=None, start=0):
-        return np.round(super().sample(dim, stream, count, start))
+    def sample(self, dim, stream=0, count=None, start=0, out=None):
+        return np.round(super().sample(dim, stream, count, start, out), out=out)
 
 
 def _assembled_pairs(pairs, cfg):
