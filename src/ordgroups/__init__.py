@@ -18,12 +18,11 @@ _PUBLIC = {
     "classify": "CanonicalClass Evidence IsoWitness NotSeparated classify_group "
                 "classify_ordered compose_witness enumerate_canonical function_witness "
                 "invert_witness linear_witness separating_invariant verify_witness",
-    "cohomology": "Cochain CocycleLaw GModule coboundary cocycle_residual constant_cochain "
-                  "extension_from_cocycle g3_cocycle g3_module heis_cocycle heis_module "
-                  "normalize_cocycle ordered_extension verify_coboundary_witness",
+    "cohomology": "Cochain CocycleLaw GModule coboundary cocycle_residual extension_from_cocycle "
+                  "g3_cocycle g3_module heis_cocycle heis_module normalize_cocycle",
     "errors": "DomainError InputError",
     "groups": "Additive Ec GCd GroupLaw KCd Product SemidirectRR SUT3 Tk check_group_axioms "
-              "commutator conjugate g3 heis_to_sut3 heisenberg invert multiply "
+              "commutator conjugate heis_to_sut3 heisenberg invert multiply "
               "one_param_through sut3_to_heis",
     "jsonio": "dumps law_from_descriptor order_from_descriptor",
     "orders": "Comparison LexOrder OrderedGroupSpec check_conjugation_order_preserving "

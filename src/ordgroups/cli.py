@@ -154,8 +154,7 @@ def cmd_classify(args) -> int:
     else:
         cls, wit = classify.classify_group(law, cfg, tol)
     payload = {
-        "label": cls.label,
-        "params": cls.param_dict,
+        **cls.to_dict(),
         "canonical": cls.law.descriptor(),
         "canonical_order": None if cls.order is None else list(cls.order.significance),
         "witness": wit.to_dict(),
@@ -191,8 +190,7 @@ def cmd_catalog(args) -> int:
         for cls, law, order in classify.enumerate_canonical(dim):
             entries.append({
                 "dim": dim,
-                "label": cls.label,
-                "params": cls.param_dict,
+                **cls.to_dict(),
                 "law": law.descriptor(),
                 "order": list(order.significance),
             })
@@ -201,7 +199,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    _tolerance(args)  # a malformed tolerance is an input error, not failed criteria
+    # malformed sampling flags or tolerances are input errors, not failed criteria
+    _sample_config(args)
+    _tolerance(args)
     cfg = selftest.RunConfig(seed=args.seed, samples=args.samples, box=args.box,
                              abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     report = selftest.run_all(cfg)

@@ -22,7 +22,6 @@ import numpy as np
 from .actions import ExpAction, act, affine_on_semidirect, trivial
 from .errors import DomainError, InputError
 from .groups import Additive, GroupLaw, SemidirectRR, _result
-from .orders import LexOrder, OrderedGroupSpec
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
@@ -70,18 +69,6 @@ class Cochain:
     def __post_init__(self):
         if self.degree < 0:
             raise InputError("cochain degree must be >= 0")
-
-    def __call__(self, *args: np.ndarray) -> np.ndarray:
-        if len(args) != self.degree:
-            raise InputError(f"degree-{self.degree} cochain takes {self.degree} arguments")
-        return self.fn(*args)
-
-
-def constant_cochain(module: GModule, value) -> Cochain:
-    v = np.atleast_1d(np.asarray(value, dtype=float))
-    if v.shape != (module.N.dim,):
-        raise InputError("constant must be a module element")
-    return Cochain(degree=0, fn=lambda: v, module=module)
 
 
 def heis_cocycle(c: float) -> Cochain:
@@ -132,18 +119,16 @@ class CoboundaryReport:
 
 
 def check_coboundary(
-    f: Cochain, cfg: SampleConfig, streams, tol: Tolerance = DEFAULT_TOL,
-    target: Cochain | None = None
+    f: Cochain, cfg: SampleConfig, streams, tol: Tolerance = DEFAULT_TOL
 ) -> CoboundaryReport:
-    """Whether df - target (df when target is None) vanishes on cfg's draws
-    from streams, one stream per argument of df, drawn one row block at a
-    time. The residual is the largest raw |df - target|; each coordinate
-    passes on the tolerance rule against the largest |term| of the sum in its
-    row."""
+    """Whether df vanishes on cfg's draws from streams, one stream per
+    argument of df, drawn one row block at a time. The residual is the
+    largest raw |df|; each coordinate passes on the tolerance rule against the
+    largest |term| of the sum in its row."""
     df = coboundary(f)
     worst, passed = -np.inf, True
     for gs in cfg.sample_blocks(f.module.H.dim, streams):
-        terms = df.terms(*gs) + ([] if target is None else [-target.fn(*gs)])
+        terms = df.terms(*gs)
         gap, ok = tol.verdict(np.abs(functools.reduce(np.add, terms)), terms)
         worst, passed = np.maximum(worst, gap), passed and ok
     return CoboundaryReport(passed=passed, residual=float(worst))
@@ -161,17 +146,6 @@ def check_cocycle(
 def cocycle_residual(f: Cochain, cfg: SampleConfig = SampleConfig()) -> float:
     """Max norm of the coboundary of a degree-2 cochain over sampled triples."""
     return check_cocycle(f, cfg).residual
-
-
-def verify_coboundary_witness(
-    f: Cochain, g: Cochain, cfg: SampleConfig = SampleConfig(), tol: Tolerance = DEFAULT_TOL
-) -> CoboundaryReport:
-    """Check that the degree-1 cochain g satisfies dg = f on sampled pairs."""
-    if f.degree != 2 or g.degree != 1:
-        raise InputError("witness check takes a degree-2 cochain and a degree-1 cochain")
-    if f.module != g.module:
-        raise InputError("cochains live over different modules")
-    return check_coboundary(g, cfg, (41, 42), tol, f)
 
 
 def normalize_cocycle(f: Cochain) -> Cochain:
@@ -253,27 +227,3 @@ def extension_from_cocycle(
             "not be associative"
         )
     return CocycleLaw(module=module, cochain=f)
-
-
-def ordered_extension(
-    module: GModule,
-    order_h: LexOrder,
-    order_n: LexOrder,
-    f: Cochain,
-    cfg: SampleConfig = SampleConfig(),
-    tol: Tolerance = DEFAULT_TOL,
-) -> OrderedGroupSpec:
-    """Extension law ordered lexicographically, quotient chart most significant.
-
-    The action preserves the module order: ExpAction admits finite exponents
-    only, so each coordinate's scaling e^{finite} is positive.
-    """
-    if order_h.dim != module.H.dim or order_n.dim != module.N.dim:
-        raise InputError("orders do not match module chart dimensions")
-    law = extension_from_cocycle(module, f, cfg, tol)
-    k = module.N.dim
-    significance = tuple(k + i for i in order_h.significance) + tuple(
-        order_n.significance
-    )
-    return OrderedGroupSpec(law=law, order=LexOrder(significance))
-

@@ -305,11 +305,6 @@ class Tk(GroupLaw):
         return out
 
 
-def g3() -> Tk:
-    """The nonsplit affine-group extension in its unit-cocycle chart."""
-    return Tk(1.0)
-
-
 @dataclass(frozen=True)
 class Product(GroupLaw):
     family = "product"

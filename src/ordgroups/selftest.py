@@ -328,10 +328,7 @@ def criterion_ordered_checks(cfg: RunConfig) -> CriterionResult:
                     conj_ok = conj_ok and crep.passed
             entry_ok = rep.passed and conj_ok
             ok = ok and entry_ok
-            details["classes"].append(
-                {"label": cls.label, "params": cls.param_dict, "passed": entry_ok,
-                 "pairs": rep.checked}
-            )
+            details["classes"].append({**cls.to_dict(), "passed": entry_ok, "pairs": rep.checked})
 
     # negative control: dominant normal coordinate breaks right invariance
     bad = OrderedGroupSpec(SemidirectRR(1.0), LexOrder((0, 1)))

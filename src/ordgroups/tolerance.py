@@ -110,13 +110,13 @@ class SampleConfig:
             out[rows] = block
         return out
 
-    def sample_blocks(self, dim: int, streams, count: int | None = None):
-        """Per row block of rows 0 .. count (count defaults to self.count),
-        that block of each stream's draw. The streams are drawn through sample
-        in groups of DRAW_BLOCKS blocks, each group one new array holding every
-        stream. Past one group, one worker thread fills the next group while
-        the caller checks this one (Generator.random releases the GIL)."""
-        n = self.count if count is None else count
+    def sample_blocks(self, dim: int, streams):
+        """Per row block of rows 0 .. self.count, that block of each stream's
+        draw. The streams are drawn through sample in groups of DRAW_BLOCKS
+        blocks, each group one new array holding every stream. Past one group,
+        one worker thread fills the next group while the caller checks this
+        one (Generator.random releases the GIL)."""
+        n = self.count
         step = DRAW_BLOCKS * BLOCK_ROWS
 
         def group(start):

@@ -545,17 +545,17 @@ def test_streamed_rows_equal_the_whole_draw(dim):
     (12, [3] * 4),  # one whole group
     (13, [3] * 4 + [1]),
     (31, [3] * 10 + [1]),
-    (None, [3] * 6 + [2]),  # cfg.count
+    (20, [3] * 6 + [2]),
 ])
 def test_sample_blocks_are_the_draws_rows(monkeypatch, count, sizes):
     # a group is DRAW_BLOCKS = 4 blocks of 3 rows; past one, a worker draws
     monkeypatch.setattr(tolerance, "BLOCK_ROWS", 3)
     monkeypatch.setattr(tolerance, "DRAW_BLOCKS", 4)
-    cfg = SampleConfig(seed=3, count=20)
-    blocks = list(cfg.sample_blocks(2, (5, 6), count))
+    cfg = SampleConfig(seed=3, count=count)
+    blocks = list(cfg.sample_blocks(2, (5, 6)))
     assert [len(a) for a, _ in blocks] == sizes
     for stream, got in zip((5, 6), zip(*blocks)):
-        assert np.array_equal(np.concatenate(got), cfg.sample(2, stream, sum(sizes)))
+        assert np.array_equal(np.concatenate(got), cfg.sample(2, stream))
         # each coordinate column of a block is contiguous
         assert all(block.strides[0] == block.itemsize for block in got)
 

@@ -431,16 +431,23 @@ def test_an_infinite_tolerance_is_an_input_error(capsys, flag):
     assert capsys.readouterr().err == "input error: tolerances must be finite\n"
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--abs-tol", "0"), ("--abs-tol", "nan"), ("--rel-tol", "inf"),
-])
-def test_selftest_rejects_a_malformed_tolerance_as_axioms_does(capsys, flag, value):
-    # one input error before any criterion runs, not a failed report per criterion
+@pytest.mark.parametrize("flag, value, message", [
+    ("--abs-tol", "0", "tolerances must be strictly positive"),
+    ("--abs-tol", "nan", "tolerances must be strictly positive"),
+    ("--rel-tol", "inf", "tolerances must be finite"),
+    ("--samples", "0", "sample count must be >= 1"),
+    ("--box", "0", "box must be positive and finite"),
+    ("--box", "nan", "box must be positive and finite"),
+    ("--seed", "-1", "seed must be an unsigned integer"),
+], ids=["--abs-tol-0", "--abs-tol-nan", "--rel-tol-inf", "--samples-0", "--box-0", "--box-nan",
+        "--seed--1"])
+def test_selftest_rejects_a_malformed_flag_as_axioms_does(capsys, flag, value, message):
+    # one input error before any criterion runs, not a report of criteria
+    # that failed (or passed)
     assert main(["axioms", "--law", '{"family":"additive","params":{"n":1}}', flag, value]) == 2
-    expected = capsys.readouterr().err
+    assert capsys.readouterr().err == f"input error: {message}\n"
     assert main(["selftest", "--samples", "10", flag, value]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == expected
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

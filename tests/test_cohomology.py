@@ -10,6 +10,7 @@ from ordgroups import (
     GModule,
     InputError,
     LexOrder,
+    OrderedGroupSpec,
     SampleConfig,
     Tk,
     character,
@@ -17,7 +18,6 @@ from ordgroups import (
     check_translation_invariance,
     coboundary,
     cocycle_residual,
-    constant_cochain,
     extension_from_cocycle,
     g3_cocycle,
     g3_module,
@@ -25,9 +25,7 @@ from ordgroups import (
     heis_module,
     heisenberg,
     normalize_cocycle,
-    ordered_extension,
     trivial,
-    verify_coboundary_witness,
 )
 from ordgroups.cohomology import CocycleLaw
 
@@ -43,14 +41,14 @@ def line_module(action) -> GModule:
 
 
 def test_coboundary_of_constant_trivial_action_vanishes():
-    f = constant_cochain(line_module(trivial(1)), [4.2])
+    f = Cochain(0, lambda: np.array([4.2]), line_module(trivial(1)))
     df = coboundary(f)
     g = RNG.uniform(-3, 3, (100, 1))
     assert np.allclose(df.fn(g), 0.0)
 
 
 def test_coboundary_of_constant_under_character():
-    f = constant_cochain(line_module(character(1.0)), [1.0])
+    f = Cochain(0, lambda: np.array([1.0]), line_module(character(1.0)))
     df = coboundary(f)
     # e^g - 1, evaluated where the exponential hits 2
     assert np.allclose(df.fn(np.array([np.log(2.0)])), [1.0])
@@ -65,13 +63,6 @@ def test_coboundary_of_degree_one_square():
     assert np.allclose(df.fn(np.array([1.0]), np.array([1.0])), [-2.0])
     g, h = RNG.uniform(-2, 2, (40, 1)), RNG.uniform(-2, 2, (40, 1))
     assert np.allclose(df.fn(g, h), -2.0 * g * h)
-
-
-def test_degree_zero_cochain_argument_count():
-    f = constant_cochain(line_module(trivial(1)), [1.0])
-    assert f() == pytest.approx([1.0])
-    with pytest.raises(InputError):
-        f(np.zeros(1))
 
 
 def test_coboundary_squares_to_zero_on_bounded_cochains():
@@ -89,7 +80,7 @@ def test_coboundary_squares_to_zero_on_bounded_cochains():
         def expo(g):
             return np.exp(0.4 * g[..., idx].sum(axis=-1))[..., None]
 
-        for f in (constant_cochain(mod, [0.7]),
+        for f in (Cochain(0, lambda: np.array([0.7]), mod),
                   Cochain(1, poly, mod),
                   Cochain(1, expo, mod)):
             ddf = coboundary(coboundary(f))
@@ -115,7 +106,7 @@ def test_constant_two_cochain_is_a_cocycle_under_trivial_action():
 
 def test_cocycle_residual_requires_degree_two():
     with pytest.raises(InputError):
-        cocycle_residual(constant_cochain(heis_module(), [1.0]), CFG)
+        cocycle_residual(Cochain(0, lambda: np.array([1.0]), heis_module()), CFG)
 
 
 def test_perturbed_cocycle_is_detected():
@@ -126,40 +117,6 @@ def test_perturbed_cocycle_is_detected():
 
     residual = cocycle_residual(Cochain(2, bad, base.module), CFG)
     assert residual > 1e-3
-
-
-# --- coboundary witnesses -----------------------------------------------------
-
-
-def test_witness_holds_by_construction():
-    mod = g3_module(1.0)
-    g1 = Cochain(1, lambda g: (g[..., 1] ** 2 + 0.3 * g[..., 1])[..., None], mod)
-    rep = verify_coboundary_witness(coboundary(g1), g1, CFG)
-    assert rep.passed
-    assert rep.residual <= 1e-9
-
-
-def test_zero_witness_fails_for_nontrivial_cocycle():
-    mod = heis_module()
-    zero1 = Cochain(1, lambda g: np.zeros(g.shape[:-1] + (1,)), mod)
-    rep = verify_coboundary_witness(heis_cocycle(1.0), zero1, CFG)
-    assert not rep.passed
-    assert rep.residual > 1e-3
-
-
-def test_homomorphism_witnesses_the_zero_cocycle():
-    mod = heis_module()
-    proj = Cochain(1, lambda g: g[..., :1], mod)  # (x, y) -> x is additive
-    zero2 = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), mod)
-    rep = verify_coboundary_witness(zero2, proj, CFG)
-    assert rep.passed
-
-
-def test_witness_module_mismatch_rejected():
-    mod_a, mod_b = heis_module(), g3_module(1.0)
-    one = Cochain(1, lambda g: g[..., :1], mod_b)
-    with pytest.raises(InputError):
-        verify_coboundary_witness(heis_cocycle(1.0), one, CFG)
 
 
 # --- extensions ----------------------------------------------------------------
@@ -266,28 +223,24 @@ def test_module_shapes_validated():
         extension_from_cocycle(g3_module(1.0), heis_cocycle(1.0), CFG)
 
 
-# --- ordered extensions ----------------------------------------------------------
+# --- extensions ordered lexicographically, quotient chart first --------------
 
 
 def test_ordered_extension_trivial_case():
     mod = heis_module()
     zero = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), mod)
-    spec = ordered_extension(mod, LexOrder((0, 1)), LexOrder((0,)), zero, CFG)
-    assert spec.order.significance == (1, 2, 0)  # quotient chart first
+    spec = OrderedGroupSpec(extension_from_cocycle(mod, zero, CFG), LexOrder((1, 2, 0)))
     assert check_translation_invariance(spec, CFG).passed
 
 
 def test_ordered_extension_central_cocycle():
-    spec = ordered_extension(
-        heis_module(), LexOrder((0, 1)), LexOrder((0,)), heis_cocycle(1.0), CFG)
-    rep = check_translation_invariance(spec, CFG)
+    law = extension_from_cocycle(heis_module(), heis_cocycle(1.0), CFG)
+    rep = check_translation_invariance(OrderedGroupSpec(law, LexOrder((1, 2, 0))), CFG)
     assert rep.left_ok and rep.right_ok
 
 
 def test_ordered_extension_nonsplit_cocycle():
     # quotient coordinates (significance acting-first) dominate the fiber
-    spec = ordered_extension(
-        g3_module(1.0), LexOrder((1, 0)), LexOrder((0,)), g3_cocycle(1.0), CFG)
-    assert spec.order.significance == (2, 1, 0)
-    rep = check_translation_invariance(spec, CFG)
+    law = extension_from_cocycle(g3_module(1.0), g3_cocycle(1.0), CFG)
+    rep = check_translation_invariance(OrderedGroupSpec(law, LexOrder((2, 1, 0))), CFG)
     assert rep.left_ok and rep.right_ok

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import ordgroups
 
 _SRC = os.path.dirname(os.path.dirname(ordgroups.__file__))
@@ -78,6 +80,19 @@ def test_classify_runs_no_cohomology_actions_or_selftest(tmp_path):
     assert got["futures"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ("cocycle-check", "--cocycle", '{"cocycle":"heis"}'),
+    ("axioms", "--law", '{"family":"from_cocycle","params":{"cocycle":"g3","k":1}}'),
+], ids=["cocycle-check", "axioms-from_cocycle"])
+def test_cocycle_commands_run_no_orders_classify_or_selftest(tmp_path, argv):
+    out = tmp_path / "out"
+    got = _fresh(_CLI_PROBE, str(out), *argv)
+    assert got["code"] == 0
+    assert got["executed"] == [f"ordgroups.{m}" for m in ("actions", "cli", "cohomology", "errors",
+                                                          "groups", "jsonio", "tolerance")]
+    assert got["registered"] == _EVERY
+
+
 def test_a_draw_past_one_group_loads_the_thread_pool(tmp_path):
     out = tmp_path / "out"
     got = _fresh(_CLI_PROBE, str(out), "axioms", "--law", '{"family":"t_k","params":{"k":1}}',
@@ -89,4 +104,4 @@ def test_a_draw_past_one_group_loads_the_thread_pool(tmp_path):
 def test_every_public_name_is_its_submodule_s_attribute():
     # the names that fail to resolve, or that dir() leaves out
     assert _fresh(_EXPORTS_PROBE) == []
-    assert len(set(ordgroups.__all__)) == len(ordgroups.__all__) == 68
+    assert len(set(ordgroups.__all__)) == len(ordgroups.__all__) == 64
