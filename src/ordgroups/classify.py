@@ -213,18 +213,16 @@ def verify_witness(
             np.linalg.cond(w.matrix, 1) < 1.0 / (len(w.matrix) * np.finfo(float).eps)):
         return WitnessReport(float("inf"), float("inf"), False, False, None, cfg.count)
 
-    # per block, the identities w(ab) = w(a)w(b) and w^-1(w(a)) = a
-    worst = np.full(2, -np.inf)
-    group_ok = True
-    for x, y in cfg.sample_blocks(w.source.dim, (61, 62)):
+    def block(rows, x, y):
+        # the identities w(ab) = w(a)w(b) and w^-1(w(a)) = a
         fx = w.apply(x)
-        for i, (u, v) in enumerate(((w.apply(w.source.mul(x, y)), w.target.mul(fx, w.apply(y))),
-                                    (w.apply_inverse(fx), x))):
-            gap, ok = tol.check(u, v)
-            worst[i] = np.maximum(worst[i], gap)
-            group_ok = group_ok and ok
-        del x, y, v  # views of the draws: let them go before the next are made
-    hom, roundtrip = (float(v) for v in worst)
+        hom = tol.check(w.apply(w.source.mul(x, y)), w.target.mul(fx, w.apply(y)))
+        roundtrip = tol.check(w.apply_inverse(fx), x)
+        return np.array([hom[0], roundtrip[0]]), hom[1] and roundtrip[1]
+
+    blocks = cfg.map_blocks(w.source.dim, (61, 62), block)
+    hom, roundtrip = (float(v) for v in functools.reduce(np.maximum, (gap for gap, _ in blocks)))
+    group_ok = all(ok for _, ok in blocks)
 
     # w maps each source pair lo < hi to a pair increasing in the target order
     order_ok = None

@@ -25,6 +25,7 @@ that jsonio.law_from_descriptor reads back.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -439,10 +440,10 @@ def _axiom_claims(law: GroupLaw, x: np.ndarray, y: np.ndarray, z: np.ndarray):
     2 inverses, each asserting u = v row by row. Yielded one at a time so only
     one claim's products are alive at once."""
     e = law.identity()
-    xinv = law.inv(x)
     yield 0, law.mul(law.mul(x, y), z), law.mul(x, law.mul(y, z))
     yield 1, law.mul(x, e), x
     yield 1, law.mul(e, x), x
+    xinv = law.inv(x)
     yield 2, law.mul(x, xinv), 0.0
     yield 2, law.mul(xinv, x), 0.0
 
@@ -459,15 +460,18 @@ def check_group_axioms(
     product is reported as overflow, with residual inf on each claim whose
     gap is not finite.
     """
-    resid = np.full(3, -np.inf)
-    close = True
+    def block(rows, a, b, c):
+        resid, close = np.full(3, -np.inf), True
+        for claim, u, v in _axiom_claims(law, a, b, c):
+            gap, ok = tol.residual(u, v)
+            resid[claim] = np.maximum(resid[claim], gap)
+            close = close and ok
+        return resid, close
+
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for a, b, c in cfg.sample_blocks(law.dim, (1, 2, 3)):
-            for claim, u, v in _axiom_claims(law, a, b, c):
-                gap, ok = tol.residual(u, v)
-                resid[claim] = np.maximum(resid[claim], gap)
-                close = close and ok
-            del a, b, c  # views of the draws: let them go before the next are made
+        blocks = cfg.map_blocks(law.dim, (1, 2, 3), block)
+    resid = functools.reduce(np.maximum, (resid for resid, _ in blocks))
+    close = all(close for _, close in blocks)
     # a NaN gap is a non-finite u or v (Tolerance.residual), whose raw gap is
     # not finite either, so such a row has already failed
     overflow = bool(np.isnan(resid).any())

@@ -10,7 +10,6 @@ decided. Images that tie, or that a NaN leaves undecided, are a violation.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,11 +145,10 @@ class PairBlock(NamedTuple):
 
 
 class SampledPairs:
-    """Sampled pairs lo < hi from two draws h, h' of n rows. draw() returns
-    an iterator over row blocks of rows 0 .. n, each the block's rows of h
-    and of h' (SampleConfig.sample_blocks). No whole draw is held: each pass
-    draws the rows again and builds every level's pair block for a row block
-    before moving on.
+    """Sampled pairs lo < hi from the draws h, h' of cfg.count rows of two
+    streams, with the coordinates in outside zeroed. No whole draw is held:
+    each row block is one task (SampleConfig.map_blocks) that draws its rows
+    of h and h' and builds every level's pair block from them.
 
     Level k pairs row j of h with row j of h' whose k most significant
     coordinates are taken from h, so levels > 1 exercise the tie-breaking
@@ -158,8 +156,9 @@ class SampledPairs:
     pair; a pair that ties (equal rows) is masked, not dropped.
     """
 
-    def __init__(self, order: LexOrder, levels: int, n: int, draw):
-        self.order, self.levels, self.n, self.draw = order, levels, n, draw
+    def __init__(self, order: LexOrder, levels: int, cfg: SampleConfig, streams, outside=()):
+        self.order, self.levels, self.cfg = order, levels, cfg
+        self.streams, self.outside = streams, list(outside)
 
     def _shared(self, k: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Rows b of h' with their k most significant coordinates taken from
@@ -171,44 +170,47 @@ class SampledPairs:
         b[:, shared] = a[:, shared]
         return b
 
-    def blocks(self):
-        """(level, PairBlock) for each row block and level: the levels of one
-        row block in turn, row blocks in order."""
-        rows = slice(0, 0)
-        for h, hp in self.draw():
-            rows = slice(rows.stop, rows.stop + len(h))
-            for k in range(self.levels):
-                # the k shared coordinates are equal, so only the rest can decide
-                swap, keep = _lex_compare(self.order.significance[k:], hp, h)
-                yield k, PairBlock(h, self._shared(k, h, hp), swap, rows, keep)
-            del h, hp  # views of the draws: let them go before the next are made
-
     def scan(self, *sides, g=None):
         """(pairs, hits): the number of kept pairs and, per side (order,
         images), the first kept pair lo < hi, level-major, whose images are not
         increasing in order, as (g row, lo, hi), or None.
 
         images(g, block) returns (f(a), f(b)), where g is the block's rows of
-        g(count, start), pair (k, j) at row k * n + j (None without g): drawn
-        once per block and shared by the sides. A side evaluates a level only
-        while it has no hit at that level or below, and stops once it has one
-        at level 0.
+        stream g's draw, pair (k, j) at row k * n + j (None without g): drawn
+        once per level of a block and shared by the sides. A block's task
+        evaluates a side's level only while neither it nor any other task has
+        a hit of that side at a lower level, and it has none at that level:
+        the first hit is the lowest level's, then the earliest block's.
         """
-        pairs, hits = 0, [None] * len(sides)
-        first = [self.levels] * len(sides)  # the lowest level with a hit
-        for k, block in self.blocks():
-            pairs += int(np.count_nonzero(block.keep))
-            live = [side for side in range(len(sides)) if k < first[side]]
-            start = k * self.n + block.rows.start
-            gk = None if g is None or not live else g(len(block.swap), start)
-            for side in live:
-                order, images = sides[side]
-                i = block.first_misordered(order, *images(gk, block))
-                if i is not None:
-                    first[side] = k
-                    hits[side] = (None if gk is None else gk[i].copy(), *block.pair(i))
-            del block  # views of the draws: let them go before the next are made
-        return pairs, hits
+        order, n, dim = self.order, self.cfg.count, self.order.dim
+        found = [[] for _ in sides]  # the levels at which any task has found a hit
+
+        def block(rows, h, hp):
+            h[:, self.outside] = hp[:, self.outside] = 0.0
+            pairs, hits = 0, [None] * len(sides)
+            for k in range(self.levels):
+                # the k shared coordinates are equal, so only the rest can decide
+                swap, keep = _lex_compare(order.significance[k:], hp, h)
+                pairs += int(np.count_nonzero(keep))
+                live = [side for side in range(len(sides))
+                        if hits[side] is None and k <= min(found[side], default=k)]
+                if not live:
+                    continue
+                pb = PairBlock(h, self._shared(k, h, hp), swap, rows, keep)
+                gk = None if g is None else self.cfg.sample(dim, g, len(swap), k * n + rows.start)
+                for side in live:
+                    side_order, images = sides[side]
+                    i = pb.first_misordered(side_order, *images(gk, pb))
+                    if i is not None:
+                        hits[side] = k, (None if gk is None else gk[i].copy(), *pb.pair(i))
+                        found[side].append(k)
+            return pairs, hits
+
+        blocks = self.cfg.map_blocks(dim, self.streams, block)
+        # per side, the hit of the lowest level, and of those the first in block order
+        firsts = [min(filter(None, column), key=lambda hit: hit[0], default=(None, None))[1]
+                  for column in zip(*(hits for _, hits in blocks))]
+        return sum(pairs for pairs, _ in blocks), firsts
 
 
 def _ordered_pairs(order: LexOrder, cfg: SampleConfig, dim: int) -> SampledPairs:
@@ -218,8 +220,7 @@ def _ordered_pairs(order: LexOrder, cfg: SampleConfig, dim: int) -> SampledPairs
     tie-breaking coordinates are exercised with shared-prefix variants: level
     k of h' takes its k most significant coordinates from h.
     """
-    return SampledPairs(order, dim, cfg.count,
-                        functools.partial(cfg.sample_blocks, dim, (11, 12)))
+    return SampledPairs(order, dim, cfg, (11, 12))
 
 
 def check_translation_invariance(
@@ -233,21 +234,9 @@ def check_translation_invariance(
     law, order = spec.law, spec.order
     checked, (left, right) = _ordered_pairs(order, cfg, law.dim).scan(
         (order, lambda g, block: (law.mul(g, block.a), law.mul(g, block.b))),
-        (order, lambda g, block: (law.mul(block.a, g), law.mul(block.b, g))),
-        g=functools.partial(cfg.sample, law.dim, 13))
+        (order, lambda g, block: (law.mul(block.a, g), law.mul(block.b, g))), g=13)
     return InvarianceReport(left_ok=left is None, right_ok=right is None, checked=checked,
                             counterexample_left=left, counterexample_right=right)
-
-
-def _supported_blocks(cfg: SampleConfig, dim: int, coords: tuple[int, ...], streams):
-    """cfg.sample_blocks(dim, streams) with the coordinates outside coords
-    zeroed."""
-    outside = [i for i in range(dim) if i not in coords]
-    for block in cfg.sample_blocks(dim, streams):
-        for part in block:
-            part[:, outside] = 0.0
-        yield block
-        del block, part  # views of the draws: let them go before the next are made
 
 
 def check_conjugation_order_preserving(
@@ -262,28 +251,29 @@ def check_conjugation_order_preserving(
     if any(i < 0 or i >= law.dim for i in coords):
         raise InputError("normal_coords outside chart dimensions")
 
-    _check_closed(law, coords, cfg)
-    pairs = SampledPairs(order, 1, cfg.count,
-                         lambda: _supported_blocks(cfg, law.dim, coords, (23, 24)))
+    outside = [i for i in range(law.dim) if i not in coords]
+    _check_closed(law, coords, outside, cfg)
+    pairs = SampledPairs(order, 1, cfg, (23, 24), outside)
 
     def conjugates(g, block):
         ginv = law.inv(g)
         return law.mul(law.mul(g, block.a), ginv), law.mul(law.mul(g, block.b), ginv)
 
-    checked, (hit,) = pairs.scan((order, conjugates), g=functools.partial(cfg.sample, law.dim, 25))
+    checked, (hit,) = pairs.scan((order, conjugates), g=25)
     return InvarianceReport(left_ok=hit is None, right_ok=True, checked=checked,
                             counterexample_left=hit)
 
 
-def _check_closed(law: GroupLaw, coords: tuple[int, ...], cfg: SampleConfig) -> None:
+def _check_closed(law: GroupLaw, coords: tuple[int, ...], outside: list[int],
+                  cfg: SampleConfig) -> None:
     """Raise InputError unless products of elements supported on coords stay
     exactly supported on coords, on sampled probes (a NaN product passes)."""
-    outside = [i for i in range(law.dim) if i not in coords]
     if not outside:
         return
-    worst = []
-    for a, b in _supported_blocks(cfg, law.dim, coords, (21, 22)):
-        worst.append(np.max(np.abs(law.mul(a, b)[:, outside])))
-        del a, b  # views of the draws: let them go before the next are made
-    if np.max(worst) > 0:
+
+    def worst(rows, a, b):
+        a[:, outside] = b[:, outside] = 0.0
+        return np.max(np.abs(law.mul(a, b)[:, outside]))
+
+    if np.max(cfg.map_blocks(law.dim, (21, 22), worst)) > 0:
         raise InputError(f"coordinates {coords} are not closed under multiplication")

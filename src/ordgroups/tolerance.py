@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,52 +95,49 @@ class SampleConfig:
         This is the one sampling hook: every draw goes through it.
 
         Each block is filled as Generator.uniform(-box, box) fills it, bit for
-        bit: -box + 2 box u for u from Generator.random, in one reused
-        row-major buffer, copied once into the result: out, a given (count,
+        bit: -box + 2 box u for u from Generator.random, in a row-major buffer
+        the thread reuses, written once into the result: out, a given (count,
         dim) array, or a new coordinate-major one."""
         n = self.count if count is None else count
         rng = self.rng(stream)
         rng.bit_generator.advance(start * dim)
         if out is None:
             out = np.empty((n, dim), order="F")
-        buf = np.empty((min(n, BLOCK_ROWS), dim))
+        buf = _workspace(min(n, BLOCK_ROWS) * dim).reshape(-1, dim)
         for rows in row_blocks(n):
             block = buf[:rows.stop - rows.start]
             rng.random(out=block)
             block *= 2 * self.box
-            block += -self.box
-            out[rows] = block
+            np.add(block, -self.box, out=out[rows])
         return out
 
-    def sample_blocks(self, dim: int, streams):
-        """Per row block of rows 0 .. self.count, that block of each stream's
-        draw. The streams are drawn through sample in groups of DRAW_BLOCKS
-        blocks, each group one new array holding every stream. Past one group,
-        one worker thread fills the next group while the caller checks this
-        one (Generator.random releases the GIL)."""
-        n = self.count
-        step = DRAW_BLOCKS * BLOCK_ROWS
+    def map_blocks(self, dim: int, streams, fn) -> list:
+        """[fn(rows, *draws) for rows in row_blocks(self.count)]: draws are that
+        block of each stream's draw, views of an array the thread reuses, so
+        fn returns none of them and calls no map_blocks. Each block is one task
+        that draws its rows through sample. Past one block, two worker threads
+        run the tasks, each in a copy of the caller's context (numpy's errstate
+        is a context variable); results come back in block order, an error as
+        the earliest failing block's. One block runs on the calling thread."""
+        blocks = list(row_blocks(self.count))
 
-        def group(start):
-            # allocated on the calling thread; the returned call fills it
-            out = np.empty((len(streams), dim, min(step, n - start)))
-            return lambda: [self.sample(dim, s, out.shape[2], start, part.T)
-                            for s, part in zip(streams, out)]
+        def task(rows):
+            n = rows.stop - rows.start
+            # past the rows sample fills them through
+            buf = _workspace((len(streams) + 1) * dim * n)[dim * n:].reshape(len(streams), dim, n)
+            return fn(rows, *(self.sample(dim, s, n, rows.start, part.T)
+                              for s, part in zip(streams, buf)))
 
-        if n <= step:
-            draws = [self.sample(dim, s, n) for s in streams]
-            for rows in row_blocks(n):
-                yield [d[rows] for d in draws]
-            return
+        if len(blocks) <= 1:
+            return [task(rows) for rows in blocks]
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(1) as worker:
-            ahead = worker.submit(group(0))
-            for start in range(step, n + step, step):
-                draws = ahead.result()
-                if start < n:
-                    ahead = worker.submit(group(start))
-                for rows in row_blocks(len(draws[0])):
-                    yield [d[rows] for d in draws]
+        with ThreadPoolExecutor(2) as pool:
+            tasks = [pool.submit(contextvars.copy_context().run, task, rows) for rows in blocks]
+            try:
+                return [t.result() for t in tasks]
+            finally:
+                for t in tasks:  # after an error, start no further block
+                    t.cancel()
 
 
 DEFAULT_TOL = Tolerance()
@@ -146,15 +145,22 @@ DEFAULT_TOL = Tolerance()
 # Rows per block of a sampled check. A block of 3 float64 coordinates is
 # 768 KiB, so the few temporaries a check holds per block stay in a 4 MiB L2.
 BLOCK_ROWS = 1 << 15
-# Blocks per draw group in sample_blocks, which holds the group being checked
-# and the next one, being drawn: together 4 blocks per stream, about 3 MiB at 3
-# coordinates. Each group is one array for all its streams, and the memory it
-# frees keeps glibc from handing each block's temporaries back to the system
-# and faulting them in again: two cycles of the 8 bulk benchmark commands at
-# 10^6 rows took 47,000 minor page faults, against 380,000 with one array per
-# stream at 2 blocks and 109,000 with per-stream draws of 4 blocks and no
-# worker (x86-64 Linux, glibc, numpy 2.4).
-DRAW_BLOCKS = 2
+
+# Each thread reuses one array for a block's draws and sample's fill rows: two
+# cycles of the 8 bulk benchmark commands at 10^6 rows took 23,000-41,000
+# minor page faults, against 67,000-175,000 with new arrays per block and
+# 36,000-39,000 with one thread drawing ahead of the check (glibc 2.36).
+_local = threading.local()
+
+
+def _workspace(size: int) -> np.ndarray:
+    """The first size elements of the calling thread's reused float64 array:
+    sample fills each block through its head, row-major, and a map_blocks
+    task keeps its draws past it. A worker's array ends with its map_blocks."""
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _local.buf = np.empty(size)
+    return buf[:size]
 
 
 def row_blocks(n: int):

@@ -11,13 +11,18 @@ they replaced, which materialized the sorted pairs lo < hi.
 """
 
 import itertools
+import json
+import sys
 import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from ordgroups import tolerance
+from ordgroups.cli import main
 from ordgroups.classify import classify_ordered, function_witness, linear_witness, verify_witness
 from ordgroups.cohomology import check_cocycle, cocycle_residual, g3_cocycle, heis_cocycle
 from ordgroups.errors import InputError
@@ -37,6 +42,7 @@ from ordgroups.orders import (
     InvarianceReport,
     LexOrder,
     OrderedGroupSpec,
+    PairBlock,
     _ordered_pairs,
     check_conjugation_order_preserving,
     check_translation_invariance,
@@ -386,6 +392,25 @@ def test_linear_witness_order_rejects_what_the_samples_miss():
     assert rep.group_ok and rep.order_ok is False and not rep.passed
 
 
+def _scanned_blocks(pairs, check=lambda block: None):
+    """(kept pairs, [(level, PairBlock)]) of one scan, row blocks in order and
+    the levels of each in turn, each block copied out of the buffers its
+    thread reuses. An identity side keeps every pair in order, so it sees
+    every level of every row block, a block's levels in turn on one thread;
+    check(block) runs on each as the scan builds it."""
+    seen = {}
+
+    def record(g, block):
+        check(block)
+        seen.setdefault(block.rows.start, []).append(
+            PairBlock(block.a.copy(), block.b.copy(), block.swap, block.rows, block.keep))
+        return block.a, block.b
+
+    count, (hit,) = pairs.scan((pairs.order, record))
+    assert hit is None
+    return count, [(k, block) for start in sorted(seen) for k, block in enumerate(seen[start])]
+
+
 def test_blocks_expose_their_rows_of_the_draws(monkeypatch):
     order = LexOrder((0, 1, 2))
     n = COARSE.count
@@ -394,10 +419,11 @@ def test_blocks_expose_their_rows_of_the_draws(monkeypatch):
     for size in BLOCK_SIZES:
         monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
         pairs = _ordered_pairs(order, COARSE, 3)
+        count, blocks = _scanned_blocks(pairs)
         stop = [0] * pairs.levels
         lo, hi = np.full((2, pairs.levels, n, 3), np.nan)
         keep = np.zeros((pairs.levels, n), dtype=bool)
-        for k, block in pairs.blocks():
+        for k, block in blocks:
             # each level's blocks cover its rows of the draws in order
             assert block.rows.start == stop[k]
             stop[k] = block.rows.stop
@@ -414,7 +440,7 @@ def test_blocks_expose_their_rows_of_the_draws(monkeypatch):
         assert np.array_equal(keep, ref_keep)
         assert np.array_equal(lo.reshape(-1, 3)[keep], ref_lo)
         assert np.array_equal(hi.reshape(-1, 3)[keep], ref_hi)
-        assert np.count_nonzero(keep) == pairs.scan()[0] < 3 * n
+        assert np.count_nonzero(keep) == count < 3 * n
 
 
 class _TiedRows(SampleConfig):
@@ -430,8 +456,8 @@ class _TiedRows(SampleConfig):
         return out
 
 
-@pytest.mark.parametrize("size, draw", [(2, 1), (7, 3), (1 << 20, 4)])
-def test_ties_leave_each_pair_its_own_translating_element(monkeypatch, size, draw):
+@pytest.mark.parametrize("size", [2, 7, 1 << 20])
+def test_ties_leave_each_pair_its_own_translating_element(monkeypatch, size):
     # x is a homomorphism to R on e_c, so only pairs sharing x can fail: the
     # first hits lie past level 0, whose kept count the ties cut short, and
     # still read the g row of their own level and row
@@ -441,7 +467,6 @@ def test_ties_leave_each_pair_its_own_translating_element(monkeypatch, size, dra
     _, hits = _whole_translation_hits(spec, cfg)
     assert all(i is not None and i >= cfg.count - ties for i in hits)
     monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
-    monkeypatch.setattr(tolerance, "DRAW_BLOCKS", draw)
     rep = check_translation_invariance(spec, cfg)
     assert rep.checked == 3 * (cfg.count - ties)
     assert dumps(rep) == dumps(_whole_translation(spec, cfg))
@@ -449,9 +474,8 @@ def test_ties_leave_each_pair_its_own_translating_element(monkeypatch, size, dra
 
 def _peak_in_sample_arrays(check, count=1 << 19, dim=3):
     """The peak memory check(cfg) allocates at count rows, in units of one
-    (count, dim) float64 array. 2^19 rows are 8 groups of DRAW_BLOCKS blocks,
-    so a streamed group and the next one, drawn ahead, are a quarter of a
-    whole draw."""
+    (count, dim) float64 array. 2^19 rows are 16 blocks, so the blocks that
+    two threads hold at once are an eighth of a whole draw."""
     tracemalloc.start()
     try:
         check(SampleConfig(count=count))
@@ -495,8 +519,8 @@ def _peak_bytes(check, count):
     lambda cfg: classify_ordered(Ec(-4.0), LexOrder((0, 1, 2)), cfg),
 ], ids=["translation", "conjugation", "classification"])
 def test_order_check_memory_does_not_grow_with_the_samples(check):
-    # every draw is streamed: tripling the rows past one draw of DRAW_BLOCKS
-    # blocks leaves the peak where it was; whole pair draws h, h' alone grew
+    # every draw is streamed: tripling the rows past a few blocks leaves the
+    # peak where it was; whole pair draws h, h' alone grew
     # from 9.6 to 28.8 MB
     assert _peak_bytes(check, 600_000) <= 1.2 * _peak_bytes(check, 200_000)
 
@@ -541,29 +565,34 @@ def test_streamed_rows_equal_the_whole_draw(dim):
 
 
 @pytest.mark.parametrize("count, sizes", [
-    (5, [3, 2]),  # part of one group, a ragged block
-    (12, [3] * 4),  # one whole group
+    (2, [2]),  # one block, on the calling thread
+    (5, [3, 2]),  # a ragged block
+    (12, [3] * 4),
     (13, [3] * 4 + [1]),
     (31, [3] * 10 + [1]),
     (20, [3] * 6 + [2]),
 ])
-def test_sample_blocks_are_the_draws_rows(monkeypatch, count, sizes):
-    # a group is DRAW_BLOCKS = 4 blocks of 3 rows; past one, a worker draws
+def test_map_blocks_gets_the_draws_rows_in_block_order(monkeypatch, count, sizes):
     monkeypatch.setattr(tolerance, "BLOCK_ROWS", 3)
-    monkeypatch.setattr(tolerance, "DRAW_BLOCKS", 4)
     cfg = SampleConfig(seed=3, count=count)
-    blocks = list(cfg.sample_blocks(2, (5, 6)))
-    assert [len(a) for a, _ in blocks] == sizes
-    for stream, got in zip((5, 6), zip(*blocks)):
-        assert np.array_equal(np.concatenate(got), cfg.sample(2, stream))
+
+    def copies(rows, *draws):
         # each coordinate column of a block is contiguous
-        assert all(block.strides[0] == block.itemsize for block in got)
+        assert all(d.strides[0] == d.itemsize for d in draws)
+        return rows, [d.copy() for d in draws]
+
+    blocks = cfg.map_blocks(2, (5, 6), copies)
+    assert [(rows.start, rows.stop - rows.start) for rows, _ in blocks] == list(
+        zip(np.cumsum([0] + sizes[:-1]).tolist(), sizes))
+    for stream, got in zip((5, 6), zip(*(draws for _, draws in blocks))):
+        assert np.array_equal(np.concatenate(got), cfg.sample(2, stream))
 
 
-# --- the next draw group, filled on a worker thread ----------------------------
+# --- row blocks checked on two threads -----------------------------------------
 
-# five draw groups of DRAW_BLOCKS = 2 blocks of 2^15 rows
-PREFETCHED = 300_000
+# ten blocks of 2^15 rows
+THREADED = 300_000
+THREADED_CFG = SampleConfig(seed=22, count=THREADED)
 
 
 def _witness_verify(cfg):
@@ -573,15 +602,8 @@ def _witness_verify(cfg):
                                          [[1, 0], [0, 2]], order_pair=orders), cfg)
 
 
-@pytest.mark.parametrize("check", [
-    lambda cfg: check_group_axioms(Tk(1.0), cfg),
-    lambda cfg: check_cocycle(g3_cocycle(1.0), cfg),
-    lambda cfg: classify_ordered(Ec(-4.0), LexOrder((0, 1, 2)), cfg),
-    _witness_verify,
-    lambda cfg: check_conjugation_order_preserving(
-        OrderedGroupSpec(KCd(1.0, 1.0), LexOrder((0, 1, 2))), (1, 2), cfg),
-], ids=["axioms", "cocycle", "classification", "witness", "conjugation"])
-def test_prefetched_groups_give_the_one_group_report(monkeypatch, check):
+def _threads_sampling(monkeypatch):
+    """The set of threads that call SampleConfig.sample from now on."""
     threads = set()
     sample = SampleConfig.sample
 
@@ -590,51 +612,123 @@ def test_prefetched_groups_give_the_one_group_report(monkeypatch, check):
         return sample(self, *args, **kwargs)
 
     monkeypatch.setattr(SampleConfig, "sample", recording)
-    cfg = SampleConfig(seed=22, count=PREFETCHED)
-    prefetched = dumps(check(cfg))
-    assert threads - {threading.get_ident()}  # some group was drawn on the worker
+    return threads
+
+
+def _hit_levels_and_blocks(spec, cfg, size):
+    """The levels and the row blocks of size rows where the whole-array pairs
+    have a misordered left or right translation."""
+    law, order = spec.law, spec.order
+    (g, lo, hi), _ = _whole_translation_hits(spec, cfg)
+    bad = ~lex_less(order, law.mul(g, lo), law.mul(g, hi))
+    bad |= ~lex_less(order, law.mul(lo, g), law.mul(hi, g))
+    pair = np.flatnonzero(_whole_ordered_pairs(order, cfg, law.dim)[2])[bad]
+    return set((pair // cfg.count).tolist()), set((pair % cfg.count // size).tolist())
+
+
+# failing translation checks: the first hit is the lowest level's, then the
+# earliest block's, whichever thread finds a hit first
+FAILING_TRANSLATIONS = [
+    (OrderedGroupSpec(SemidirectRR(1.0), LexOrder((0, 1))), SampleConfig(seed=22, count=300)),
+    (OrderedGroupSpec(Ec(1.0), LexOrder((0, 2, 1))), _TiedRows(seed=22, count=300)),
+]
+
+
+def _translation(spec):
+    return lambda cfg: check_translation_invariance(spec, cfg)
+
+
+@pytest.mark.parametrize("check, cfg, size", [
+    (lambda cfg: check_group_axioms(Tk(1.0), cfg), THREADED_CFG, None),
+    (lambda cfg: check_cocycle(g3_cocycle(1.0), cfg), THREADED_CFG, None),
+    (lambda cfg: classify_ordered(Ec(-4.0), LexOrder((0, 1, 2)), cfg), THREADED_CFG, None),
+    (_witness_verify, THREADED_CFG, None),
+    (lambda cfg: check_conjugation_order_preserving(
+        OrderedGroupSpec(KCd(1.0, 1.0), LexOrder((0, 1, 2))), (1, 2), cfg), THREADED_CFG, None),
+    *[(_translation(spec), cfg, 7) for spec, cfg in FAILING_TRANSLATIONS],
+], ids=["axioms", "cocycle", "classification", "witness", "conjugation",
+        "translation", "translation-ties"])
+def test_block_parallel_reports_equal_the_one_thread_report(monkeypatch, check, cfg, size):
+    threads = _threads_sampling(monkeypatch)
+    if size is not None:
+        monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
+    threaded = dumps(check(cfg))
+    assert threads - {threading.get_ident()}  # some block ran on a worker thread
     threads.clear()
-    # one group covers every row: no worker runs
-    monkeypatch.setattr(tolerance, "DRAW_BLOCKS", -(-PREFETCHED // tolerance.BLOCK_ROWS))
-    assert dumps(check(cfg)) == prefetched
+    # one block covers every row: it runs on the calling thread
+    monkeypatch.setattr(tolerance, "BLOCK_ROWS", cfg.count)
+    assert dumps(check(cfg)) == threaded
     assert threads == {threading.get_ident()}
 
 
-class _WorkerRejects(SampleConfig):
-    """Draws that the worker thread rejects as malformed input."""
+@pytest.mark.parametrize("spec, cfg", FAILING_TRANSLATIONS, ids=["continuous", "ties"])
+def test_the_failing_translations_hit_on_several_levels_and_blocks(spec, cfg):
+    levels, blocks = _hit_levels_and_blocks(spec, cfg, 7)
+    assert len(levels) > 1 and len(blocks) > 1
+
+
+def test_first_hits_hold_under_frequent_thread_switches(monkeypatch):
+    # the tasks share each side's lowest level with a hit, read to skip the
+    # levels above it: switching threads every microsecond, so that tasks
+    # interleave between any two bytecodes, must leave every report as it is
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for spec, cfg in FAILING_TRANSLATIONS:
+            monkeypatch.setattr(tolerance, "BLOCK_ROWS", cfg.count)
+            one = dumps(check_translation_invariance(spec, cfg))
+            monkeypatch.setattr(tolerance, "BLOCK_ROWS", 7)
+            for _ in range(10):
+                assert dumps(check_translation_invariance(spec, cfg)) == one
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _RejectsBlocks(SampleConfig):
+    """Draws that reject the rows of blocks 3 and 5 as malformed input, block
+    3 only after block 5 has."""
 
     def sample(self, dim, stream=0, count=None, start=0, out=None):
-        if start and threading.current_thread() is not threading.main_thread():
-            raise InputError(f"rows from {start} rejected")
+        block = start // tolerance.BLOCK_ROWS
+        if block in (3, 5):
+            time.sleep(0.2 if block == 3 else 0.0)
+            raise InputError(f"block {block} rejected")
         return super().sample(dim, stream, count, start, out)
 
 
-def test_an_input_error_on_the_worker_reaches_the_caller():
-    group = tolerance.DRAW_BLOCKS * tolerance.BLOCK_ROWS
-    blocks = _WorkerRejects(count=PREFETCHED).sample_blocks(3, (1, 2))
-    seen = 0
-    with pytest.raises(InputError, match=f"^rows from {group} rejected$"):
-        for _ in blocks:
-            seen += 1
-    # the first group's blocks came before the error
-    assert seen == tolerance.DRAW_BLOCKS
-
-
-def test_closing_the_blocks_after_the_first_raises_nothing():
+def test_an_input_error_reaches_the_caller_as_the_earliest_block_s():
     running = threading.active_count()
-    blocks = SampleConfig(count=PREFETCHED).sample_blocks(3, (1, 2))
-    first = next(blocks)
-    assert threading.active_count() == running + 1
-    blocks.close()
-    # the group in flight is finished and the worker joined
+    with pytest.raises(InputError, match="^block 3 rejected$"):
+        check_group_axioms(Tk(1.0), _RejectsBlocks(count=THREADED))
+    # the blocks in flight are finished and the workers joined
     assert threading.active_count() == running
-    assert np.array_equal(first[1], SampleConfig(count=PREFETCHED).sample(3, 2, len(first[1])))
+
+
+def test_a_check_leaves_no_thread_running():
+    running = threading.active_count()
+    assert check_group_axioms(Tk(1.0), SampleConfig(count=THREADED)).passed
+    assert threading.active_count() == running
+
+
+def test_floating_point_state_reaches_the_workers(tmp_path, capsys):
+    # e^{300 y} overflows: ignored under the caller's errstate, which each
+    # worker must run under too, or a block's overflow warns (here: raises)
+    law = '{"family":"semidirect_rr","params":{"c":300}}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["axioms", "--law", law, "--samples", str(THREADED),
+                     "--out", str(tmp_path / "out")])
+    assert code == 4
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "out").read_text())["report"]["overflow"] is True
 
 
 def test_pair_blocks_keep_contiguous_columns(monkeypatch):
+    def contiguous(block):
+        assert block.a.strides[0] == block.b.strides[0] == block.a.itemsize
+
     for size in BLOCK_SIZES:
         monkeypatch.setattr(tolerance, "BLOCK_ROWS", size)
         pairs = _ordered_pairs(LexOrder((2, 0, 1)), CFG, 3)
-        assert pairs.scan()[0] == 3 * CFG.count  # continuous samples: no pair ties
-        for _, block in pairs.blocks():
-            assert block.a.strides[0] == block.b.strides[0] == block.a.itemsize
+        # continuous samples: no pair ties
+        assert _scanned_blocks(pairs, contiguous)[0] == 3 * CFG.count

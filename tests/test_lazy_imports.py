@@ -76,7 +76,7 @@ def test_classify_runs_no_cohomology_actions_or_selftest(tmp_path):
     assert got["executed"] == [f"ordgroups.{m}" for m in ("classify", "cli", "errors", "groups",
                                                           "jsonio", "orders", "tolerance")]
     assert got["registered"] == _EVERY
-    # 1000 samples fit in one draw group: no worker thread, no thread pool
+    # 1000 samples fit in one row block: no worker thread, no thread pool
     assert got["futures"] is False
 
 
@@ -93,7 +93,7 @@ def test_cocycle_commands_run_no_orders_classify_or_selftest(tmp_path, argv):
     assert got["registered"] == _EVERY
 
 
-def test_a_draw_past_one_group_loads_the_thread_pool(tmp_path):
+def test_a_draw_past_one_block_loads_the_thread_pool(tmp_path):
     out = tmp_path / "out"
     got = _fresh(_CLI_PROBE, str(out), "axioms", "--law", '{"family":"t_k","params":{"k":1}}',
                  "--samples", "300000")

@@ -24,6 +24,7 @@ from ordgroups import (
     multiply,
     verify_witness,
 )
+from ordgroups import tolerance
 from ordgroups.orders import PairBlock, SampledPairs, _lex_compare, _ordered_pairs
 
 RNG = np.random.default_rng(11)
@@ -197,22 +198,36 @@ class _CoarseSamples(SampleConfig):
 
 def _assembled_pairs(pairs, cfg):
     """lo and hi assembled from the blocks through the swap mask: each level's
-    kept rows, the levels concatenated in order."""
+    kept rows, the levels concatenated in order. The blocks are those an
+    identity side sees in one scan: it keeps every pair in order, so it sees
+    every level of every row block, a block's levels in turn on one thread."""
     h = cfg.sample(pairs.order.dim, 11)
     lo, hi = ([[] for _ in range(pairs.levels)] for _ in range(2))
     stop = [0] * pairs.levels
-    for k, block in pairs.blocks():
-        # each level's blocks cover its rows of the draws in order
-        assert block.rows.start == stop[k]
-        stop[k] = block.rows.stop
-        assert np.array_equal(h[block.rows], block.a)
-        assert block.keep.shape == block.swap.shape == (len(block.a),)
+    seen = {}
+
+    def record(g, block):
+        k = len(seen.setdefault(block.rows.start, []))
         swap = block.swap[:, None]
-        lo[k].append(np.where(swap, block.b, block.a)[block.keep])
-        hi[k].append(np.where(swap, block.a, block.b)[block.keep])
+        seen[block.rows.start].append((k, block.rows, np.array_equal(h[block.rows], block.a),
+                                       block.keep.shape == block.swap.shape == (len(block.a),),
+                                       np.where(swap, block.b, block.a)[block.keep],
+                                       np.where(swap, block.a, block.b)[block.keep]))
+        return block.a, block.b
+
+    count, (hit,) = pairs.scan((pairs.order, record))
+    assert hit is None
+    for k, rows, drawn, shaped, block_lo, block_hi in (
+            block for start in sorted(seen) for block in seen[start]):
+        # each level's blocks cover its rows of the draws in order
+        assert rows.start == stop[k]
+        stop[k] = rows.stop
+        assert drawn and shaped
+        lo[k].append(block_lo)
+        hi[k].append(block_hi)
     assert stop == [cfg.count] * pairs.levels
     lo, hi = (np.concatenate([rows for level in side for rows in level]) for side in (lo, hi))
-    assert len(lo) == pairs.scan()[0]
+    assert len(lo) == count
     return lo, hi
 
 
@@ -349,7 +364,7 @@ def test_first_misordered_matches_the_swap_formula(sig):
     assert masked_misses > 0
 
 
-def test_scan_counts_and_hits_only_the_kept_pairs():
+def test_scan_counts_and_hits_only_the_kept_pairs(monkeypatch):
     # under x >> y, rows 0 and 3 tie at both levels and row 1 at level 1,
     # where its x is shared and its y equals h's
     order = LexOrder((0, 1))
@@ -357,20 +372,38 @@ def test_scan_counts_and_hits_only_the_kept_pairs():
     hp = np.asfortranarray(RNG.uniform(-3, 3, (6, 2)))
     hp[[0, 3]] = h[[0, 3]]
     hp[1, 1] = h[1, 1]
-    pairs = SampledPairs(order, 2, 6, lambda: [(h[:4], hp[:4]), (h[4:], hp[4:])])
-    assert [block.keep.tolist() for _, block in pairs.blocks()] == [
-        [False, True, True, False], [False, False, True, False], [True, True], [True, True]]
+
+    class Fixed(SampleConfig):
+        """h and h' as streams 1 and 2; row r of any other stream is (r, r)."""
+
+        def sample(self, dim, stream=0, count=None, start=0, out=None):
+            if stream in (1, 2):
+                got = (h, hp)[stream - 1][start:start + count]
+            else:
+                got = np.repeat(np.arange(start, start + count, dtype=float)[:, None], dim, 1)
+            out = np.empty((count, dim), order="F") if out is None else out
+            out[:] = got
+            return out
+
+    # row blocks of 4 rows: rows 0-3 and 4-5
+    monkeypatch.setattr(tolerance, "BLOCK_ROWS", 4)
+    pairs = SampledPairs(order, 2, Fixed(count=6), (1, 2))
+    keeps = {}
+
+    def identity(g, block):
+        keeps.setdefault(block.rows.start, []).append(block.keep.tolist())
+        return block.a, block.b
 
     def nan_images(g, block):
         # NaN, so misordered, on every row from g row 8 on: level 1, row 2
         nan = np.where(g[:, :1] >= 8, np.nan, 0.0)
         return block.a + nan, block.b + nan
 
-    count, hits = pairs.scan((order, lambda g, block: (block.a, block.b)),
+    count, hits = pairs.scan((order, identity),
                              (order, lambda g, block: (np.nan * block.a, np.nan * block.b)),
-                             (order, nan_images),
-                             g=lambda count, start: np.repeat(
-                                 np.arange(start, start + count, dtype=float)[:, None], 2, 1))
+                             (order, nan_images), g=3)
+    assert keeps == {0: [[False, True, True, False], [False, False, True, False]],
+                     4: [[True, True], [True, True]]}
     assert count == 4 + 3
     # the identity keeps every pair in order; NaN images hit the first kept
     # pair, level 0 row 1 (g row 1), and from g row 8 the first kept pair at
