@@ -3,7 +3,9 @@
 An action is its exponent matrix C, one row per module coordinate and one
 column per acting coordinate: g scales module coordinate m by e^{(C g)_m}.
 C is also the action's part of the bracket table, [e_{h_j}, e_{n_m}] =
-C[m][j] e_{n_m}. The constructors:
+C[m][j] e_{n_m}. The extension base of the chart laws (groups._Extension)
+computes the same e^{C g}, each exponent summed in the same order. The
+constructors:
 
   character(c1, ..., cn)     ((c1, ..., cn),)  g acts on scalars by e^{c . g}
   diagonal(c, d)             ((c,), (d,))      scalar t acts on the plane by (e^{c t} u, e^{d t} v)

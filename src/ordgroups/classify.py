@@ -10,11 +10,11 @@ group; the sign parameter distinguishes the expanding and contracting
 variants, which are not isomorphic as ordered groups.
 
 The group level reads the law's bracket table (GroupLaw.brackets) in one of
-four forms: abelian, every bracket 0; affine, a derived algebra e_k that is
+five forms: abelian, every bracket 0; affine, a derived algebra e_k that is
 not central, [e_i, e_k] = chi_i e_k for a character chi; Heisenberg, a
 central derived algebra e_k; derived plane, two coordinates on which the
-third acts by a diagonal 2x2 ad. Its named cases are SUT3 and the nonsplit
-Tk(k != 0), whose ad is not diagonal.
+third acts by a diagonal 2x2 ad; nonsplit G3, whose ad is not diagonal. Its
+one named case is SUT3, whose chart change is nonlinear.
 
 A lexicographic order is bi-invariant exactly when its coordinate flag is a
 chain of ideals: the span of its k least significant coordinates is an ideal
@@ -383,18 +383,20 @@ def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
         target = heisenberg()
         return _cls("Heis", target), function_witness(law, target, sut3_to_heis, heis_to_sut3,
                                                       name="sut3_to_heis")
-    if isinstance(law, Tk) and law.k != 0.0:
-        target = Tk(1.0)
-        return _cls("G3", target), linear_witness(law, target, np.diag([1.0 / law.k, 1.0, 1.0]))
 
-    # the table in one of four forms: abelian; affine, [e_i, e_k] = chi_i e_k
+    # the table in one of five forms: abelian; affine, [e_i, e_k] = chi_i e_k
     # for one derived coordinate e_k; Heisenberg, one central derived
-    # coordinate; derived plane, [e_a, e_p] = lam_p e_p on the other two
+    # coordinate; derived plane, [e_a, e_p] = lam_p e_p on the other two; the
+    # nonsplit G3, [e_2, e_0] = e_0 and [e_2, e_1] = k e_0 + e_1 with k != 0
     table = law.brackets()
     if table == {}:
         target = Additive(n)
         return _cls(_ABELIAN[n][0], target), linear_witness(law, target, np.eye(n))
     coeff = _coefficients(table or {})
+    k = coeff.get((0, 2, 1))
+    if len(coeff) == 6 and k and coeff.get((0, 2, 0)) == coeff.get((1, 2, 1)) == 1.0:
+        target = Tk(1.0)
+        return _cls("G3", target), linear_witness(law, target, np.diag([1.0 / k, 1.0, 1.0]))
     derived = sorted({k for k, _, _ in coeff})
     matrix = np.zeros((n, n))
     if len(derived) == 1 and all(derived[0] in (i, j) for _, i, j in table):

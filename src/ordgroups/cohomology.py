@@ -21,7 +21,7 @@ import numpy as np
 
 from .actions import ExpAction, act, affine_on_semidirect, trivial
 from .errors import DomainError, InputError
-from .groups import Additive, GroupLaw, SemidirectRR, _result
+from .groups import Additive, GroupLaw, SemidirectRR, _Extension, _g3, _heis, _Level
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
@@ -73,21 +73,13 @@ class Cochain:
 
 def heis_cocycle(c: float) -> Cochain:
     """The determinant 2-cocycle on the abelian plane: c * (x1 y2 - y1 x2)."""
-
-    def fn(g, h):
-        return (c * (g[..., 0] * h[..., 1] - g[..., 1] * h[..., 0]))[..., None]
-
-    return Cochain(degree=2, fn=fn, module=heis_module(),
+    return Cochain(degree=2, fn=functools.partial(_heis, c), module=heis_module(),
                    descriptor={"cocycle": "heis", "c": float(c)})
 
 
 def g3_cocycle(k: float) -> Cochain:
     """The nonsplit 2-cocycle on the affine chart: k * y2 z1 e^{z1}."""
-
-    def fn(g, h):
-        return (k * h[..., 0] * g[..., 1] * np.exp(g[..., 1]))[..., None]
-
-    return Cochain(degree=2, fn=fn, module=g3_module(1.0),
+    return Cochain(degree=2, fn=functools.partial(_g3, k), module=g3_module(1.0),
                    descriptor={"cocycle": "g3", "k": float(k)})
 
 
@@ -167,8 +159,9 @@ def normalize_cocycle(f: Cochain) -> Cochain:
 
 
 @dataclass(frozen=True)
-class CocycleLaw(GroupLaw):
-    """Extension law on module-first coordinates (N..., H...) built from a 2-cocycle."""
+class CocycleLaw(_Extension):
+    """Extension law on module-first coordinates (N..., H...) built from a
+    2-cocycle; its bracket table is None unless the cocycle is a named one."""
 
     family = "from_cocycle"
     module: GModule
@@ -178,28 +171,8 @@ class CocycleLaw(GroupLaw):
     def dim(self):
         return self.module.N.dim + self.module.H.dim
 
-    def _split(self, a):
-        k = self.module.N.dim
-        return a[..., :k], a[..., k:]
-
-    def mul(self, a, b):
-        m1, g1 = self._split(a)
-        m2, g2 = self._split(b)
-        k = self.module.N.dim
-        out = _result(self.dim, a, b)
-        np.add(m1 + self.module.act(g1, m2), self.cochain.fn(g1, g2), out=out[..., :k])
-        out[..., k:] = self.module.H.mul(g1, g2)
-        return out
-
-    def inv(self, a):
-        m, g = self._split(a)
-        ginv = self.module.H.inv(g)
-        corr = m + self.cochain.fn(g, ginv)
-        k = self.module.N.dim
-        out = _result(self.dim, a)
-        np.negative(self.module.act(ginv, corr), out=out[..., :k])
-        out[..., k:] = ginv
-        return out
+    def _level(self):
+        return _Level(self.module.H, True, self.module.gamma.exponents, self.cochain.fn)
 
     def descriptor(self):
         params = dict(self.cochain.descriptor or {})

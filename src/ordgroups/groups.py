@@ -1,15 +1,19 @@
 """Closed-form group laws on coordinate charts of dimension 1 to 3.
 
-Every law acts on flat coordinate vectors; the chart conventions are:
+Additive(n) adds coordinatewise and Product(a, b) concatenates two charts.
+Every other law is one extension step (_Level), (m, g)(m', g') = (m + e^{C g}
+m' + f(g, g'), g g'): a base law of g, the module block m first or last, the
+exponent matrix C (a row per module coordinate, a column per base coordinate)
+and an optional named 2-cocycle f. _Extension derives mul, inv and brackets:
 
-  Additive(n)        (x...)        coordinatewise addition
-  SemidirectRR(c)    (x, y)        x normal, y acting:  (x1 + e^{c y1} x2, y1 + y2)
-  Ec(c)              (x, y, z)     z central:  z1 + z2 + c (x1 y2 - y1 x2)
-  SUT3               (x, y, z)     unitriangular 3x3 chart:  z1 + z2 + x1 y2
-  GCd(c, d)          (x, y, z)     z1 + e^{c x1 + d y1} z2
-  KCd(c, d)          (x, y, z)     x acting:  (y1 + e^{c x1} y2, z1 + e^{d x1} z2)
-  Tk(k)              (x, y, z)     x1 + x2 e^{z1} + k y2 z1 e^{z1}, y1 + y2 e^{z1}, z1 + z2
-  Product(a, b)      concatenated charts
+  law              base                       module        C             cocycle
+  SemidirectRR(c)  Additive(1) on y           x, first      ((c,),)       -
+  Ec(c)            Additive(2) on (x, y)      z, last       ((0, 0),)     heis: c (x1 y2 - y1 x2)
+  SUT3             Additive(2) on (x, y)      z, last       ((0, 0),)     sut3: x1 y2
+  GCd(c, d)        Additive(2) on (x, y)      z, last       ((c, d),)     -
+  KCd(c, d)        Additive(1) on x           (y, z), last  ((c,), (d,))  -
+  Tk(k)            SemidirectRR(1) on (y, z)  x, first      ((0, 1),)     g3: k y2 z1 e^{z1}
+  CocycleLaw       its module's H             N, first      its action's  its cochain
 
 All operations broadcast over stacked inputs of shape (..., dim), in either
 memory layout. Samples and law results are coordinate-major: an (n, dim)
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +63,8 @@ def _element(x, dim: int) -> np.ndarray:
 def _result(dim: int, *operands) -> np.ndarray:
     """The uninitialized (..., dim) result of an operation on stacks of
     elements, coordinate-major: its stack shape is the operands' broadcast one.
-    Each coordinate's last operation writes into its column with out=, so no
-    column is computed into a temporary and copied."""
+    Each module coordinate's last operation writes into its column with out=;
+    a base law's block is its own law's result, copied in."""
     shape = np.broadcast_shapes(*(x.shape[:-1] for x in operands))
     return np.empty(shape + (dim,), order="F")
 
@@ -67,6 +72,17 @@ def _result(dim: int, *operands) -> np.ndarray:
 def _nonzero(table: dict) -> dict:
     """A bracket table without its zeros, its entries as Python floats."""
     return {key: float(b) for key, b in table.items() if b != 0.0}
+
+
+def _combination(row, a: np.ndarray) -> np.ndarray | None:
+    """sum_j row[j] a[..., j] over the nonzero row[j], accumulated in column
+    order with no multiplication by 1; None for a zero row."""
+    acc = None
+    for j, mij in enumerate(row):
+        if mij != 0.0:
+            term = a[..., j] if mij == 1.0 else mij * a[..., j]
+            acc = term if acc is None else acc + term
+    return acc
 
 
 def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -78,13 +94,8 @@ def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
     on the memory layout of `a`.
     """
     out = np.empty(a.shape[:-1] + (matrix.shape[0],), order="F")
-    for i in range(matrix.shape[0]):
-        acc = None
-        for j in range(matrix.shape[1]):
-            mij = matrix[i, j]
-            if mij != 0.0:
-                term = a[..., j] if mij == 1.0 else mij * a[..., j]
-                acc = term if acc is None else acc + term
+    for i, row in enumerate(matrix):
+        acc = _combination(row, a)
         out[..., i] = 0.0 if acc is None else acc
     return out
 
@@ -146,51 +157,119 @@ class Additive(GroupLaw):
         return -a
 
 
+def _heis(c, g, h):
+    """The determinant 2-cocycle on the plane: c (x1 y2 - y1 x2)."""
+    return (c * (g[..., 0] * h[..., 1] - g[..., 1] * h[..., 0]))[..., None]
+
+
+def _g3(k, g, h):
+    """The nonsplit 2-cocycle on the affine chart (y, z): k y2 z1 e^{z1}."""
+    return (k * h[..., 0] * g[..., 1] * np.exp(g[..., 1]))[..., None]
+
+
+def _sut3(_, g, h):
+    """The unitriangular 2-cocycle on the plane: x1 y2, for the parameter 1."""
+    return (g[..., 0] * h[..., 1])[..., None]
+
+
+# each named 2-cocycle's bracket part (i, j, b): [e_i, e_j] = b p e_m, on
+# the base coordinates, for the cocycle functools.partial(formula, p)
+_BRACKET_PARTS = {_heis: (0, 1, 2.0), _g3: (1, 0, 1.0), _sut3: (0, 1, 1.0)}
+
+
+class _Level(NamedTuple):
+    """One extension step (module docstring); its cocycle is None for a split
+    one, and functools.partial(formula, p) for a named one (_BRACKET_PARTS)."""
+
+    base: GroupLaw
+    module_first: bool
+    exponents: tuple[tuple[float, ...], ...]
+    cocycle: Callable | None = None
+
+
+def _scaling(row, g: np.ndarray) -> np.ndarray | None:
+    """e^{row . g}, the exponent summed as _matvec sums it; None for a zero row."""
+    acc = _combination(row, g)
+    return None if acc is None else np.exp(acc)
+
+
+class _Extension(GroupLaw):
+    """A law that is one extension step, whose _level() reads the step off
+    its fields: mul, inv and the bracket table are written once, here."""
+
+    def _split(self, a, level: _Level):
+        """The module block and the base block of a's columns, as views."""
+        p = len(level.exponents)
+        if level.module_first:
+            return a[..., :p], a[..., p:]
+        return a[..., self.dim - p:], a[..., :self.dim - p]
+
+    def mul(self, a, b):
+        level = self._level()
+        (m1, g1), (m2, g2) = self._split(a, level), self._split(b, level)
+        out = _result(self.dim, a, b)
+        m, g = self._split(out, level)
+        g[...] = level.base.mul(g1, g2)
+        f = None if level.cocycle is None else level.cocycle(g1, g2)
+        for r, row in enumerate(level.exponents):
+            s, col = _scaling(row, g1), m[..., r]
+            np.add(m1[..., r], m2[..., r] if s is None else np.multiply(s, m2[..., r], out=col),
+                   out=col)
+            if f is not None:
+                np.add(col, f[..., r], out=col)
+        return out
+
+    def inv(self, a):
+        # (m, g)^-1 = (-e^{C g^-1} (m + f(g, g^-1)), g^-1)
+        level = self._level()
+        m1, g1 = self._split(a, level)
+        out = _result(self.dim, a)
+        m, g = self._split(out, level)
+        g[...] = level.base.inv(g1)
+        f = None if level.cocycle is None else level.cocycle(g1, g)
+        for r, row in enumerate(level.exponents):
+            s, col = _scaling(row, g), m[..., r]
+            t = m1[..., r] if f is None else np.add(m1[..., r], f[..., r], out=col)
+            np.negative(t if s is None else np.multiply(s, t, out=col), out=col)
+        return out
+
+    def brackets(self):
+        """The action part [e_j, e_m] = C[m][j] e_m, then the named cocycle's
+        bracket part, then the base's table; None when the base has no table
+        or the cocycle is not a named one."""
+        level = self._level()
+        base, f = level.base.brackets(), level.cocycle
+        part = None if f is None else _BRACKET_PARTS.get(getattr(f, "func", None))
+        if base is None or (f is not None and part is None):
+            return None
+        mod, bas = (x.tolist() for x in self._split(np.arange(self.dim), level))
+        table = {(mod[r], bas[j], mod[r]): x
+                 for r, row in enumerate(level.exponents) for j, x in enumerate(row)}
+        if part is not None:
+            i, j, b = part
+            table[mod[0], bas[i], bas[j]] = b * f.args[0]
+        table.update({(bas[k], bas[i], bas[j]): x for (k, i, j), x in base.items()})
+        return _nonzero(table)
+
+
 @dataclass(frozen=True)
-class SemidirectRR(GroupLaw):
+class SemidirectRR(_Extension):
     family = "semidirect_rr"
     dim = 2
     c: float = 1.0
 
-    def brackets(self):
-        return _nonzero({(0, 1, 0): self.c})
-
-    def mul(self, a, b):
-        x1, y1 = a[..., 0], a[..., 1]
-        x2, y2 = b[..., 0], b[..., 1]
-        out = _result(2, a, b)
-        np.add(x1, np.exp(self.c * y1) * x2, out=out[..., 0])
-        np.add(y1, y2, out=out[..., 1])
-        return out
-
-    def inv(self, a):
-        x, y = a[..., 0], a[..., 1]
-        out = _result(2, a)
-        np.multiply(-np.exp(-self.c * y), x, out=out[..., 0])
-        np.negative(y, out=out[..., 1])
-        return out
+    def _level(self):
+        return _Level(Additive(1), True, ((self.c,),))
 
 
 @dataclass(frozen=True)
-class Ec(GroupLaw):
+class Ec(_Extension):
     family = "e_c"
     dim = 3
     c: float
 
-    def brackets(self):
-        return _nonzero({(2, 0, 1): 2 * self.c})
-
-    def mul(self, a, b):
-        x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
-        x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        out = _result(3, a, b)
-        np.add(a[..., :2], b[..., :2], out=out[..., :2])
-        np.add(z1 + z2, self.c * (x1 * y2 - y1 * x2), out=out[..., 2])
-        return out
-
-    def inv(self, a):
-        # the central correction vanishes: det of (v, -v) rows is 0
-        return -a
+    def _level(self):
+        return _Level(Additive(2), False, ((0.0, 0.0),), functools.partial(_heis, self.c))
 
 
 def heisenberg() -> Ec:
@@ -199,104 +278,47 @@ def heisenberg() -> Ec:
 
 
 @dataclass(frozen=True)
-class SUT3(GroupLaw):
+class SUT3(_Extension):
     family = "sut3"
     dim = 3
 
-    def brackets(self):
-        return {(2, 0, 1): 1.0}
-
-    def mul(self, a, b):
-        x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
-        x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        out = _result(3, a, b)
-        np.add(a[..., :2], b[..., :2], out=out[..., :2])
-        np.add(z1 + z2, x1 * y2, out=out[..., 2])
-        return out
-
-    def inv(self, a):
-        x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        out = _result(3, a)
-        np.negative(a[..., :2], out=out[..., :2])
-        np.subtract(x * y, z, out=out[..., 2])
-        return out
+    def _level(self):
+        return _Level(Additive(2), False, ((0.0, 0.0),), functools.partial(_sut3, 1.0))
 
 
 @dataclass(frozen=True)
-class GCd(GroupLaw):
+class GCd(_Extension):
     family = "g_cd"
     dim = 3
     c: float
     d: float
 
-    def brackets(self):
-        return _nonzero({(2, 0, 2): self.c, (2, 1, 2): self.d})
-
-    def mul(self, a, b):
-        x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
-        x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        s = np.exp(self.c * x1 + self.d * y1)
-        out = _result(3, a, b)
-        np.add(a[..., :2], b[..., :2], out=out[..., :2])
-        np.add(z1, s * z2, out=out[..., 2])
-        return out
-
-    def inv(self, a):
-        x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        out = _result(3, a)
-        np.negative(a[..., :2], out=out[..., :2])
-        np.multiply(-np.exp(-(self.c * x + self.d * y)), z, out=out[..., 2])
-        return out
+    def _level(self):
+        return _Level(Additive(2), False, ((self.c, self.d),))
 
 
 @dataclass(frozen=True)
-class KCd(GroupLaw):
+class KCd(_Extension):
     family = "k_cd"
     dim = 3
     c: float
     d: float
 
-    def brackets(self):
-        return _nonzero({(1, 0, 1): self.c, (2, 0, 2): self.d})
-
-    def mul(self, a, b):
-        x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
-        x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        out = _result(3, a, b)
-        np.add(x1, x2, out=out[..., 0])
-        np.add(y1, np.exp(self.c * x1) * y2, out=out[..., 1])
-        np.add(z1, np.exp(self.d * x1) * z2, out=out[..., 2])
-        return out
-
-    def inv(self, a):
-        x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        out = _result(3, a)
-        np.negative(x, out=out[..., 0])
-        np.multiply(-np.exp(-self.c * x), y, out=out[..., 1])
-        np.multiply(-np.exp(-self.d * x), z, out=out[..., 2])
-        return out
+    def _level(self):
+        return _Level(Additive(1), False, ((self.c,), (self.d,)))
 
 
 @dataclass(frozen=True)
-class Tk(GroupLaw):
+class Tk(_Extension):
     family = "t_k"
     dim = 3
     k: float
 
-    def brackets(self):
-        return _nonzero({(0, 2, 0): 1.0, (0, 2, 1): self.k, (1, 2, 1): 1.0})
-
-    def mul(self, a, b):
-        x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2]
-        x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2]
-        e = np.exp(z1)
-        out = _result(3, a, b)
-        np.add(x1 + x2 * e, self.k * y2 * z1 * e, out=out[..., 0])
-        np.add(y1, y2 * e, out=out[..., 1])
-        np.add(z1, z2, out=out[..., 2])
-        return out
+    def _level(self):
+        return _Level(SemidirectRR(1.0), True, ((0.0, 1.0),), functools.partial(_g3, self.k))
 
     def inv(self, a):
+        # the closed form, which rounds differently from the generic inverse
         x, y, z = a[..., 0], a[..., 1], a[..., 2]
         e = np.exp(-z)
         out = _result(3, a)

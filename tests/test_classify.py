@@ -8,6 +8,7 @@ import pytest
 
 from ordgroups import (
     Additive,
+    Cochain,
     DomainError,
     Ec,
     Evidence,
@@ -30,8 +31,7 @@ from ordgroups import (
     enumerate_canonical,
     extension_from_cocycle,
     function_witness,
-    heis_cocycle,
-    heis_module,
+    g3_module,
     heisenberg,
     invert_witness,
     linear_witness,
@@ -45,6 +45,13 @@ from ordgroups.tolerance import DEFAULT_TOL
 CFG = SampleConfig(seed=9, count=800)
 XYZ = LexOrder((0, 1, 2))
 REV2 = LexOrder((1, 0))
+
+
+def _unnamed_cocycle_law():
+    """The split extension over g3_module(1.0) from the zero cochain, which
+    names no cocycle: a law with no bracket table."""
+    zero = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), g3_module(1.0))
+    return extension_from_cocycle(g3_module(1.0), zero, CFG)
 
 
 # --- group-level classification ------------------------------------------------
@@ -122,8 +129,9 @@ def test_split_nonabelian_tk_routes_to_diagonal_family():
 
 
 def test_out_of_scope_descriptors_rejected():
-    law = extension_from_cocycle(heis_module(), heis_cocycle(1.0))
-    # a cocycle law declares no bracket table, nor does a product with one
+    law = _unnamed_cocycle_law()
+    # a law from an unnamed cochain declares no bracket table, nor does a
+    # product with one
     assert law.brackets() is None
     assert Product(Additive(1), law).brackets() is None
     assert Product(law, Additive(1)).brackets() is None
@@ -131,6 +139,13 @@ def test_out_of_scope_descriptors_rejected():
         classify_group(law, CFG)
     with pytest.raises(DomainError):
         classify_group(Product(Additive(2), Additive(2)), CFG)
+
+
+def test_an_order_on_a_law_with_no_bracket_table_has_no_canonical_form():
+    # a descriptor names only cocycles with a table, so the CLI cannot reach this
+    with pytest.raises(DomainError) as exc:
+        classify_ordered(_unnamed_cocycle_law(), XYZ, CFG)
+    assert str(exc.value) == "no canonical form for CocycleLaw with significance (0, 1, 2)"
 
 
 # --- ordered classification -------------------------------------------------------
@@ -570,7 +585,7 @@ def test_one_ordered_class_is_not_separated_by_the_sign_of_a_mixed_character(law
 @pytest.mark.parametrize("spec", [
     # span{e_x, e_z} is no ideal: [e_z, e_y] = k e_x + e_y
     OrderedGroupSpec(Tk(3.0), LexOrder((1, 2, 0))),
-    OrderedGroupSpec(extension_from_cocycle(heis_module(), heis_cocycle(1.0)), XYZ),
+    OrderedGroupSpec(_unnamed_cocycle_law(), XYZ),
 ], ids=["flag not a chain of ideals", "no bracket table"])
 def test_separating_invariant_rejects_a_spec_outside_the_admitted_ordered_groups(spec):
     other = OrderedGroupSpec(Ec(1.0), XYZ)
@@ -580,7 +595,7 @@ def test_separating_invariant_rejects_a_spec_outside_the_admitted_ordered_groups
 
 
 def test_separating_invariant_on_a_law_with_no_bracket_table_says_so():
-    spec = OrderedGroupSpec(extension_from_cocycle(heis_module(), heis_cocycle(1.0)), XYZ)
+    spec = OrderedGroupSpec(_unnamed_cocycle_law(), XYZ)
     with pytest.raises(DomainError) as exc:
         separating_invariant(spec, OrderedGroupSpec(Ec(1.0), XYZ))
     assert str(exc.value) == ("CocycleLaw with significance (0, 1, 2) has no bracket table "

@@ -568,9 +568,26 @@ def test_not_an_ordered_group_message_prints_plain_floats(capsys):
                    "is not a chain of ideals\n")
 
 
-def test_an_order_on_a_law_with_no_bracket_table_has_no_canonical_form(capsys):
-    code = main(["classify", "--law", '{"family":"from_cocycle","params":{"cocycle":"heis"}}',
-                 "--order", "0,1,2"])
+_HEIS_LAW = '{"family":"from_cocycle","params":{"cocycle":"heis"}}'
+
+
+@pytest.mark.parametrize("law, order, label", [
+    (_HEIS_LAW, None, "Heis"),
+    # [e_1, e_2] = 2c e_0 puts the module last: slot B = 2c = 1 > 0
+    (_HEIS_LAW, "1,2,0", "E_plus"),
+    ('{"family":"from_cocycle","params":{"cocycle":"g3","k":-2}}', None, "G3"),
+    ('{"family":"from_cocycle","params":{"cocycle":"g3"}}', "2,1,0", "T_plus"),
+])
+def test_a_named_cocycle_law_classifies_through_its_bracket_table(capsys, law, order, label):
+    code, out = run_cli(capsys, "classify", "--law", law, *(("--order", order) if order else ()))
+    assert code == 0
+    assert json.loads(out)["label"] == label
+
+
+def test_the_heis_cocycle_law_breaks_the_chart_order_flag(capsys):
+    code = main(["classify", "--law", _HEIS_LAW, "--order", "0,1,2"])
     assert code == 3
-    assert capsys.readouterr().err == ("domain error: no canonical form for CocycleLaw with "
-                                       "significance (0, 1, 2)\n")
+    assert capsys.readouterr().err == (
+        "domain error: CocycleLaw with significance (0, 1, 2) is not an ordered group: "
+        "[e_1, e_2] = 1.0 e_0 is more significant than e_2, so the flag is not a chain of "
+        "ideals\n")

@@ -106,6 +106,11 @@ _BRACKET_PARAMS = (-2.0, -0.5, 0.0, 1.0, 2.5)
     Product(Additive(2), KCd(1.0, 2.5)),
     # numpy parameters still give a table of Python floats
     KCd(np.float64(0.5), np.float64(-2.0)), Product(Additive(1), SemidirectRR(np.float64(2.5))),
+    # cocycle laws from named cocycles
+    *(pytest.param(extension_from_cocycle(heis_module(), heis_cocycle(c)),
+                   id=f"from_cocycle heis c={c}") for c in (-2.0, 0.5)),
+    *(pytest.param(extension_from_cocycle(g3_module(1.0), g3_cocycle(k)),
+                   id=f"from_cocycle g3 k={k}") for k in (-2.0, 1.0)),
 ], ids=repr)
 def test_declared_brackets_match_the_second_difference_of_mul(law):
     table = law.brackets()
@@ -116,6 +121,39 @@ def test_declared_brackets_match_the_second_difference_of_mul(law):
     for (k, i, j), b in table.items():
         declared[k, i, j], declared[k, j, i] = b, -b
     assert np.allclose(_numerical_brackets(law), declared, rtol=0.0, atol=1e-6)
+
+
+# each family's bracket table written out: the reference for its derived table
+_LITERAL_TABLES = {
+    SemidirectRR: lambda L: {(0, 1, 0): L.c},
+    Ec: lambda L: {(2, 0, 1): 2 * L.c},
+    SUT3: lambda L: {(2, 0, 1): 1.0},
+    GCd: lambda L: {(2, 0, 2): L.c, (2, 1, 2): L.d},
+    KCd: lambda L: {(1, 0, 1): L.c, (2, 0, 2): L.d},
+    Tk: lambda L: {(0, 2, 0): 1.0, (0, 2, 1): L.k, (1, 2, 1): 1.0},
+}
+
+
+@pytest.mark.parametrize("law", [
+    SUT3(),
+    *(SemidirectRR(c) for c in _BRACKET_PARAMS),
+    *(Ec(c) for c in _BRACKET_PARAMS),
+    *(Tk(k) for k in _BRACKET_PARAMS),
+    *(GCd(c, d) for c in _BRACKET_PARAMS for d in _BRACKET_PARAMS),
+    *(KCd(c, d) for c in _BRACKET_PARAMS for d in _BRACKET_PARAMS),
+], ids=repr)
+def test_derived_tables_keep_the_declared_entries_in_order(law):
+    # _breaking_bracket reports the first breaking entry, so the order counts
+    literal = {key: float(b) for key, b in _LITERAL_TABLES[type(law)](law).items() if b != 0.0}
+    assert list(law.brackets().items()) == list(literal.items())
+
+
+@pytest.mark.parametrize("c", _BRACKET_PARAMS)
+def test_a_named_cocycle_law_derives_its_bracket_table(c):
+    heis = extension_from_cocycle(heis_module(), heis_cocycle(c))
+    assert heis.brackets() == ({(0, 1, 2): 2 * c} if c else {})
+    g3 = extension_from_cocycle(g3_module(1.0), g3_cocycle(c))
+    assert list(g3.brackets().items()) == list(Tk(c).brackets().items())
 
 
 # --- multiply --------------------------------------------------------------
@@ -242,6 +280,15 @@ def _ref_inv(law, a):
     Product(Additive(1), Product(SemidirectRR(-0.5), Additive(1))),
     extension_from_cocycle(heis_module(), heis_cocycle(0.5)),
     extension_from_cocycle(g3_module(1.0), g3_cocycle(1.0)),
+    # degenerate and negative parameters, where a generic path skips a term
+    *(pytest.param(law, id=repr(law)) for law in (
+        SemidirectRR(0.0), SemidirectRR(1.0), Ec(0.0), Ec(1.0), Ec(-0.5), GCd(0.0, 2.0),
+        GCd(1.0, 0.0), GCd(0.0, 0.0), GCd(-0.5, -2.0), KCd(0.0, -1.0), KCd(1.0, 0.0),
+        KCd(0.0, 0.0), Tk(0.0), Tk(1.0), Tk(-0.5))),
+    *(pytest.param(extension_from_cocycle(heis_module(), heis_cocycle(c)),
+                   id=f"from_cocycle heis c={c}") for c in (0.0, -2.0)),
+    *(pytest.param(extension_from_cocycle(g3_module(1.0), g3_cocycle(k)),
+                   id=f"from_cocycle g3 k={k}") for k in (0.0, -3.0)),
 ], ids=lambda law: law.family)
 def test_laws_give_the_same_bits_in_either_layout(law):
     cfg = SampleConfig(seed=4, count=1000)
