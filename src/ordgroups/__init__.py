@@ -14,11 +14,11 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines, re-exported here
 _PUBLIC = {
-    "actions": "ExpAction act affine_on_semidirect character diagonal trivial",
+    "actions": "GModule act",
     "classify": "CanonicalClass Evidence IsoWitness NotSeparated classify_group "
                 "classify_ordered compose_witness enumerate_canonical function_witness "
                 "invert_witness linear_witness separating_invariant verify_witness",
-    "cohomology": "Cochain CocycleLaw GModule coboundary cocycle_residual extension_from_cocycle "
+    "cohomology": "Cochain CocycleLaw coboundary cocycle_residual extension_from_cocycle "
                   "g3_cocycle g3_module heis_cocycle heis_module normalize_cocycle",
     "errors": "DomainError InputError",
     "groups": "Additive Ec GCd GroupLaw KCd Product SemidirectRR SUT3 Tk check_group_axioms "

@@ -3,7 +3,7 @@
 A degree-n cochain is a function from n-tuples of acting-chart elements to
 module elements. The coboundary of an n-cochain f is
 
-    (df)(g1, ..., g_{n+1}) = gamma(g1) f(g2, ..., g_{n+1})
+    (df)(g1, ..., g_{n+1}) = e^{C g1} f(g2, ..., g_{n+1})
                              + sum_i (-1)^i f(g1, ..., g_i g_{i+1}, ..., g_{n+1})
                              + (-1)^{n+1} f(g1, ..., gn)
 
@@ -19,38 +19,18 @@ from typing import Callable
 
 import numpy as np
 
-from .actions import ExpAction, act, affine_on_semidirect, trivial
+from .actions import GModule
 from .errors import DomainError, InputError
-from .groups import Additive, GroupLaw, SemidirectRR, _Extension, _g3, _heis, _Level
+from .groups import Additive, SemidirectRR, _Extension, _g3, _heis, _Level
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
-@dataclass(frozen=True)
-class GModule:
-    """An abelian chart group N acted on exponentially by a chart group H."""
-
-    H: GroupLaw
-    N: Additive
-    gamma: ExpAction
-
-    def __post_init__(self):
-        if not isinstance(self.N, Additive):
-            raise InputError("module part must be an additive law")
-        if self.gamma.acting_dim != self.H.dim:
-            raise InputError("action acting-chart dimension does not match H")
-        if self.gamma.module_dim != self.N.dim:
-            raise InputError("action module dimension does not match N")
-
-    def act(self, g: np.ndarray, n: np.ndarray) -> np.ndarray:
-        return act(self.gamma, g, n)
-
-
 def heis_module() -> GModule:
-    return GModule(H=Additive(2), N=Additive(1), gamma=trivial(2))
+    return GModule(Additive(2), ((0.0, 0.0),))
 
 
-def g3_module(c: float = 1.0) -> GModule:
-    return GModule(H=SemidirectRR(1.0), N=Additive(1), gamma=affine_on_semidirect(c))
+def g3_module() -> GModule:
+    return GModule(SemidirectRR(1.0), ((0.0, 1.0),))
 
 
 @dataclass(frozen=True)
@@ -79,7 +59,7 @@ def heis_cocycle(c: float) -> Cochain:
 
 def g3_cocycle(k: float) -> Cochain:
     """The nonsplit 2-cocycle on the affine chart: k * y2 z1 e^{z1}."""
-    return Cochain(degree=2, fn=functools.partial(_g3, k), module=g3_module(1.0),
+    return Cochain(degree=2, fn=functools.partial(_g3, k), module=g3_module(),
                    descriptor={"cocycle": "g3", "k": float(k)})
 
 
@@ -161,18 +141,19 @@ def normalize_cocycle(f: Cochain) -> Cochain:
 @dataclass(frozen=True)
 class CocycleLaw(_Extension):
     """Extension law on module-first coordinates (N..., H...) built from a
-    2-cocycle; its bracket table is None unless the cocycle is a named one."""
+    2-cocycle over its module; its bracket table is None unless the cocycle
+    is a named one."""
 
     family = "from_cocycle"
-    module: GModule
     cochain: Cochain
 
     @property
     def dim(self):
-        return self.module.N.dim + self.module.H.dim
+        return self.cochain.module.N.dim + self.cochain.module.H.dim
 
     def _level(self):
-        return _Level(self.module.H, True, self.module.gamma.exponents, self.cochain.fn)
+        module = self.cochain.module
+        return _Level(module.H, True, module.exponents, self.cochain.fn)
 
     def descriptor(self):
         params = dict(self.cochain.descriptor or {})
@@ -180,20 +161,18 @@ class CocycleLaw(_Extension):
 
 
 def extension_from_cocycle(
-    module: GModule,
     f: Cochain,
     cfg: SampleConfig = SampleConfig(),
     tol: Tolerance = DEFAULT_TOL,
 ) -> CocycleLaw:
-    """Build the extension group law (a, g)(b, h) = (a + gamma(g) b + f(g, h), g h).
+    """Build the extension group law (a, g)(b, h) = (a + e^{C g} b + f(g, h), g h)
+    over f's module.
 
     Rejects cochains whose coboundary does not vanish on samples, since the
     resulting law would not be associative.
     """
     if f.degree != 2:
         raise InputError("extensions are built from degree-2 cochains")
-    if f.module != module:
-        raise InputError("cochain module does not match the extension module")
     f = normalize_cocycle(f)
     rep = check_cocycle(f, cfg, tol)
     if not rep.passed:
@@ -201,4 +180,4 @@ def extension_from_cocycle(
             f"cochain is not a cocycle (residual {rep.residual:.3g}); extension would "
             "not be associative"
         )
-    return CocycleLaw(module=module, cochain=f)
+    return CocycleLaw(f)

@@ -13,7 +13,7 @@ and an optional named 2-cocycle f. _Extension derives mul, inv and brackets:
   GCd(c, d)        Additive(2) on (x, y)      z, last       ((c, d),)     -
   KCd(c, d)        Additive(1) on x           (y, z), last  ((c,), (d,))  -
   Tk(k)            SemidirectRR(1) on (y, z)  x, first      ((0, 1),)     g3: k y2 z1 e^{z1}
-  CocycleLaw       its module's H             N, first      its action's  its cochain
+  CocycleLaw       its cochain's module's H   N, first      the module's  its cochain
 
 All operations broadcast over stacked inputs of shape (..., dim), in either
 memory layout. Samples and law results are coordinate-major: an (n, dim)
@@ -176,6 +176,10 @@ def _sut3(_, g, h):
 # the base coordinates, for the cocycle functools.partial(formula, p)
 _BRACKET_PARTS = {_heis: (0, 1, 2.0), _g3: (1, 0, 1.0), _sut3: (0, 1, 1.0)}
 
+# the named 2-cocycles that vanish on every (g, g^-1), where inv adds no term:
+# heis is c (x (-y) - y (-x)), exactly 0, though its products may overflow
+_ZERO_ON_INVERSES = {_heis}
+
 
 class _Level(NamedTuple):
     """One extension step (module docstring); its cocycle is None for a split
@@ -226,7 +230,8 @@ class _Extension(GroupLaw):
         out = _result(self.dim, a)
         m, g = self._split(out, level)
         g[...] = level.base.inv(g1)
-        f = None if level.cocycle is None else level.cocycle(g1, g)
+        f = level.cocycle
+        f = None if f is None or getattr(f, "func", None) in _ZERO_ON_INVERSES else f(g1, g)
         for r, row in enumerate(level.exponents):
             s, col = _scaling(row, g), m[..., r]
             t = m1[..., r] if f is None else np.add(m1[..., r], f[..., r], out=col)

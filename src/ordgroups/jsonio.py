@@ -32,7 +32,7 @@ def law_from_descriptor(desc: dict) -> GroupLaw:
         raise InputError(f"family {family!r} needs a 'params' object")
     if family == "from_cocycle":
         f = named_cocycle(params)
-        return cohomology.extension_from_cocycle(f.module, f)
+        return cohomology.extension_from_cocycle(f)
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise InputError(f"unknown law family {family!r}")

@@ -162,7 +162,7 @@ def criterion_cochain_calculus(cfg: RunConfig) -> CriterionResult:
     # over the affine chart the cochains read the acting coordinate, which
     # stays bounded under products
     dd = []
-    for module, coords in ((heis_module(), None), (g3_module(1.0), (1,))):
+    for module, coords in ((heis_module(), None), (g3_module(), (1,))):
         rng = sc.rng(stream=81)
         for f in _random_test_cochains(module, rng, coords):
             dd.append(check_coboundary(coboundary(f), sc, range(82, 84 + f.degree), tol))
@@ -185,7 +185,7 @@ def criterion_cochain_calculus(cfg: RunConfig) -> CriterionResult:
     details["corrupted_residual"] = bad_res
     rejected = False
     try:
-        extension_from_cocycle(base.module, bad, sc, cfg.tolerance())
+        extension_from_cocycle(bad, sc, cfg.tolerance())
     except DomainError:
         rejected = True
     details["corrupted_rejected"] = rejected
@@ -212,14 +212,14 @@ def _law_agreement(law_a, law_b, sc: SampleConfig, tol: Tolerance, perm=None):
 def criterion_extension_builder(cfg: RunConfig) -> CriterionResult:
     sc = cfg.sampler(3)
     tol = cfg.tolerance()
-    heis_law = extension_from_cocycle(heis_module(), heis_cocycle(0.5), sc, tol)
+    heis_law = extension_from_cocycle(heis_cocycle(0.5), sc, tol)
     # cocycle chart is module-first (z, x, y); compare against the z-last chart
     checks = {"heis_vs_ec": [_law_agreement(heis_law, heisenberg(), sc, tol, perm=[1, 2, 0])]}
     checks["g3_vs_tk"] = [
-        _law_agreement(extension_from_cocycle(g3_module(1.0), g3_cocycle(k), sc, tol),
-                       Tk(k), sc, tol) for k in (1.0, -2.0)]
-    zero = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), g3_module(1.0))
-    split = extension_from_cocycle(g3_module(1.0), zero, sc, tol)
+        _law_agreement(extension_from_cocycle(g3_cocycle(k), sc, tol), Tk(k), sc, tol)
+        for k in (1.0, -2.0)]
+    zero = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), g3_module())
+    split = extension_from_cocycle(zero, sc, tol)
     checks["split_vs_tk0"] = [_law_agreement(split, Tk(0.0), sc, tol)]
 
     details = {key: max(gap for gap, _ in found) for key, found in checks.items()}

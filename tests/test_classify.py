@@ -48,10 +48,10 @@ REV2 = LexOrder((1, 0))
 
 
 def _unnamed_cocycle_law():
-    """The split extension over g3_module(1.0) from the zero cochain, which
+    """The split extension over g3_module() from the zero cochain, which
     names no cocycle: a law with no bracket table."""
-    zero = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), g3_module(1.0))
-    return extension_from_cocycle(g3_module(1.0), zero, CFG)
+    zero = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), g3_module())
+    return extension_from_cocycle(zero, CFG)
 
 
 # --- group-level classification ------------------------------------------------

@@ -83,6 +83,20 @@ def test_eval_exit_code_on_overflow(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("law, a, want", [
+    ('{"family":"e_c","params":{"c":1}}', "1e200,1e200,0",
+     "[-9.9999999999999997e+199,-9.9999999999999997e+199,-0.0]"),
+    ('{"family":"from_cocycle","params":{"cocycle":"heis","c":1}}', "0,1e200,1e200",
+     "[-0.0,-9.9999999999999997e+199,-9.9999999999999997e+199]"),
+    ('{"family":"e_c","params":{"c":1}}', "1,2,-0.0", "[-1.0,-2.0,0.0]"),
+], ids=["e_c-overflowing-xy", "from_cocycle-overflowing-xy", "e_c-negative-zero"])
+def test_the_heis_inverse_adds_no_cocycle_term(capsys, law, a, want):
+    # heis vanishes on (g, g^-1) although x (-y) and y (-x) may overflow: the
+    # inverse of (x, y, z) is (-x, -y, -z), finite, with no term added to z
+    code, out = run_cli(capsys, "eval", "--law", law, "--op", "inv", "--a", a)
+    assert (code, out) == (0, f'{{"result":{want}}}\n')
+
+
 def test_axioms_pass_and_custom_tolerance_fail(capsys):
     law = '{"family":"t_k","params":{"k":1}}'
     code, out = run_cli(capsys, "axioms", "--law", law, "--samples", "300")
@@ -136,7 +150,7 @@ def test_cocycle_check_agrees_with_the_extension_builder(capsys, cocycle, box):
     code, out = run_cli(capsys, "cocycle-check", "--cocycle", cocycle, "--box", box)
     f = named_cocycle(json.loads(cocycle))
     try:
-        extension_from_cocycle(f.module, f, SampleConfig(box=float(box)))
+        extension_from_cocycle(f, SampleConfig(box=float(box)))
         accepted = True
     except DomainError:
         accepted = False

@@ -12,8 +12,8 @@ from ordgroups import (
     LexOrder,
     OrderedGroupSpec,
     SampleConfig,
+    SemidirectRR,
     Tk,
-    character,
     check_group_axioms,
     check_translation_invariance,
     coboundary,
@@ -25,7 +25,6 @@ from ordgroups import (
     heis_module,
     heisenberg,
     normalize_cocycle,
-    trivial,
 )
 from ordgroups.cohomology import CocycleLaw
 
@@ -33,22 +32,22 @@ RNG = np.random.default_rng(31)
 CFG = SampleConfig(seed=5, count=600)
 
 
-def line_module(action) -> GModule:
-    return GModule(H=Additive(action.acting_dim), N=Additive(1), gamma=action)
+def line_module(*character) -> GModule:
+    return GModule(Additive(len(character)), (character,))
 
 
 # --- coboundary formula ----------------------------------------------------
 
 
 def test_coboundary_of_constant_trivial_action_vanishes():
-    f = Cochain(0, lambda: np.array([4.2]), line_module(trivial(1)))
+    f = Cochain(0, lambda: np.array([4.2]), line_module(0.0))
     df = coboundary(f)
     g = RNG.uniform(-3, 3, (100, 1))
     assert np.allclose(df.fn(g), 0.0)
 
 
 def test_coboundary_of_constant_under_character():
-    f = Cochain(0, lambda: np.array([1.0]), line_module(character(1.0)))
+    f = Cochain(0, lambda: np.array([1.0]), line_module(1.0))
     df = coboundary(f)
     # e^g - 1, evaluated where the exponential hits 2
     assert np.allclose(df.fn(np.array([np.log(2.0)])), [1.0])
@@ -57,7 +56,7 @@ def test_coboundary_of_constant_under_character():
 
 
 def test_coboundary_of_degree_one_square():
-    mod = line_module(trivial(1))
+    mod = line_module(0.0)
     f = Cochain(1, lambda g: g**2, mod)
     df = coboundary(f)
     assert np.allclose(df.fn(np.array([1.0]), np.array([1.0])), [-2.0])
@@ -68,7 +67,7 @@ def test_coboundary_of_degree_one_square():
 def test_coboundary_squares_to_zero_on_bounded_cochains():
     mods = [
         (heis_module(), None),
-        (g3_module(1.0), (1,)),  # acting coordinate stays bounded under products
+        (g3_module(), (1,)),  # acting coordinate stays bounded under products
     ]
     for mod, coords in mods:
         idx = list(range(mod.H.dim)) if coords is None else list(coords)
@@ -133,22 +132,22 @@ def _pointwise_gap(law_a, law_b, perm=None, count=1000):
 
 
 def test_extension_reproduces_central_family():
-    law = extension_from_cocycle(heis_module(), heis_cocycle(0.5), CFG)
+    law = extension_from_cocycle(heis_cocycle(0.5), CFG)
     # module-first chart (z, x, y); compare after moving the module last
     assert _pointwise_gap(law, heisenberg(), perm=[1, 2, 0]) <= 1e-9
 
 
 def test_extension_reproduces_nonsplit_family():
     for k in (1.0, -2.0):
-        law = extension_from_cocycle(g3_module(1.0), g3_cocycle(k), CFG)
+        law = extension_from_cocycle(g3_cocycle(k), CFG)
         assert _pointwise_gap(law, Tk(k)) <= 1e-9
         assert check_group_axioms(law, CFG).passed
 
 
 def test_zero_cocycle_gives_split_law():
-    mod = g3_module(1.0)
+    mod = g3_module()
     zero = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), mod)
-    law = extension_from_cocycle(mod, zero, CFG)
+    law = extension_from_cocycle(zero, CFG)
     assert _pointwise_gap(law, Tk(0.0)) == 0.0
 
 
@@ -159,7 +158,7 @@ def test_extension_rejects_non_cocycles():
         return base.fn(g, h) + (h[..., 0] * g[..., 1])[..., None]
 
     with pytest.raises(DomainError):
-        extension_from_cocycle(base.module, Cochain(2, bad, base.module), CFG)
+        extension_from_cocycle(Cochain(2, bad, base.module), CFG)
 
 
 def test_associativity_defect_equals_coboundary():
@@ -170,7 +169,7 @@ def test_associativity_defect_equals_coboundary():
         return base.fn(g, h) + (h[..., 0] * g[..., 1])[..., None]
 
     cochain = Cochain(2, bad, base.module)
-    law = CocycleLaw(module=base.module, cochain=cochain)
+    law = CocycleLaw(cochain)
     df = coboundary(cochain)
     a = CFG.sample(3, stream=79, count=300)
     b = CFG.sample(3, stream=80, count=300)
@@ -180,19 +179,19 @@ def test_associativity_defect_equals_coboundary():
     assert np.allclose(defect[:, :1], -expected, atol=1e-9)
     assert np.allclose(defect[:, 1:], 0.0, atol=1e-12)
 
-    clean = extension_from_cocycle(base.module, base, CFG)
+    clean = extension_from_cocycle(base, CFG)
     good_defect = clean.mul(clean.mul(a, b), c) - clean.mul(a, clean.mul(b, c))
     assert np.max(np.abs(good_defect)) <= 1e-9
 
 
 def test_cohomologous_cocycles_give_isomorphic_laws():
-    mod = g3_module(1.0)
+    mod = g3_module()
     shift = Cochain(1, lambda g: (0.8 * g[..., 1] ** 2)[..., None], mod)
     f = g3_cocycle(1.0)
     f_shifted = Cochain(
         2, lambda g, h: f.fn(g, h) + coboundary(shift).fn(g, h), mod)
-    law_a = extension_from_cocycle(mod, f, CFG)
-    law_b = extension_from_cocycle(mod, f_shifted, CFG)
+    law_a = extension_from_cocycle(f, CFG)
+    law_b = extension_from_cocycle(f_shifted, CFG)
 
     def phi(pt):  # (a, h) -> (a - shift(h), h), from the f law to the shifted law
         return np.concatenate([pt[..., :1] - shift.fn(pt[..., 1:]), pt[..., 1:]], axis=-1)
@@ -210,17 +209,22 @@ def test_unnormalized_cocycle_is_shifted():
     fixed = normalize_cocycle(off)
     e = np.zeros(2)
     assert np.allclose(fixed.fn(e, e), 0.0)
-    law = extension_from_cocycle(mod, off, CFG)
+    law = extension_from_cocycle(off, CFG)
     ident = np.zeros(3)
     sample = CFG.sample(3, stream=84, count=50)
     assert np.allclose(law.mul(np.broadcast_to(ident, sample.shape), sample), sample)
 
 
-def test_module_shapes_validated():
+@pytest.mark.parametrize("H, exponents", [
+    (Additive(2), ((1.0,),)),  # one column, for a 2-dimensional H
+    (SemidirectRR(1.0), ((0.0, 1.0), (1.0,))),
+    (Additive(2), ()),
+    (Additive(1), ((float("nan"),),)),
+    (Additive(1), ((1.0,), (2.0,), (3.0,), (4.0,))),
+], ids=["wrong-columns", "ragged", "empty", "non-finite", "four-rows"])
+def test_module_shapes_validated(H, exponents):
     with pytest.raises(InputError):
-        GModule(H=Additive(2), N=Additive(1), gamma=character(1.0))  # acting dim 1 != 2
-    with pytest.raises(InputError):
-        extension_from_cocycle(g3_module(1.0), heis_cocycle(1.0), CFG)
+        GModule(H, exponents)
 
 
 # --- extensions ordered lexicographically, quotient chart first --------------
@@ -229,18 +233,18 @@ def test_module_shapes_validated():
 def test_ordered_extension_trivial_case():
     mod = heis_module()
     zero = Cochain(2, lambda g, h: np.zeros(g.shape[:-1] + (1,)), mod)
-    spec = OrderedGroupSpec(extension_from_cocycle(mod, zero, CFG), LexOrder((1, 2, 0)))
+    spec = OrderedGroupSpec(extension_from_cocycle(zero, CFG), LexOrder((1, 2, 0)))
     assert check_translation_invariance(spec, CFG).passed
 
 
 def test_ordered_extension_central_cocycle():
-    law = extension_from_cocycle(heis_module(), heis_cocycle(1.0), CFG)
+    law = extension_from_cocycle(heis_cocycle(1.0), CFG)
     rep = check_translation_invariance(OrderedGroupSpec(law, LexOrder((1, 2, 0))), CFG)
     assert rep.left_ok and rep.right_ok
 
 
 def test_ordered_extension_nonsplit_cocycle():
     # quotient coordinates (significance acting-first) dominate the fiber
-    law = extension_from_cocycle(g3_module(1.0), g3_cocycle(1.0), CFG)
+    law = extension_from_cocycle(g3_cocycle(1.0), CFG)
     rep = check_translation_invariance(OrderedGroupSpec(law, LexOrder((2, 1, 0))), CFG)
     assert rep.left_ok and rep.right_ok

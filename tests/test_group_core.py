@@ -24,9 +24,7 @@ from ordgroups import (
     conjugate,
     extension_from_cocycle,
     g3_cocycle,
-    g3_module,
     heis_cocycle,
-    heis_module,
     heis_to_sut3,
     heisenberg,
     invert,
@@ -107,9 +105,9 @@ _BRACKET_PARAMS = (-2.0, -0.5, 0.0, 1.0, 2.5)
     # numpy parameters still give a table of Python floats
     KCd(np.float64(0.5), np.float64(-2.0)), Product(Additive(1), SemidirectRR(np.float64(2.5))),
     # cocycle laws from named cocycles
-    *(pytest.param(extension_from_cocycle(heis_module(), heis_cocycle(c)),
+    *(pytest.param(extension_from_cocycle(heis_cocycle(c)),
                    id=f"from_cocycle heis c={c}") for c in (-2.0, 0.5)),
-    *(pytest.param(extension_from_cocycle(g3_module(1.0), g3_cocycle(k)),
+    *(pytest.param(extension_from_cocycle(g3_cocycle(k)),
                    id=f"from_cocycle g3 k={k}") for k in (-2.0, 1.0)),
 ], ids=repr)
 def test_declared_brackets_match_the_second_difference_of_mul(law):
@@ -150,9 +148,9 @@ def test_derived_tables_keep_the_declared_entries_in_order(law):
 
 @pytest.mark.parametrize("c", _BRACKET_PARAMS)
 def test_a_named_cocycle_law_derives_its_bracket_table(c):
-    heis = extension_from_cocycle(heis_module(), heis_cocycle(c))
+    heis = extension_from_cocycle(heis_cocycle(c))
     assert heis.brackets() == ({(0, 1, 2): 2 * c} if c else {})
-    g3 = extension_from_cocycle(g3_module(1.0), g3_cocycle(c))
+    g3 = extension_from_cocycle(g3_cocycle(c))
     assert list(g3.brackets().items()) == list(Tk(c).brackets().items())
 
 
@@ -251,7 +249,8 @@ def _ref_mul(law, a, b):
         return np.concatenate([_ref_mul(law.a, a[..., :k], b[..., :k]),
                                _ref_mul(law.b, a[..., k:], b[..., k:])], axis=-1)
     if isinstance(law, CocycleLaw):
-        k, m = law.module.N.dim, law.module
+        m = law.cochain.module
+        k = m.N.dim
         part_n = a[..., :k] + m.act(a[..., k:], b[..., :k]) + law.cochain.fn(a[..., k:], b[..., k:])
         return np.concatenate([part_n, _ref_mul(m.H, a[..., k:], b[..., k:])], axis=-1)
     if isinstance(law, Additive):
@@ -265,7 +264,8 @@ def _ref_inv(law, a):
         k = law.a.dim
         return np.concatenate([_ref_inv(law.a, a[..., :k]), _ref_inv(law.b, a[..., k:])], axis=-1)
     if isinstance(law, CocycleLaw):
-        k, m = law.module.N.dim, law.module
+        m = law.cochain.module
+        k = m.N.dim
         ginv = _ref_inv(m.H, a[..., k:])
         corr = a[..., :k] + law.cochain.fn(a[..., k:], ginv)
         return np.concatenate([-m.act(ginv, corr), ginv], axis=-1)
@@ -278,16 +278,16 @@ def _ref_inv(law, a):
     Additive(2), SemidirectRR(-2.0), Ec(3.0), SUT3(), GCd(2.0, -1.0), KCd(-1.0, 2.0), Tk(-2.0),
     Product(SemidirectRR(1.0), Additive(1)),
     Product(Additive(1), Product(SemidirectRR(-0.5), Additive(1))),
-    extension_from_cocycle(heis_module(), heis_cocycle(0.5)),
-    extension_from_cocycle(g3_module(1.0), g3_cocycle(1.0)),
+    extension_from_cocycle(heis_cocycle(0.5)),
+    extension_from_cocycle(g3_cocycle(1.0)),
     # degenerate and negative parameters, where a generic path skips a term
     *(pytest.param(law, id=repr(law)) for law in (
         SemidirectRR(0.0), SemidirectRR(1.0), Ec(0.0), Ec(1.0), Ec(-0.5), GCd(0.0, 2.0),
         GCd(1.0, 0.0), GCd(0.0, 0.0), GCd(-0.5, -2.0), KCd(0.0, -1.0), KCd(1.0, 0.0),
         KCd(0.0, 0.0), Tk(0.0), Tk(1.0), Tk(-0.5))),
-    *(pytest.param(extension_from_cocycle(heis_module(), heis_cocycle(c)),
+    *(pytest.param(extension_from_cocycle(heis_cocycle(c)),
                    id=f"from_cocycle heis c={c}") for c in (0.0, -2.0)),
-    *(pytest.param(extension_from_cocycle(g3_module(1.0), g3_cocycle(k)),
+    *(pytest.param(extension_from_cocycle(g3_cocycle(k)),
                    id=f"from_cocycle g3 k={k}") for k in (0.0, -3.0)),
 ], ids=lambda law: law.family)
 def test_laws_give_the_same_bits_in_either_layout(law):
@@ -408,7 +408,7 @@ def test_axiom_checker_additive_is_exact():
 
 
 def test_axiom_checker_on_cocycle_built_law():
-    law = extension_from_cocycle(heis_module(), heis_cocycle(0.5))
+    law = extension_from_cocycle(heis_cocycle(0.5))
     rep = check_group_axioms(law, SampleConfig(seed=4, count=500))
     assert rep.passed
 
