@@ -19,7 +19,7 @@ _PUBLIC = {
                 "classify_ordered compose_witness enumerate_canonical function_witness "
                 "invert_witness linear_witness separating_invariant verify_witness",
     "cohomology": "Cochain CocycleLaw coboundary cocycle_residual extension_from_cocycle "
-                  "g3_cocycle g3_module heis_cocycle heis_module normalize_cocycle",
+                  "g3_cocycle g3_module heis_cocycle heis_module",
     "errors": "DomainError InputError",
     "groups": "Additive Ec GCd GroupLaw KCd Product SemidirectRR SUT3 Tk check_group_axioms "
               "commutator conjugate heis_to_sut3 heisenberg invert multiply "

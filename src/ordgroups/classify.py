@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -369,12 +370,12 @@ def _require_dimension(law: GroupLaw) -> None:
 def _require_invertible(law: GroupLaw, cls: CanonicalClass, rep: WitnessReport) -> None:
     """A witness too ill-conditioned to invert in floating point puts the
     parameters outside what can be classified numerically: a domain error,
-    not a failed verification."""
+    not a failed verification, naming the law by its descriptor."""
     if not rep.invertible:
         params = ", ".join(f"{k}={v!r}" for k, v in cls.params)
         target = f"{cls.label}({params})" if params else cls.label
-        raise DomainError(f"the witness from {law!r} to {target} is not invertible "
-                          f"in floating point")
+        raise DomainError(f"the witness from {json.dumps(law.descriptor())} to {target} "
+                          "is not invertible in floating point")
 
 
 def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:

@@ -68,9 +68,6 @@ def coboundary(f: Cochain) -> Cochain:
     module, n = f.module, f.degree
 
     def terms(*gs):
-        if n == 0:
-            m = f.fn()
-            return [module.act(gs[0], m), -m]
         out = [module.act(gs[0], f.fn(*gs[1:]))]
         for i in range(1, n + 1):
             merged = gs[: i - 1] + (module.H.mul(gs[i - 1], gs[i]),) + gs[i + 1:]
@@ -122,22 +119,6 @@ def cocycle_residual(f: Cochain, cfg: SampleConfig = SampleConfig()) -> float:
     return check_cocycle(f, cfg).residual
 
 
-def normalize_cocycle(f: Cochain) -> Cochain:
-    """Shift f by a constant coboundary so that f(e, e) = 0."""
-    module = f.module
-    e = module.H.identity()
-    v = np.atleast_1d(f.fn(e, e))
-    if np.all(v == 0.0):
-        return f
-    shift = coboundary(Cochain(degree=1, fn=lambda g: np.broadcast_to(
-        v, g.shape[:-1] + (module.N.dim,)), module=module))
-
-    def fn(g, h):
-        return f.fn(g, h) - shift.fn(g, h)
-
-    return Cochain(degree=2, fn=fn, module=module, descriptor=f.descriptor)
-
-
 @dataclass(frozen=True)
 class CocycleLaw(_Extension):
     """Extension law on module-first coordinates (N..., H...) built from a
@@ -168,12 +149,16 @@ def extension_from_cocycle(
     """Build the extension group law (a, g)(b, h) = (a + e^{C g} b + f(g, h), g h)
     over f's module.
 
-    Rejects cochains whose coboundary does not vanish on samples, since the
-    resulting law would not be associative.
+    Rejects cochains with f(e, e) != 0, whose law would not have (0, e) as its
+    identity, and cochains whose coboundary does not vanish on samples, since
+    the resulting law would not be associative.
     """
     if f.degree != 2:
         raise InputError("extensions are built from degree-2 cochains")
-    f = normalize_cocycle(f)
+    e = f.module.H.identity()
+    if np.any(f.fn(e, e) != 0.0):
+        raise DomainError("cochain does not vanish at (e, e); the extension's identity "
+                          "would not be (0, e)")
     rep = check_cocycle(f, cfg, tol)
     if not rep.passed:
         raise DomainError(

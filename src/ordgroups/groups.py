@@ -172,23 +172,41 @@ def _sut3(_, g, h):
     return (g[..., 0] * h[..., 1])[..., None]
 
 
-# each named 2-cocycle's bracket part (i, j, b): [e_i, e_j] = b p e_m, on
-# the base coordinates, for the cocycle functools.partial(formula, p)
-_BRACKET_PARTS = {_heis: (0, 1, 2.0), _g3: (1, 0, 1.0), _sut3: (0, 1, 1.0)}
-
-# the named 2-cocycles that vanish on every (g, g^-1), where inv adds no term:
-# heis is c (x (-y) - y (-x)), exactly 0, though its products may overflow
-_ZERO_ON_INVERSES = {_heis}
+# each named 2-cocycle f = functools.partial(formula, p), by its formula: its
+# bracket part (i, j, b), [e_i, e_j] = b p e_m on the base coordinates, and
+# its value f(g, g^-1) in closed form as a function of (p, g), None where it
+# is exactly 0
+_NAMED = {
+    # c (x (-y) - y (-x)) is exactly 0, though its products may overflow
+    _heis: ((0, 1, 2.0), None),
+    # k (-y e^{-z}) z e^{z}, whose e^{-z} e^{z} may overflow or underflow
+    _g3: ((1, 0, 1.0), lambda k, g: (-(k * g[..., 0]) * g[..., 1])[..., None]),
+    # x (-y)
+    _sut3: ((0, 1, 1.0), lambda _, g: (-g[..., 0] * g[..., 1])[..., None]),
+}
 
 
 class _Level(NamedTuple):
     """One extension step (module docstring); its cocycle is None for a split
-    one, and functools.partial(formula, p) for a named one (_BRACKET_PARTS)."""
+    one, functools.partial(formula, p) for a named one (_NAMED), and any other
+    2-cochain of the base for a law built from one."""
 
     base: GroupLaw
     module_first: bool
     exponents: tuple[tuple[float, ...], ...]
     cocycle: Callable | None = None
+
+
+def _on_inverses(f: Callable | None, g: np.ndarray, ginv: np.ndarray) -> np.ndarray | None:
+    """f(g, g^-1): a named cocycle's closed form (_NAMED), any other cochain
+    evaluated; None for a split level or where f is exactly 0."""
+    if f is None:
+        return None
+    named = _NAMED.get(getattr(f, "func", None))
+    if named is None:
+        return f(g, ginv)
+    _, value = named
+    return None if value is None else value(f.args[0], g)
 
 
 def _scaling(row, g: np.ndarray) -> np.ndarray | None:
@@ -224,18 +242,21 @@ class _Extension(GroupLaw):
         return out
 
     def inv(self, a):
-        # (m, g)^-1 = (-e^{C g^-1} (m + f(g, g^-1)), g^-1)
+        # (m, g)^-1 = (e^{C g^-1} (-m - f(g, g^-1)), g^-1), m negated first: it
+        # keeps t_k's x' = +0.0 where x = k y z exactly
         level = self._level()
         m1, g1 = self._split(a, level)
         out = _result(self.dim, a)
         m, g = self._split(out, level)
         g[...] = level.base.inv(g1)
-        f = level.cocycle
-        f = None if f is None or getattr(f, "func", None) in _ZERO_ON_INVERSES else f(g1, g)
+        f = _on_inverses(level.cocycle, g1, g)
         for r, row in enumerate(level.exponents):
             s, col = _scaling(row, g), m[..., r]
-            t = m1[..., r] if f is None else np.add(m1[..., r], f[..., r], out=col)
-            np.negative(t if s is None else np.multiply(s, t, out=col), out=col)
+            np.negative(m1[..., r], out=col)
+            if f is not None:
+                np.subtract(col, f[..., r], out=col)
+            if s is not None:
+                np.multiply(s, col, out=col)
         return out
 
     def brackets(self):
@@ -244,14 +265,14 @@ class _Extension(GroupLaw):
         or the cocycle is not a named one."""
         level = self._level()
         base, f = level.base.brackets(), level.cocycle
-        part = None if f is None else _BRACKET_PARTS.get(getattr(f, "func", None))
-        if base is None or (f is not None and part is None):
+        named = None if f is None else _NAMED.get(getattr(f, "func", None))
+        if base is None or (f is not None and named is None):
             return None
         mod, bas = (x.tolist() for x in self._split(np.arange(self.dim), level))
         table = {(mod[r], bas[j], mod[r]): x
                  for r, row in enumerate(level.exponents) for j, x in enumerate(row)}
-        if part is not None:
-            i, j, b = part
+        if named is not None:
+            (i, j, b), _ = named
             table[mod[0], bas[i], bas[j]] = b * f.args[0]
         table.update({(bas[k], bas[i], bas[j]): x for (k, i, j), x in base.items()})
         return _nonzero(table)
@@ -321,16 +342,6 @@ class Tk(_Extension):
 
     def _level(self):
         return _Level(SemidirectRR(1.0), True, ((0.0, 1.0),), functools.partial(_g3, self.k))
-
-    def inv(self, a):
-        # the closed form, which rounds differently from the generic inverse
-        x, y, z = a[..., 0], a[..., 1], a[..., 2]
-        e = np.exp(-z)
-        out = _result(3, a)
-        np.multiply(e, self.k * y * z - x, out=out[..., 0])
-        np.multiply(-y, e, out=out[..., 1])
-        np.negative(z, out=out[..., 2])
-        return out
 
 
 @dataclass(frozen=True)

@@ -178,12 +178,10 @@ class SampledPairs:
         images(g, block) returns (f(a), f(b)), where g is the block's rows of
         stream g's draw, pair (k, j) at row k * n + j (None without g): drawn
         once per level of a block and shared by the sides. A block's task
-        evaluates a side's level only while neither it nor any other task has
-        a hit of that side at a lower level, and it has none at that level:
-        the first hit is the lowest level's, then the earliest block's.
+        evaluates a side's levels until it has a hit of that side; the first
+        hit is the lowest level's, then the earliest block's.
         """
         order, n, dim = self.order, self.cfg.count, self.order.dim
-        found = [[] for _ in sides]  # the levels at which any task has found a hit
 
         def block(rows, h, hp):
             h[:, self.outside] = hp[:, self.outside] = 0.0
@@ -192,8 +190,7 @@ class SampledPairs:
                 # the k shared coordinates are equal, so only the rest can decide
                 swap, keep = _lex_compare(order.significance[k:], hp, h)
                 pairs += int(np.count_nonzero(keep))
-                live = [side for side in range(len(sides))
-                        if hits[side] is None and k <= min(found[side], default=k)]
+                live = [side for side in range(len(sides)) if hits[side] is None]
                 if not live:
                     continue
                 pb = PairBlock(h, self._shared(k, h, hp), swap, rows, keep)
@@ -203,7 +200,6 @@ class SampledPairs:
                     i = pb.first_misordered(side_order, *images(gk, pb))
                     if i is not None:
                         hits[side] = k, (None if gk is None else gk[i].copy(), *pb.pair(i))
-                        found[side].append(k)
             return pairs, hits
 
         blocks = self.cfg.map_blocks(dim, self.streams, block)

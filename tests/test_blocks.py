@@ -668,9 +668,9 @@ def test_the_failing_translations_hit_on_several_levels_and_blocks(spec, cfg):
 
 
 def test_first_hits_hold_under_frequent_thread_switches(monkeypatch):
-    # the tasks share each side's lowest level with a hit, read to skip the
-    # levels above it: switching threads every microsecond, so that tasks
-    # interleave between any two bytecodes, must leave every report as it is
+    # each task keeps its own hits and the reduction picks the lowest level's,
+    # then the earliest block's: switching threads every microsecond, so that
+    # tasks interleave between any two bytecodes, must leave every report as it is
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

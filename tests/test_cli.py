@@ -97,6 +97,17 @@ def test_the_heis_inverse_adds_no_cocycle_term(capsys, law, a, want):
     assert (code, out) == (0, f'{{"result":{want}}}\n')
 
 
+@pytest.mark.parametrize("law", [
+    '{"family":"from_cocycle","params":{"cocycle":"g3","k":1}}',
+    '{"family":"t_k","params":{"k":1}}',
+], ids=["from_cocycle", "t_k"])
+def test_the_g3_inverse_takes_the_closed_form_on_inverses(capsys, law):
+    # g3 on (g, g^-1) is -(k y) z in closed form: e^{-z} e^{z}, whose e^{800}
+    # overflows, is never computed, and both charts give the same bytes
+    code, out = run_cli(capsys, "eval", "--law", law, "--op", "inv", "--a", "1,1,800")
+    assert (code, out) == (0, '{"result":[0.0,-0.0,-800.0]}\n')
+
+
 def test_axioms_pass_and_custom_tolerance_fail(capsys):
     law = '{"family":"t_k","params":{"k":1}}'
     code, out = run_cli(capsys, "axioms", "--law", law, "--samples", "300")
@@ -213,6 +224,16 @@ def test_classify_exit_codes(capsys):
         "--order", "0,1,2")
     assert code == 0
     assert json.loads(out)["params"] == {"f": 1e10}
+
+
+def test_the_not_invertible_message_names_the_law_by_its_descriptor(capsys):
+    # the descriptor, the same on every run, and no repr of a cochain callable
+    law = '{"family":"from_cocycle","params":{"cocycle":"g3","k":-1e300}}'
+    code = main(["classify", "--law", law, "--samples", "300"])
+    assert (code, capsys.readouterr().err) == (
+        3, 'domain error: the witness from {"family": "from_cocycle", "params": '
+           '{"cocycle": "g3", "k": -1e+300}, "dim": 3} to G3 is not invertible in '
+           'floating point\n')
 
 
 @pytest.mark.parametrize("order", [("--order", "0,1,2,3"), ()], ids=["ordered", "group"])

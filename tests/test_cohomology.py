@@ -24,7 +24,6 @@ from ordgroups import (
     heis_cocycle,
     heis_module,
     heisenberg,
-    normalize_cocycle,
 )
 from ordgroups.cohomology import CocycleLaw
 
@@ -53,6 +52,12 @@ def test_coboundary_of_constant_under_character():
     assert np.allclose(df.fn(np.array([np.log(2.0)])), [1.0])
     g = RNG.uniform(-2, 2, (50, 1))
     assert np.allclose(df.fn(g), np.exp(g) - 1.0)
+    # a degree-0 cochain's terms are e^{C g} m and -m, bit for bit, signed zero included
+    for m in (np.array([1.0]), np.array([0.0]), np.array([-0.0])):
+        terms = coboundary(Cochain(0, lambda: m, line_module(1.0))).terms(g)
+        assert len(terms) == 2
+        assert np.array_equal(terms[0].view(np.int64), (np.exp(g) * m).view(np.int64))
+        assert np.array_equal(terms[1].view(np.int64), (-m).view(np.int64))
 
 
 def test_coboundary_of_degree_one_square():
@@ -203,16 +208,12 @@ def test_cohomologous_cocycles_give_isomorphic_laws():
     assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
-def test_unnormalized_cocycle_is_shifted():
-    mod = heis_module()
-    off = Cochain(2, lambda g, h: heis_cocycle(1.0).fn(g, h) + 2.5, mod)
-    fixed = normalize_cocycle(off)
-    e = np.zeros(2)
-    assert np.allclose(fixed.fn(e, e), 0.0)
-    law = extension_from_cocycle(off, CFG)
-    ident = np.zeros(3)
-    sample = CFG.sample(3, stream=84, count=50)
-    assert np.allclose(law.mul(np.broadcast_to(ident, sample.shape), sample), sample)
+def test_unnormalized_cocycle_is_rejected():
+    # f(e, e) = 2.5 would make (-2.5, e), not (0, e), the law's identity
+    off = Cochain(2, lambda g, h: heis_cocycle(1.0).fn(g, h) + 2.5, heis_module())
+    assert cocycle_residual(off, CFG) <= 1e-9  # a cocycle all the same
+    with pytest.raises(DomainError, match=r"does not vanish at \(e, e\)"):
+        extension_from_cocycle(off, CFG)
 
 
 @pytest.mark.parametrize("H, exponents", [

@@ -33,6 +33,8 @@ from ordgroups import (
     one_param_through,
     sut3_to_heis,
 )
+from ordgroups.groups import _NAMED
+from ordgroups.tolerance import DEFAULT_TOL
 
 RNG = np.random.default_rng(7)
 
@@ -263,6 +265,9 @@ def _ref_inv(law, a):
     if isinstance(law, Product):
         k = law.a.dim
         return np.concatenate([_ref_inv(law.a, a[..., :k]), _ref_inv(law.b, a[..., k:])], axis=-1)
+    if isinstance(law, CocycleLaw) and law.cochain.descriptor["cocycle"] == "g3":
+        # the same chart as t_k, whose closed form the g3 law's inverse rounds as
+        return _ref_inv(Tk(law.cochain.descriptor["k"]), a)
     if isinstance(law, CocycleLaw):
         m = law.cochain.module
         k = m.N.dim
@@ -305,6 +310,49 @@ def test_laws_give_the_same_bits_in_either_layout(law):
         if not x.flags.c_contiguous:
             # coordinate-major in, coordinate-major out
             assert got_mul.strides[0] == got_inv.strides[0] == got_mul.itemsize
+
+
+# --- the cocycle on (g, g^-1) ----------------------------------------------
+
+# signed zeros, subnormal-range and e^{+-700}-range coordinates, every row of them
+_ZERO_GRID = np.array(np.meshgrid(*[[0.0, -0.0, 1.0, 2.0, -2.0, 0.5, 1e-300, 700.0, -700.0]] * 3,
+                                  indexing="ij")).reshape(3, -1).T
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("law", [Ec(0.5), Ec(-3.0), Ec(0.0), SUT3(), Tk(1.0), Tk(-2.5), Tk(0.0)],
+                         ids=repr)
+def test_each_named_cocycle_s_value_on_inverses_is_its_formula_s(law):
+    # oracle: the declared closed form against the formula at (g, g^-1)
+    level = law._level()
+    g = SampleConfig(seed=6, count=1000).sample(level.base.dim, stream=1)
+    want = level.cocycle(g, level.base.inv(g))
+    (_, on_inverses), p = _NAMED[level.cocycle.func], level.cocycle.args[0]
+    if on_inverses is None:  # declared exactly 0
+        assert np.all(want == 0.0)
+    else:
+        assert DEFAULT_TOL.check(on_inverses(p, g), want)[1]
+
+
+@pytest.mark.parametrize("k", [0.0, -0.0, 1.0, -3.0])
+def test_the_t_k_inverse_is_its_closed_form_bit_for_bit(k):
+    # signed zeros included, and the g3 law's inverse in the same bits
+    law = Tk(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _bits(_ref_inv(law, _ZERO_GRID))
+        assert np.array_equal(_bits(law.inv(_ZERO_GRID)), want)
+        assert np.array_equal(_bits(extension_from_cocycle(g3_cocycle(k)).inv(_ZERO_GRID)), want)
+    # x' = +0.0 where x = k y z exactly
+    assert not np.signbit(law.inv(np.array([2.0 * k, 1.0, 2.0]))[0])
+
+
+def test_the_sut3_inverse_is_plus_zero_at_z_equal_x_y():
+    # z' = x y - z rounds to +0.0 where z = x y, as -z - (-x y) does
+    got = SUT3().inv(np.array([[2.0, 3.0, 6.0], [-0.5, 4.0, -2.0], [0.0, 0.0, 0.0]]))
+    assert np.array_equal(got[:, 2], np.zeros(3)) and not np.signbit(got[:, 2]).any()
 
 
 # --- conjugate / commutator ------------------------------------------------
