@@ -14,16 +14,16 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines, re-exported here
 _PUBLIC = {
-    "actions": "GModule act",
+    "actions": "act",
     "classify": "CanonicalClass Evidence IsoWitness NotSeparated classify_group "
                 "classify_ordered compose_witness enumerate_canonical function_witness "
                 "invert_witness linear_witness separating_invariant verify_witness",
     "cohomology": "Cochain CocycleLaw coboundary cocycle_residual extension_from_cocycle "
-                  "g3_cocycle g3_module heis_cocycle heis_module",
+                  "g3_cocycle heis_cocycle",
     "errors": "DomainError InputError",
-    "groups": "Additive Ec GCd GroupLaw KCd Product SemidirectRR SUT3 Tk check_group_axioms "
-              "commutator conjugate heis_to_sut3 heisenberg invert multiply "
-              "one_param_through sut3_to_heis",
+    "groups": "Additive Ec GCd GModule GroupLaw KCd Product SemidirectRR SUT3 Tk "
+              "check_group_axioms commutator conjugate g3_module heis_module heis_to_sut3 "
+              "heisenberg invert multiply one_param_through sut3_to_heis",
     "jsonio": "dumps law_from_descriptor order_from_descriptor",
     "orders": "Comparison LexOrder OrderedGroupSpec check_conjugation_order_preserving "
               "check_translation_invariance compare lex_less",

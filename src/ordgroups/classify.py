@@ -527,7 +527,8 @@ class NotSeparated:
 
 
 def _table_invariants(spec: OrderedGroupSpec) -> dict:
-    """The battery: the signs of the flag table's slots.
+    """The battery: the signs of the flag table's slots, keyed by invariant
+    name in the order separating_invariant tries them.
 
     Each direction is the sign of a Lie-algebra character over the positive
     cone: None (mixed) when D makes the character read the middle coordinate
@@ -554,16 +555,6 @@ def _table_invariants(spec: OrderedGroupSpec) -> dict:
     }
 
 
-_BATTERY = (
-    "abelian",
-    "abelian_convex_plane",
-    "commutator_sign",
-    "fiber_conjugation_direction",
-    "middle_conjugation_direction",
-    "middle_action_on_fiber",
-)
-
-
 def separating_invariant(a: OrderedGroupSpec, b: OrderedGroupSpec):
     """First computable invariant telling the two ordered specs apart.
 
@@ -577,8 +568,8 @@ def separating_invariant(a: OrderedGroupSpec, b: OrderedGroupSpec):
     va, vb = _table_invariants(a), _table_invariants(b)
     if a.law.dim != b.law.dim:
         return Evidence("dimension", a.law.dim, b.law.dim)
-    for name in _BATTERY:
-        x, y = va.get(name), vb.get(name)
+    for name, x in va.items():
+        y = vb[name]
         if x is not None and y is not None and x != y:
             return Evidence(name, x, y)
     return NotSeparated()

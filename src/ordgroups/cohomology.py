@@ -19,18 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from .actions import GModule
+from .actions import act
 from .errors import DomainError, InputError
-from .groups import Additive, SemidirectRR, _Extension, _g3, _heis, _Level
+from .groups import GModule, _Extension, _g3, _heis, _Level, g3_module, heis_module
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
-
-
-def heis_module() -> GModule:
-    return GModule(Additive(2), ((0.0, 0.0),))
-
-
-def g3_module() -> GModule:
-    return GModule(SemidirectRR(1.0), ((0.0, 1.0),))
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ def coboundary(f: Cochain) -> Cochain:
     module, n = f.module, f.degree
 
     def terms(*gs):
-        out = [module.act(gs[0], f.fn(*gs[1:]))]
+        out = [act(module, gs[0], f.fn(*gs[1:]))]
         for i in range(1, n + 1):
             merged = gs[: i - 1] + (module.H.mul(gs[i - 1], gs[i]),) + gs[i + 1:]
             out.append((-1.0) ** i * f.fn(*merged))
@@ -128,13 +120,8 @@ class CocycleLaw(_Extension):
     family = "from_cocycle"
     cochain: Cochain
 
-    @property
-    def dim(self):
-        return self.cochain.module.N.dim + self.cochain.module.H.dim
-
     def _level(self):
-        module = self.cochain.module
-        return _Level(module.H, True, module.exponents, self.cochain.fn)
+        return _Level(self.cochain.module, True, self.cochain.fn)
 
     def descriptor(self):
         params = dict(self.cochain.descriptor or {})

@@ -2,11 +2,12 @@
 
 Additive(n) adds coordinatewise and Product(a, b) concatenates two charts.
 Every other law is one extension step (_Level), (m, g)(m', g') = (m + e^{C g}
-m' + f(g, g'), g g'): a base law of g, the module block m first or last, the
-exponent matrix C (a row per module coordinate, a column per base coordinate)
-and an optional named 2-cocycle f. _Extension derives mul, inv and brackets:
+m' + f(g, g'), g g'): a GModule (the acting law H of g and the exponent
+matrix C, a row per module coordinate, a column per coordinate of H), the
+module block m first or last, and an optional named 2-cocycle f. _Extension
+builds the level once per law and derives dim, mul, inv and brackets from it:
 
-  law              base                       module        C             cocycle
+  law              the module's H             module        C             cocycle
   SemidirectRR(c)  Additive(1) on y           x, first      ((c,),)       -
   Ec(c)            Additive(2) on (x, y)      z, last       ((0, 0),)     heis: c (x1 y2 - y1 x2)
   SUT3             Additive(2) on (x, y)      z, last       ((0, 0),)     sut3: x1 y2
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -157,6 +158,49 @@ class Additive(GroupLaw):
         return -a
 
 
+@dataclass(frozen=True)
+class GModule:
+    """The additive chart N = Additive(len(exponents)), acted on by H: g scales
+    module coordinate m by e^{(C g)_m}, C = exponents, one row per module
+    coordinate and one column per coordinate of H. C is also the action's
+    part of the bracket table, [e_{h_j}, e_{n_m}] = C[m][j] e_{n_m}."""
+
+    H: GroupLaw
+    exponents: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        rows = tuple(tuple(float(c) for c in row) for row in self.exponents)
+        object.__setattr__(self, "exponents", rows)
+        # a finite exponent gives a positive scaling, which preserves every
+        # lexicographic order of the module; Additive caps the module at 3
+        if not (1 <= len(rows) <= 3 and all(len(row) == self.H.dim for row in rows)
+                and np.all(np.isfinite(rows))):
+            raise InputError("module exponents must be finite and form a matrix of 1 to 3 "
+                             f"rows of {self.H.dim} columns, one per acting coordinate, "
+                             f"got {rows}")
+
+    @property
+    def N(self) -> Additive:
+        return Additive(len(self.exponents))
+
+    def scalings(self, g: np.ndarray) -> Iterator[np.ndarray | None]:
+        """e^{(C g)_m} for each module coordinate m in turn, its exponent
+        summed by _combination; None for a zero row."""
+        for row in self.exponents:
+            acc = _combination(row, g)
+            yield None if acc is None else np.exp(acc)
+
+
+def heis_module() -> GModule:
+    """The trivial line over the plane: the module of the heis and sut3 cocycles."""
+    return GModule(Additive(2), ((0.0, 0.0),))
+
+
+def g3_module() -> GModule:
+    """The line over the affine chart (y, z), scaled by e^{z}: the module of g3."""
+    return GModule(SemidirectRR(1.0), ((0.0, 1.0),))
+
+
 def _heis(c, g, h):
     """The determinant 2-cocycle on the plane: c (x1 y2 - y1 x2)."""
     return (c * (g[..., 0] * h[..., 1] - g[..., 1] * h[..., 0]))[..., None]
@@ -189,11 +233,10 @@ _NAMED = {
 class _Level(NamedTuple):
     """One extension step (module docstring); its cocycle is None for a split
     one, functools.partial(formula, p) for a named one (_NAMED), and any other
-    2-cochain of the base for a law built from one."""
+    2-cochain of the module's H for a law built from one."""
 
-    base: GroupLaw
+    module: GModule
     module_first: bool
-    exponents: tuple[tuple[float, ...], ...]
     cocycle: Callable | None = None
 
 
@@ -209,32 +252,36 @@ def _on_inverses(f: Callable | None, g: np.ndarray, ginv: np.ndarray) -> np.ndar
     return None if value is None else value(f.args[0], g)
 
 
-def _scaling(row, g: np.ndarray) -> np.ndarray | None:
-    """e^{row . g}, the exponent summed as _matvec sums it; None for a zero row."""
-    acc = _combination(row, g)
-    return None if acc is None else np.exp(acc)
-
-
 class _Extension(GroupLaw):
     """A law that is one extension step, whose _level() reads the step off
-    its fields: mul, inv and the bracket table are written once, here."""
+    its fields: dim, mul, inv and the bracket table are written once, here."""
+
+    @functools.cached_property
+    def level(self) -> _Level:
+        """The law's extension step, built and checked once per law."""
+        return self._level()
+
+    @property
+    def dim(self):
+        module = self.level.module
+        return len(module.exponents) + module.H.dim
 
     def _split(self, a, level: _Level):
         """The module block and the base block of a's columns, as views."""
-        p = len(level.exponents)
+        p = len(level.module.exponents)
         if level.module_first:
             return a[..., :p], a[..., p:]
         return a[..., self.dim - p:], a[..., :self.dim - p]
 
     def mul(self, a, b):
-        level = self._level()
+        level = self.level
         (m1, g1), (m2, g2) = self._split(a, level), self._split(b, level)
         out = _result(self.dim, a, b)
         m, g = self._split(out, level)
-        g[...] = level.base.mul(g1, g2)
+        g[...] = level.module.H.mul(g1, g2)
         f = None if level.cocycle is None else level.cocycle(g1, g2)
-        for r, row in enumerate(level.exponents):
-            s, col = _scaling(row, g1), m[..., r]
+        for r, s in enumerate(level.module.scalings(g1)):
+            col = m[..., r]
             np.add(m1[..., r], m2[..., r] if s is None else np.multiply(s, m2[..., r], out=col),
                    out=col)
             if f is not None:
@@ -244,14 +291,14 @@ class _Extension(GroupLaw):
     def inv(self, a):
         # (m, g)^-1 = (e^{C g^-1} (-m - f(g, g^-1)), g^-1), m negated first: it
         # keeps t_k's x' = +0.0 where x = k y z exactly
-        level = self._level()
+        level = self.level
         m1, g1 = self._split(a, level)
         out = _result(self.dim, a)
         m, g = self._split(out, level)
-        g[...] = level.base.inv(g1)
+        g[...] = level.module.H.inv(g1)
         f = _on_inverses(level.cocycle, g1, g)
-        for r, row in enumerate(level.exponents):
-            s, col = _scaling(row, g), m[..., r]
+        for r, s in enumerate(level.module.scalings(g)):
+            col = m[..., r]
             np.negative(m1[..., r], out=col)
             if f is not None:
                 np.subtract(col, f[..., r], out=col)
@@ -261,16 +308,16 @@ class _Extension(GroupLaw):
 
     def brackets(self):
         """The action part [e_j, e_m] = C[m][j] e_m, then the named cocycle's
-        bracket part, then the base's table; None when the base has no table
-        or the cocycle is not a named one."""
-        level = self._level()
-        base, f = level.base.brackets(), level.cocycle
+        bracket part, then the table of the module's H; None when H has no
+        table or the cocycle is not a named one."""
+        level = self.level
+        base, f = level.module.H.brackets(), level.cocycle
         named = None if f is None else _NAMED.get(getattr(f, "func", None))
         if base is None or (f is not None and named is None):
             return None
         mod, bas = (x.tolist() for x in self._split(np.arange(self.dim), level))
         table = {(mod[r], bas[j], mod[r]): x
-                 for r, row in enumerate(level.exponents) for j, x in enumerate(row)}
+                 for r, row in enumerate(level.module.exponents) for j, x in enumerate(row)}
         if named is not None:
             (i, j, b), _ = named
             table[mod[0], bas[i], bas[j]] = b * f.args[0]
@@ -281,21 +328,19 @@ class _Extension(GroupLaw):
 @dataclass(frozen=True)
 class SemidirectRR(_Extension):
     family = "semidirect_rr"
-    dim = 2
     c: float = 1.0
 
     def _level(self):
-        return _Level(Additive(1), True, ((self.c,),))
+        return _Level(GModule(Additive(1), ((self.c,),)), True)
 
 
 @dataclass(frozen=True)
 class Ec(_Extension):
     family = "e_c"
-    dim = 3
     c: float
 
     def _level(self):
-        return _Level(Additive(2), False, ((0.0, 0.0),), functools.partial(_heis, self.c))
+        return _Level(heis_module(), False, functools.partial(_heis, self.c))
 
 
 def heisenberg() -> Ec:
@@ -306,42 +351,38 @@ def heisenberg() -> Ec:
 @dataclass(frozen=True)
 class SUT3(_Extension):
     family = "sut3"
-    dim = 3
 
     def _level(self):
-        return _Level(Additive(2), False, ((0.0, 0.0),), functools.partial(_sut3, 1.0))
+        return _Level(heis_module(), False, functools.partial(_sut3, 1.0))
 
 
 @dataclass(frozen=True)
 class GCd(_Extension):
     family = "g_cd"
-    dim = 3
     c: float
     d: float
 
     def _level(self):
-        return _Level(Additive(2), False, ((self.c, self.d),))
+        return _Level(GModule(Additive(2), ((self.c, self.d),)), False)
 
 
 @dataclass(frozen=True)
 class KCd(_Extension):
     family = "k_cd"
-    dim = 3
     c: float
     d: float
 
     def _level(self):
-        return _Level(Additive(1), False, ((self.c,), (self.d,)))
+        return _Level(GModule(Additive(1), ((self.c,), (self.d,))), False)
 
 
 @dataclass(frozen=True)
 class Tk(_Extension):
     family = "t_k"
-    dim = 3
     k: float
 
     def _level(self):
-        return _Level(SemidirectRR(1.0), True, ((0.0, 1.0),), functools.partial(_g3, self.k))
+        return _Level(g3_module(), True, functools.partial(_g3, self.k))
 
 
 @dataclass(frozen=True)

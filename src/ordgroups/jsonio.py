@@ -31,8 +31,8 @@ def law_from_descriptor(desc: dict) -> GroupLaw:
     if not isinstance(params, dict):
         raise InputError(f"family {family!r} needs a 'params' object")
     if family == "from_cocycle":
-        f = named_cocycle(params)
-        return cohomology.extension_from_cocycle(f)
+        # a named cocycle is a cocycle identically: no sampled check to run
+        return cohomology.CocycleLaw(named_cocycle(params))
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise InputError(f"unknown law family {family!r}")

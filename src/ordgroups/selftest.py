@@ -29,9 +29,7 @@ from .cohomology import (
     cocycle_residual,
     extension_from_cocycle,
     g3_cocycle,
-    g3_module,
     heis_cocycle,
-    heis_module,
 )
 from .errors import DomainError, InputError
 from .groups import (
@@ -45,6 +43,8 @@ from .groups import (
     Tk,
     check_group_axioms,
     commutator,
+    g3_module,
+    heis_module,
     heis_to_sut3,
     heisenberg,
     one_param_through,

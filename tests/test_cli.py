@@ -108,6 +108,26 @@ def test_the_g3_inverse_takes_the_closed_form_on_inverses(capsys, law):
     assert (code, out) == (0, '{"result":[0.0,-0.0,-800.0]}\n')
 
 
+@pytest.mark.parametrize("law, chart", [
+    ('{"family":"from_cocycle","params":{"cocycle":"g3","k":1e306}}',
+     '{"family":"t_k","params":{"k":1e306}}'),
+    ('{"family":"from_cocycle","params":{"cocycle":"heis","c":1e307}}', None),
+], ids=["g3", "heis"])
+def test_a_named_cocycle_law_runs_no_hidden_cocycle_check(capsys, law, chart):
+    # a sampled cocycle check would overflow to a NaN residual on these, though
+    # each is a cocycle identically: the law gets its own verdicts, as its chart
+    code, out = run_cli(capsys, "eval", "--law", law, "--op", "mul", "--a", "0,0,0",
+                        "--b", "0,0,0")
+    assert (code, out) == (0, '{"result":[0.0,0.0,0.0]}\n')
+    code, out = run_cli(capsys, "axioms", "--law", law, "--samples", "300")
+    assert code == 4 and json.loads(out)["report"]["overflow"] is True
+    if chart is not None:
+        # the g3 law is the t_k chart, bit for bit
+        for op, b in (("mul", "1,-2,0.5"), ("inv", None), ("comm", "-1,2,3")):
+            argv = ["eval", "--op", op, "--a", "0.5,3,-1"] + (["--b", b] if b else [])
+            assert run_cli(capsys, *argv, "--law", law) == run_cli(capsys, *argv, "--law", chart)
+
+
 def test_axioms_pass_and_custom_tolerance_fail(capsys):
     law = '{"family":"t_k","params":{"k":1}}'
     code, out = run_cli(capsys, "axioms", "--law", law, "--samples", "300")

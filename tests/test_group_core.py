@@ -18,13 +18,16 @@ from ordgroups import (
     SUT3,
     Tk,
     Tolerance,
+    act,
     check_group_axioms,
     commutator,
     compare,
     conjugate,
     extension_from_cocycle,
     g3_cocycle,
+    g3_module,
     heis_cocycle,
+    heis_module,
     heis_to_sut3,
     heisenberg,
     invert,
@@ -33,7 +36,8 @@ from ordgroups import (
     one_param_through,
     sut3_to_heis,
 )
-from ordgroups.groups import _NAMED
+from ordgroups.actions import scale_factors
+from ordgroups.groups import _NAMED, _matvec
 from ordgroups.tolerance import DEFAULT_TOL
 
 RNG = np.random.default_rng(7)
@@ -253,7 +257,7 @@ def _ref_mul(law, a, b):
     if isinstance(law, CocycleLaw):
         m = law.cochain.module
         k = m.N.dim
-        part_n = a[..., :k] + m.act(a[..., k:], b[..., :k]) + law.cochain.fn(a[..., k:], b[..., k:])
+        part_n = a[..., :k] + act(m, a[..., k:], b[..., :k]) + law.cochain.fn(a[..., k:], b[..., k:])
         return np.concatenate([part_n, _ref_mul(m.H, a[..., k:], b[..., k:])], axis=-1)
     if isinstance(law, Additive):
         return a + b
@@ -273,7 +277,7 @@ def _ref_inv(law, a):
         k = m.N.dim
         ginv = _ref_inv(m.H, a[..., k:])
         corr = a[..., :k] + law.cochain.fn(a[..., k:], ginv)
-        return np.concatenate([-m.act(ginv, corr), ginv], axis=-1)
+        return np.concatenate([-act(m, ginv, corr), ginv], axis=-1)
     if isinstance(law, (Additive, Ec)):
         return -a
     return np.stack(_REF_INV[type(law)](law, *(a[..., i] for i in range(law.dim))), axis=-1)
@@ -327,9 +331,9 @@ def _bits(a):
                          ids=repr)
 def test_each_named_cocycle_s_value_on_inverses_is_its_formula_s(law):
     # oracle: the declared closed form against the formula at (g, g^-1)
-    level = law._level()
-    g = SampleConfig(seed=6, count=1000).sample(level.base.dim, stream=1)
-    want = level.cocycle(g, level.base.inv(g))
+    level = law.level
+    g = SampleConfig(seed=6, count=1000).sample(level.module.H.dim, stream=1)
+    want = level.cocycle(g, level.module.H.inv(g))
     (_, on_inverses), p = _NAMED[level.cocycle.func], level.cocycle.args[0]
     if on_inverses is None:  # declared exactly 0
         assert np.all(want == 0.0)
@@ -347,6 +351,26 @@ def test_the_t_k_inverse_is_its_closed_form_bit_for_bit(k):
         assert np.array_equal(_bits(extension_from_cocycle(g3_cocycle(k)).inv(_ZERO_GRID)), want)
     # x' = +0.0 where x = k y z exactly
     assert not np.signbit(law.inv(np.array([2.0 * k, 1.0, 2.0]))[0])
+
+
+@pytest.mark.parametrize("module", [
+    *(law.level.module for law in (SemidirectRR(-2.0), SemidirectRR(0.0), Ec(0.5), SUT3(),
+                                   GCd(2.0, -1.0), GCd(0.0, 0.0), KCd(-1.0, 0.5), KCd(0.0, 3.0),
+                                   Tk(1.0), CocycleLaw(g3_cocycle(2.0)))),
+    heis_module(), g3_module(),
+], ids=repr)
+def test_scale_factors_are_the_extension_level_s_scalings_bit_for_bit(module):
+    # oracle: e^{C g} with each exponent summed row by row, as witnesses sum it
+    g = _ZERO_GRID[:, :module.H.dim]
+    with np.errstate(over="ignore"):  # e^{1400} is inf on both sides
+        want = np.exp(_matvec(np.asarray(module.exponents), g))
+        got, scalings = scale_factors(module, g), list(module.scalings(g))
+    assert np.array_equal(_bits(got), _bits(want))
+    for r, s in enumerate(scalings):
+        if s is None:
+            assert not any(module.exponents[r]) and np.all(want[:, r] == 1.0)
+        else:
+            assert np.array_equal(_bits(s), _bits(want[:, r]))
 
 
 def test_the_sut3_inverse_is_plus_zero_at_z_equal_x_y():
@@ -589,6 +613,17 @@ def test_from_cocycle_descriptor_round_trip():
         out = law_from_descriptor(desc).descriptor()
         assert out == {**desc, "dim": 3}
         assert law_from_descriptor(out).descriptor() == out
+
+
+@pytest.mark.parametrize("law, dim", [
+    (SemidirectRR(-2.0), 2), (Ec(0.5), 3), (SUT3(), 3), (GCd(1.0, -2.0), 3), (KCd(0.0, 2.0), 3),
+    (Tk(-1.0), 3), (CocycleLaw(heis_cocycle(0.5)), 3), (CocycleLaw(g3_cocycle(2.0)), 3),
+], ids=lambda x: getattr(x, "family", None))
+def test_an_extension_law_builds_its_level_once_and_reads_its_dim_off_it(law, dim):
+    assert law.level is law.level
+    module = law.level.module
+    assert law.dim == law.descriptor()["dim"] == module.N.dim + module.H.dim == dim
+    assert law.identity().shape == (dim,)
 
 
 def test_additive_dimension_is_an_integer():
