@@ -1,10 +1,9 @@
 """The module action of groups.GModule on its module's elements.
 
 A module over H is scaled by e^{C g}, which GModule.scalings computes as the
-extension laws (groups._Extension) do, each exponent summed in the same
-order. For example, ((0, 1),) over SemidirectRR(1) on (y, z) scales a line
-by e^{z}, and ((c,), (d,)) over Additive(1) scales the plane by
-(e^{c t}, e^{d t}).
+laws' levels (groups._Tower) do, each exponent summed in the same order. For
+example, ((0, 1),) over SemidirectRR(1) on (y, z) scales a line by e^{z},
+and ((c,), (d,)) over Additive(1) scales the plane by (e^{c t}, e^{d t}).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ The three ProdAff labels name the order type of the product-with-a-line
 group; the sign parameter distinguishes the expanding and contracting
 variants, which are not isomorphic as ordered groups.
 
-The group level reads the law's bracket table (GroupLaw.brackets) in one of
+The group level reads the law's bracket table (law.brackets()) in one of
 five forms: abelian, every bracket 0; affine, a derived algebra e_k that is
 not central, [e_i, e_k] = chi_i e_k for a character chi; Heisenberg, a
 central derived algebra e_k; derived plane, two coordinates on which the

@@ -21,7 +21,7 @@ import numpy as np
 
 from .actions import act
 from .errors import DomainError, InputError
-from .groups import GModule, _Extension, _g3, _heis, _Level, g3_module, heis_module
+from .groups import GModule, _extension, _g3, _heis, _Tower, g3_module, heis_module
 from .tolerance import DEFAULT_TOL, SampleConfig, Tolerance
 
 
@@ -85,12 +85,20 @@ def check_coboundary(
     """Whether df vanishes on cfg's draws from streams, one stream per
     argument of df, drawn one row block at a time. The residual is the
     largest raw |df|; each coordinate passes on the tolerance rule against the
-    largest |term| of the sum in its row."""
+    largest |term| of the sum in its row. A row whose sum is not finite, a
+    term or the sum having overflowed, decides nothing: a DomainError names
+    the first such row's operands."""
     df = coboundary(f)
 
     def block(rows, *gs):
         terms = df.terms(*gs)
-        return tol.verdict(np.abs(functools.reduce(np.add, terms)), terms)
+        total = functools.reduce(np.add, terms)
+        overflow = np.flatnonzero(~np.isfinite(total).all(axis=-1))
+        if overflow.size:
+            i = overflow[0]
+            raise DomainError(f"the coboundary overflows at sample row {rows.start + i}, operands "
+                              f"{[g[i].tolist() for g in gs]}: whether it vanishes is not known")
+        return tol.verdict(np.abs(total), terms)
 
     blocks = cfg.map_blocks(f.module.H.dim, streams, block)
     worst = functools.reduce(np.maximum, (gap for gap, _ in blocks), -np.inf)
@@ -112,7 +120,7 @@ def cocycle_residual(f: Cochain, cfg: SampleConfig = SampleConfig()) -> float:
 
 
 @dataclass(frozen=True)
-class CocycleLaw(_Extension):
+class CocycleLaw(_Tower):
     """Extension law on module-first coordinates (N..., H...) built from a
     2-cocycle over its module; its bracket table is None unless the cocycle
     is a named one."""
@@ -120,8 +128,8 @@ class CocycleLaw(_Extension):
     family = "from_cocycle"
     cochain: Cochain
 
-    def _level(self):
-        return _Level(self.cochain.module, True, self.cochain.fn)
+    def _levels(self):
+        return _extension(self.cochain.module, True, self.cochain.fn)
 
     def descriptor(self):
         params = dict(self.cochain.descriptor or {})

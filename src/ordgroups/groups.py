@@ -1,11 +1,17 @@
 """Closed-form group laws on coordinate charts of dimension 1 to 3.
 
-Additive(n) adds coordinatewise and Product(a, b) concatenates two charts.
-Every other law is one extension step (_Level), (m, g)(m', g') = (m + e^{C g}
-m' + f(g, g'), g g'): a GModule (the acting law H of g and the exponent
-matrix C, a row per module coordinate, a column per coordinate of H), the
-module block m first or last, and an optional named 2-cocycle f. _Extension
-builds the level once per law and derives dim, mul, inv and brackets from it:
+Every law is one list of levels (_Level), ordered bottom up and built once
+per law, and one mul, inv and bracket table (_Tower) run over it. A level
+writes a block m of the law's columns from the columns g below it:
+m m' = m + e^{C g} m' + f(g, g'), with an exponent row of C per column of m
+and an optional 2-cocycle f. Each distinct row's e^{...} is computed once per
+call. Additive(n) is one level with C = 0 and no cocycle; Product(a, b) puts
+b's levels, moved past a's columns, below a's. Every other law is one
+extension step (m, g)(m', g') = (m + e^{C g} m' + f(g, g'), g g'): a GModule
+(the acting law H of g and the exponent matrix C, a row per module
+coordinate, a column per coordinate of H), the module block m first or last,
+and an optional named 2-cocycle f. Its levels are H's, moved to the base
+columns, then the module block's:
 
   law              the module's H             module        C             cocycle
   SemidirectRR(c)  Additive(1) on y           x, first      ((c,),)       -
@@ -64,26 +70,28 @@ def _element(x, dim: int) -> np.ndarray:
 def _result(dim: int, *operands) -> np.ndarray:
     """The uninitialized (..., dim) result of an operation on stacks of
     elements, coordinate-major: its stack shape is the operands' broadcast one.
-    Each module coordinate's last operation writes into its column with out=;
-    a base law's block is its own law's result, copied in."""
+    Each level writes its columns with out=."""
     shape = np.broadcast_shapes(*(x.shape[:-1] for x in operands))
     return np.empty(shape + (dim,), order="F")
 
 
-def _nonzero(table: dict) -> dict:
-    """A bracket table without its zeros, its entries as Python floats."""
-    return {key: float(b) for key, b in table.items() if b != 0.0}
-
-
-def _combination(row, a: np.ndarray) -> np.ndarray | None:
-    """sum_j row[j] a[..., j] over the nonzero row[j], accumulated in column
-    order with no multiplication by 1; None for a zero row."""
+def _combination(terms, a: np.ndarray) -> np.ndarray | None:
+    """sum_j m a[..., j] over the (j, m) of terms with m nonzero, accumulated
+    in order with no multiplication by 1; None if there is no such term."""
     acc = None
-    for j, mij in enumerate(row):
+    for j, mij in terms:
         if mij != 0.0:
             term = a[..., j] if mij == 1.0 else mij * a[..., j]
             acc = term if acc is None else acc + term
     return acc
+
+
+def _scaling(row, a: np.ndarray, memo: dict) -> np.ndarray | None:
+    """e^{...} of a row's _combination over a, once per memo; None for a zero row."""
+    if row not in memo:
+        acc = _combination(row, a)
+        memo[row] = None if acc is None else np.exp(acc)
+    return memo[row]
 
 
 def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -96,34 +104,20 @@ def _matvec(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     out = np.empty(a.shape[:-1] + (matrix.shape[0],), order="F")
     for i, row in enumerate(matrix):
-        acc = _combination(row, a)
+        acc = _combination(enumerate(row), a)
         out[..., i] = 0.0 if acc is None else acc
     return out
 
 
 class GroupLaw:
     """Base for all chart group laws. Subclasses are immutable dataclasses
-    whose fields are the law's parameters; `family` names them in descriptors."""
+    whose fields are the law's parameters; `family` names them in descriptors.
+    Every law is a _Tower, which gives it dim, mul, inv and brackets()."""
 
     family: str
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def inv(self, a: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def identity(self) -> np.ndarray:
         return np.zeros(self.dim)
-
-    def brackets(self) -> dict | None:
-        """The Lie bracket in closed form, {(k, i, j): b} for [e_i, e_j] = b e_k + ...,
-        one entry per antisymmetric pair and no zeros; None if the law declares none."""
-        return None
 
     def descriptor(self) -> dict:
         params = {}
@@ -133,8 +127,90 @@ class GroupLaw:
         return {"family": self.family, "params": params, "dim": self.dim}
 
 
+class _Level(NamedTuple):
+    """The law columns a level writes; one exponent row per column, the (law
+    column, coefficient) pairs of its nonzero entries; the base columns its
+    cocycle reads; and the cocycle: None, functools.partial(formula, p) for a
+    named one (_NAMED), or any 2-cochain, which returns the whole block."""
+
+    cols: slice
+    exponents: tuple[tuple[tuple[int, float], ...], ...]
+    base: slice = slice(0, 0)
+    cocycle: Callable | None = None
+
+
+def _moved(level: _Level, k: int) -> _Level:
+    """The level with every column it writes or reads k columns further on."""
+    rows = tuple(tuple((j + k, x) for j, x in row) for row in level.exponents)
+    return _Level(slice(level.cols.start + k, level.cols.stop + k), rows,
+                  slice(level.base.start + k, level.base.stop + k), level.cocycle)
+
+
+class _Tower(GroupLaw):
+    """A law run as its levels, bottom up: _levels() builds them from the
+    law's fields once, when the law is made, and dim, mul, inv and the
+    bracket table are written once, here."""
+
+    def __post_init__(self):
+        # the laws a law is made of are made first, so no law's levels are
+        # built recursively, however deep a product nests
+        object.__setattr__(self, "levels", self._levels())
+
+    @functools.cached_property
+    def dim(self) -> int:
+        return sum(level.cols.stop - level.cols.start for level in self.levels)
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out, memo = _result(self.dim, a, b), {}
+        for cols, rows, base, cocycle in self.levels:
+            m1, m2, m = a[..., cols], b[..., cols], out[..., cols]
+            if cocycle is None and not any(rows):
+                np.add(m1, m2, out=m)
+                continue
+            f = None if cocycle is None else cocycle(a[..., base], b[..., base])
+            for r, row in enumerate(rows):
+                s, col = _scaling(row, a, memo), m[..., r]
+                np.add(m1[..., r], m2[..., r] if s is None else np.multiply(s, m2[..., r], out=col),
+                       out=col)
+                if f is not None:
+                    np.add(col, f[..., r], out=col)
+        return out
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        # each level's g^-1 is the columns below it, already written; m is
+        # negated first: it keeps t_k's x' = +0.0 where x = k y z exactly
+        out, memo = _result(self.dim, a), {}
+        for cols, rows, base, cocycle in self.levels:
+            m = out[..., cols]
+            np.negative(a[..., cols], out=m)
+            f = None if cocycle is None else _on_inverses(cocycle, a[..., base], out[..., base])
+            for r, row in enumerate(rows):
+                s, col = _scaling(row, out, memo), m[..., r]
+                if f is not None:
+                    np.subtract(col, f[..., r], out=col)
+                if s is not None:
+                    np.multiply(s, col, out=col)
+        return out
+
+    def brackets(self) -> dict | None:
+        """The Lie bracket in closed form, {(k, i, j): b} for [e_i, e_j] = b e_k + ...,
+        one entry per antisymmetric pair and no zeros; None if a level's
+        cocycle is not a named one. Read top down: each level's action part
+        [e_j, e_m] = C[m][j] e_m, then its named cocycle's bracket part."""
+        table = {}
+        for cols, rows, base, f in reversed(self.levels):
+            named = None if f is None else _NAMED.get(getattr(f, "func", None))
+            if f is not None and named is None:
+                return None
+            table.update(((m, j, m), x) for m, row in enumerate(rows, cols.start) for j, x in row)
+            if named is not None:
+                (i, j, b), _ = named
+                table[cols.start, base.start + i, base.start + j] = b * f.args[0]
+        return {key: float(b) for key, b in table.items() if b != 0.0}
+
+
 @dataclass(frozen=True)
-class Additive(GroupLaw):
+class Additive(_Tower):
     family = "additive"
     n: int = 1
 
@@ -143,19 +219,10 @@ class Additive(GroupLaw):
         if self.n not in (1, 2, 3):
             raise InputError(f"additive charts cover the dimensions 1, 2 and 3, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
+        super().__post_init__()
 
-    @property
-    def dim(self):
-        return self.n
-
-    def brackets(self):
-        return {}
-
-    def mul(self, a, b):
-        return a + b
-
-    def inv(self, a):
-        return -a
+    def _levels(self):
+        return (_Level(slice(0, self.n), ((),) * self.n),)
 
 
 @dataclass(frozen=True)
@@ -185,10 +252,21 @@ class GModule:
 
     def scalings(self, g: np.ndarray) -> Iterator[np.ndarray | None]:
         """e^{(C g)_m} for each module coordinate m in turn, its exponent
-        summed by _combination; None for a zero row."""
+        summed by _combination as a level sums it; None for a zero row."""
         for row in self.exponents:
-            acc = _combination(row, g)
+            acc = _combination(enumerate(row), g)
             yield None if acc is None else np.exp(acc)
+
+
+def _extension(module: GModule, module_first: bool, cocycle: Callable | None = None):
+    """The levels of one extension step (module docstring): the levels of
+    the module's H, moved to the base columns, then the module block's."""
+    p, n = len(module.exponents), module.H.dim
+    k, m = (p, 0) if module_first else (0, n)
+    rows = tuple(tuple((k + j, x) for j, x in enumerate(row) if x != 0.0)
+                 for row in module.exponents)
+    return (*(_moved(level, k) for level in module.H.levels),
+            _Level(slice(m, m + p), rows, slice(k, k + n), cocycle))
 
 
 def heis_module() -> GModule:
@@ -230,21 +308,9 @@ _NAMED = {
 }
 
 
-class _Level(NamedTuple):
-    """One extension step (module docstring); its cocycle is None for a split
-    one, functools.partial(formula, p) for a named one (_NAMED), and any other
-    2-cochain of the module's H for a law built from one."""
-
-    module: GModule
-    module_first: bool
-    cocycle: Callable | None = None
-
-
-def _on_inverses(f: Callable | None, g: np.ndarray, ginv: np.ndarray) -> np.ndarray | None:
+def _on_inverses(f: Callable, g: np.ndarray, ginv: np.ndarray) -> np.ndarray | None:
     """f(g, g^-1): a named cocycle's closed form (_NAMED), any other cochain
-    evaluated; None for a split level or where f is exactly 0."""
-    if f is None:
-        return None
+    evaluated; None where f is exactly 0."""
     named = _NAMED.get(getattr(f, "func", None))
     if named is None:
         return f(g, ginv)
@@ -252,95 +318,22 @@ def _on_inverses(f: Callable | None, g: np.ndarray, ginv: np.ndarray) -> np.ndar
     return None if value is None else value(f.args[0], g)
 
 
-class _Extension(GroupLaw):
-    """A law that is one extension step, whose _level() reads the step off
-    its fields: dim, mul, inv and the bracket table are written once, here."""
-
-    @functools.cached_property
-    def level(self) -> _Level:
-        """The law's extension step, built and checked once per law."""
-        return self._level()
-
-    @property
-    def dim(self):
-        module = self.level.module
-        return len(module.exponents) + module.H.dim
-
-    def _split(self, a, level: _Level):
-        """The module block and the base block of a's columns, as views."""
-        p = len(level.module.exponents)
-        if level.module_first:
-            return a[..., :p], a[..., p:]
-        return a[..., self.dim - p:], a[..., :self.dim - p]
-
-    def mul(self, a, b):
-        level = self.level
-        (m1, g1), (m2, g2) = self._split(a, level), self._split(b, level)
-        out = _result(self.dim, a, b)
-        m, g = self._split(out, level)
-        g[...] = level.module.H.mul(g1, g2)
-        f = None if level.cocycle is None else level.cocycle(g1, g2)
-        for r, s in enumerate(level.module.scalings(g1)):
-            col = m[..., r]
-            np.add(m1[..., r], m2[..., r] if s is None else np.multiply(s, m2[..., r], out=col),
-                   out=col)
-            if f is not None:
-                np.add(col, f[..., r], out=col)
-        return out
-
-    def inv(self, a):
-        # (m, g)^-1 = (e^{C g^-1} (-m - f(g, g^-1)), g^-1), m negated first: it
-        # keeps t_k's x' = +0.0 where x = k y z exactly
-        level = self.level
-        m1, g1 = self._split(a, level)
-        out = _result(self.dim, a)
-        m, g = self._split(out, level)
-        g[...] = level.module.H.inv(g1)
-        f = _on_inverses(level.cocycle, g1, g)
-        for r, s in enumerate(level.module.scalings(g)):
-            col = m[..., r]
-            np.negative(m1[..., r], out=col)
-            if f is not None:
-                np.subtract(col, f[..., r], out=col)
-            if s is not None:
-                np.multiply(s, col, out=col)
-        return out
-
-    def brackets(self):
-        """The action part [e_j, e_m] = C[m][j] e_m, then the named cocycle's
-        bracket part, then the table of the module's H; None when H has no
-        table or the cocycle is not a named one."""
-        level = self.level
-        base, f = level.module.H.brackets(), level.cocycle
-        named = None if f is None else _NAMED.get(getattr(f, "func", None))
-        if base is None or (f is not None and named is None):
-            return None
-        mod, bas = (x.tolist() for x in self._split(np.arange(self.dim), level))
-        table = {(mod[r], bas[j], mod[r]): x
-                 for r, row in enumerate(level.module.exponents) for j, x in enumerate(row)}
-        if named is not None:
-            (i, j, b), _ = named
-            table[mod[0], bas[i], bas[j]] = b * f.args[0]
-        table.update({(bas[k], bas[i], bas[j]): x for (k, i, j), x in base.items()})
-        return _nonzero(table)
-
-
 @dataclass(frozen=True)
-class SemidirectRR(_Extension):
+class SemidirectRR(_Tower):
     family = "semidirect_rr"
     c: float = 1.0
 
-    def _level(self):
-        return _Level(GModule(Additive(1), ((self.c,),)), True)
+    def _levels(self):
+        return _extension(GModule(Additive(1), ((self.c,),)), True)
 
 
 @dataclass(frozen=True)
-class Ec(_Extension):
+class Ec(_Tower):
     family = "e_c"
     c: float
 
-    def _level(self):
-        return _Level(heis_module(), False, functools.partial(_heis, self.c))
+    def _levels(self):
+        return _extension(heis_module(), False, functools.partial(_heis, self.c))
 
 
 def heisenberg() -> Ec:
@@ -349,71 +342,52 @@ def heisenberg() -> Ec:
 
 
 @dataclass(frozen=True)
-class SUT3(_Extension):
+class SUT3(_Tower):
     family = "sut3"
 
-    def _level(self):
-        return _Level(heis_module(), False, functools.partial(_sut3, 1.0))
+    def _levels(self):
+        return _extension(heis_module(), False, functools.partial(_sut3, 1.0))
 
 
 @dataclass(frozen=True)
-class GCd(_Extension):
+class GCd(_Tower):
     family = "g_cd"
     c: float
     d: float
 
-    def _level(self):
-        return _Level(GModule(Additive(2), ((self.c, self.d),)), False)
+    def _levels(self):
+        return _extension(GModule(Additive(2), ((self.c, self.d),)), False)
 
 
 @dataclass(frozen=True)
-class KCd(_Extension):
+class KCd(_Tower):
     family = "k_cd"
     c: float
     d: float
 
-    def _level(self):
-        return _Level(GModule(Additive(1), ((self.c,), (self.d,))), False)
+    def _levels(self):
+        return _extension(GModule(Additive(1), ((self.c,), (self.d,))), False)
 
 
 @dataclass(frozen=True)
-class Tk(_Extension):
+class Tk(_Tower):
     family = "t_k"
     k: float
 
-    def _level(self):
-        return _Level(g3_module(), True, functools.partial(_g3, self.k))
+    def _levels(self):
+        return _extension(g3_module(), True, functools.partial(_g3, self.k))
 
 
 @dataclass(frozen=True)
-class Product(GroupLaw):
+class Product(_Tower):
     family = "product"
     a: GroupLaw
     b: GroupLaw
 
-    @property
-    def dim(self):
-        return self.a.dim + self.b.dim
-
-    def brackets(self):
-        ta, tb, k = self.a.brackets(), self.b.brackets(), self.a.dim
-        if ta is None or tb is None:
-            return None
-        return {**ta, **{(x + k, i + k, j + k): b for (x, i, j), b in tb.items()}}
-
-    def mul(self, u, v):
-        k = self.a.dim
-        out = _result(self.dim, u, v)
-        out[..., :k] = self.a.mul(u[..., :k], v[..., :k])
-        out[..., k:] = self.b.mul(u[..., k:], v[..., k:])
-        return out
-
-    def inv(self, u):
-        k = self.a.dim
-        out = _result(self.dim, u)
-        out[..., :k] = self.a.inv(u[..., :k])
-        out[..., k:] = self.b.inv(u[..., k:])
-        return out
+    def _levels(self):
+        # b's levels below a's, so that the table, read top down, lists a's
+        # entries first
+        return (*(_moved(level, self.a.dim) for level in self.b.levels), *self.a.levels)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from ordgroups import tolerance
 from ordgroups.cli import main
 from ordgroups.classify import classify_ordered, function_witness, linear_witness, verify_witness
 from ordgroups.cohomology import check_cocycle, cocycle_residual, g3_cocycle, heis_cocycle
-from ordgroups.errors import InputError
+from ordgroups.errors import DomainError, InputError
 from ordgroups.groups import (
     SUT3,
     Additive,
@@ -156,16 +156,23 @@ def test_nan_after_finite_blocks_still_fails_the_witness(monkeypatch):
     assert np.isnan(rep.hom_residual) and not rep.group_ok and not rep.passed
 
 
-@pytest.mark.parametrize("cochain, cfg, nan", [
+@pytest.mark.parametrize("cochain, cfg, overflows", [
     (g3_cocycle(1.0), CFG, False),
     (heis_cocycle(0.5), CFG, False),
-    # k e^{z1} y2 overflows at box 50: the residual is NaN
+    # k e^{z1} y2 overflows at box 50: a domain error, which names the same
+    # first overflowing row at every block size
     (g3_cocycle(1e300), SampleConfig(seed=22, count=300, box=50.0), True),
 ])
-def test_cocycle_residual(monkeypatch, cochain, cfg, nan):
+def test_cocycle_residual(monkeypatch, cochain, cfg, overflows):
+    def check():
+        try:
+            return cocycle_residual(cochain, cfg)
+        except DomainError as exc:
+            return str(exc)
+
     with np.errstate(all="ignore"):
-        residual = _same_at_every_block_size(monkeypatch, lambda: cocycle_residual(cochain, cfg))
-    assert bool(np.isnan(residual)) is nan
+        result = _same_at_every_block_size(monkeypatch, check)
+    assert isinstance(result, str) is overflows
 
 
 # --- the ordered pairs against the whole-array construction ------------------------

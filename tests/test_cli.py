@@ -169,6 +169,22 @@ def test_cocycle_check(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ('{"cocycle":"g3","k":1e306}',), ('{"cocycle":"heis","c":1e307}',),
+    ('{"cocycle":"g3","k":1e300}', "--box", "50"),
+], ids=["g3", "heis", "g3-box-50"])
+def test_a_cocycle_whose_coboundary_overflows_is_a_domain_error(capsys, argv):
+    # a true cocycle: an overflowing row is inconclusive, not a failed check,
+    # and the error is all of stderr: numpy's RuntimeWarnings do not reach it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["cocycle-check", "--cocycle", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, caught) == (3, "", [])
+    assert captured.err.startswith("domain error: the coboundary overflows at sample row ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("box", ["3", "6", "8", "10"])
 @pytest.mark.parametrize("cocycle", ['{"cocycle":"g3","k":1}', '{"cocycle":"g3","k":-2}',
                                      '{"cocycle":"heis","c":0.5}'])
@@ -594,16 +610,20 @@ def test_non_finite_law_parameter_is_an_input_error(capsys, law, value):
     ("axioms", "--law", '{"family":"additive","params":{"n":2.5}}'),
     # an order of another length than the law: no KeyError from the bracket table
     ("classify", "--law", '{"family":"e_c","params":{"c":1}}', "--order", "0,1"),
+    # a boolean is no number, and a key the descriptor does not read is no key
+    # to drop
+    ("eval", "--law", '{"family":"semidirect_rr","params":{"c":true}}', "--op", "inv",
+     "--a", "1,2"),
+    ("cocycle-check", "--cocycle", '{"cocycle":"heis","k":5}'),
 ], ids=["cocycle-nan", "cocycle-list", "cocycle-string", "cocycle-text", "additive-nan",
-        "additive-2.5", "classify-order-length"])
+        "additive-2.5", "classify-order-length", "boolean-parameter", "cocycle-unknown-key"])
 def test_bad_descriptor_is_an_input_error(capsys, argv):
     _assert_input_error(capsys, *argv)
 
 
 @pytest.mark.parametrize("argv", [
     ("witness-verify", "--source", _SD300, "--target", _SD300, "--matrix", "[[1,0],[0,1]]"),
-    ("cocycle-check", "--cocycle", '{"cocycle":"g3","k":1e300}', "--box", "50"),
-], ids=["witness-verify", "cocycle-check"])
+], ids=["witness-verify"])
 def test_overflow_leaves_stderr_empty(capsys, argv):
     # the reports carry the NaN; numpy's RuntimeWarnings must not reach stderr
     with warnings.catch_warnings(record=True) as caught:

@@ -25,7 +25,7 @@ from ordgroups import (
     heis_module,
     heisenberg,
 )
-from ordgroups.cohomology import CocycleLaw
+from ordgroups.cohomology import CocycleLaw, check_cocycle
 
 RNG = np.random.default_rng(31)
 CFG = SampleConfig(seed=5, count=600)
@@ -111,6 +111,25 @@ def test_constant_two_cochain_is_a_cocycle_under_trivial_action():
 def test_cocycle_residual_requires_degree_two():
     with pytest.raises(InputError):
         cocycle_residual(Cochain(0, lambda: np.array([1.0]), heis_module()), CFG)
+
+
+@pytest.mark.parametrize("f, box", [
+    (g3_cocycle(1e306), 3.0), (heis_cocycle(1e307), 3.0), (g3_cocycle(1.0), 800.0),
+], ids=["g3 k=1e306", "heis c=1e307", "g3 box=800"])
+def test_a_coboundary_that_overflows_is_inconclusive_not_failed(f, box):
+    # both are cocycles identically; where a term of the sum overflows, the
+    # check can say nothing, and names the operands of the first such row
+    cfg = SampleConfig(seed=5, count=600, box=box)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="the coboundary overflows at sample row") as err:
+            check_cocycle(f, cfg)
+        row = int(str(err.value).split("sample row ")[1].split(",")[0])
+        operands = [cfg.sample(2, stream)[row] for stream in (31, 32, 33)]
+        assert str(err.value).count(repr(float(operands[2][1]))) == 1
+        assert not np.all(np.isfinite(coboundary(f).fn(*operands)))
+        # no row before it overflows
+        rows = [cfg.sample(2, stream, count=row) for stream in (31, 32, 33)]
+        assert np.all(np.isfinite(coboundary(f).fn(*rows)))
 
 
 def test_perturbed_cocycle_is_detected():

@@ -9,6 +9,7 @@ from ordgroups import (
     CocycleLaw,
     Ec,
     GCd,
+    GModule,
     InputError,
     KCd,
     LexOrder,
@@ -23,6 +24,7 @@ from ordgroups import (
     commutator,
     compare,
     conjugate,
+    dumps,
     extension_from_cocycle,
     g3_cocycle,
     g3_module,
@@ -152,6 +154,13 @@ def test_derived_tables_keep_the_declared_entries_in_order(law):
     assert list(law.brackets().items()) == list(literal.items())
 
 
+def test_a_product_s_table_lists_its_first_factor_s_entries_first():
+    # each factor's entries in its own order, shifted to its columns
+    law = Product(Product(Tk(2.0), SemidirectRR(-0.5)), SemidirectRR(3.0))
+    assert list(law.brackets().items()) == [
+        ((0, 2, 0), 1.0), ((0, 2, 1), 2.0), ((1, 2, 1), 1.0), ((3, 4, 3), -0.5), ((5, 6, 5), 3.0)]
+
+
 @pytest.mark.parametrize("c", _BRACKET_PARAMS)
 def test_a_named_cocycle_law_derives_its_bracket_table(c):
     heis = extension_from_cocycle(heis_cocycle(c))
@@ -273,11 +282,9 @@ def _ref_inv(law, a):
         # the same chart as t_k, whose closed form the g3 law's inverse rounds as
         return _ref_inv(Tk(law.cochain.descriptor["k"]), a)
     if isinstance(law, CocycleLaw):
-        m = law.cochain.module
-        k = m.N.dim
-        ginv = _ref_inv(m.H, a[..., k:])
-        corr = a[..., :k] + law.cochain.fn(a[..., k:], ginv)
-        return np.concatenate([-act(m, ginv, corr), ginv], axis=-1)
+        # e_c's chart with its columns (x, y, z) at [1, 2, 0]: heis adds no
+        # term on (g, g^-1), where f(g, g^-1) would add +0.0 to z = -0.0
+        return _ref_inv(Ec(law.cochain.descriptor["c"]), a[..., [1, 2, 0]])[..., [2, 0, 1]]
     if isinstance(law, (Additive, Ec)):
         return -a
     return np.stack(_REF_INV[type(law)](law, *(a[..., i] for i in range(law.dim))), axis=-1)
@@ -301,19 +308,25 @@ def _ref_inv(law, a):
 ], ids=lambda law: law.family)
 def test_laws_give_the_same_bits_in_either_layout(law):
     cfg = SampleConfig(seed=4, count=1000)
-    a, b = cfg.sample(law.dim, stream=1), cfg.sample(law.dim, stream=2)
+    # samples, then the rows of _ZERO_GRID, its columns cut or repeated to
+    # the law's dimension, against the grid reversed
+    grid = _ZERO_GRID[:, np.arange(law.dim) % 3]
+    a = np.asfortranarray(np.concatenate([cfg.sample(law.dim, stream=1), grid]))
+    b = np.asfortranarray(np.concatenate([cfg.sample(law.dim, stream=2), grid[::-1]]))
     ca, cb = np.ascontiguousarray(a), np.ascontiguousarray(b)
     assert a.flags.f_contiguous and ca.flags.c_contiguous
-    want_mul, want_inv = _ref_mul(law, ca, cb), _ref_inv(law, ca)
-    # row-major, coordinate-major, and a row block of coordinate-major samples
-    for x, y, rows in ((ca, cb, slice(None)), (a, b, slice(None)),
-                       (a[17:900], b[17:900], slice(17, 900))):
-        got_mul, got_inv = law.mul(x, y), law.inv(x)
-        assert np.array_equal(got_mul, want_mul[rows])
-        assert np.array_equal(got_inv, want_inv[rows])
-        if not x.flags.c_contiguous:
-            # coordinate-major in, coordinate-major out
-            assert got_mul.strides[0] == got_inv.strides[0] == got_mul.itemsize
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_mul, want_inv = _bits(_ref_mul(law, ca, cb)), _bits(_ref_inv(law, ca))
+        # row-major, coordinate-major, and a row block of coordinate-major rows
+        for x, y, rows in ((ca, cb, slice(None)), (a, b, slice(None)),
+                           (a[17:1500], b[17:1500], slice(17, 1500))):
+            got_mul, got_inv = law.mul(x, y), law.inv(x)
+            # bit for bit: -0.0 is not +0.0, and a NaN is the same NaN
+            assert np.array_equal(_bits(got_mul), want_mul[rows])
+            assert np.array_equal(_bits(got_inv), want_inv[rows])
+            if not x.flags.c_contiguous:
+                # coordinate-major in, coordinate-major out
+                assert got_mul.strides[0] == got_inv.strides[0] == got_mul.itemsize
 
 
 # --- the cocycle on (g, g^-1) ----------------------------------------------
@@ -331,9 +344,11 @@ def _bits(a):
                          ids=repr)
 def test_each_named_cocycle_s_value_on_inverses_is_its_formula_s(law):
     # oracle: the declared closed form against the formula at (g, g^-1)
-    level = law.level
-    g = SampleConfig(seed=6, count=1000).sample(level.module.H.dim, stream=1)
-    want = level.cocycle(g, level.module.H.inv(g))
+    level = law.levels[-1]
+    x = np.zeros((1000, law.dim))
+    g = x[:, level.base] = SampleConfig(seed=6, count=1000).sample(2, stream=1)
+    # the inverse of (0, g) has g^-1 in its base columns
+    want = level.cocycle(g, law.inv(x)[:, level.base])
     (_, on_inverses), p = _NAMED[level.cocycle.func], level.cocycle.args[0]
     if on_inverses is None:  # declared exactly 0
         assert np.all(want == 0.0)
@@ -354,9 +369,13 @@ def test_the_t_k_inverse_is_its_closed_form_bit_for_bit(k):
 
 
 @pytest.mark.parametrize("module", [
-    *(law.level.module for law in (SemidirectRR(-2.0), SemidirectRR(0.0), Ec(0.5), SUT3(),
-                                   GCd(2.0, -1.0), GCd(0.0, 0.0), KCd(-1.0, 0.5), KCd(0.0, 3.0),
-                                   Tk(1.0), CocycleLaw(g3_cocycle(2.0)))),
+    # the modules of SemidirectRR(-2), SemidirectRR(0), Ec(0.5), SUT3,
+    # GCd(2, -1), GCd(0, 0), KCd(-1, 0.5), KCd(0, 3), Tk(1) and the g3 law
+    GModule(Additive(1), ((-2.0,),)), GModule(Additive(1), ((0.0,),)),
+    heis_module(), heis_module(),
+    GModule(Additive(2), ((2.0, -1.0),)), GModule(Additive(2), ((0.0, 0.0),)),
+    GModule(Additive(1), ((-1.0,), (0.5,))), GModule(Additive(1), ((0.0,), (3.0,))),
+    g3_module(), g3_module(),
     heis_module(), g3_module(),
 ], ids=repr)
 def test_scale_factors_are_the_extension_level_s_scalings_bit_for_bit(module):
@@ -620,10 +639,34 @@ def test_from_cocycle_descriptor_round_trip():
     (Tk(-1.0), 3), (CocycleLaw(heis_cocycle(0.5)), 3), (CocycleLaw(g3_cocycle(2.0)), 3),
 ], ids=lambda x: getattr(x, "family", None))
 def test_an_extension_law_builds_its_level_once_and_reads_its_dim_off_it(law, dim):
-    assert law.level is law.level
-    module = law.level.module
-    assert law.dim == law.descriptor()["dim"] == module.N.dim + module.H.dim == dim
+    assert law.levels is law.levels
+    widths = [level.cols.stop - level.cols.start for level in law.levels]
+    assert law.dim == law.descriptor()["dim"] == sum(widths) == dim
     assert law.identity().shape == (dim,)
+
+
+def _tower_laws():
+    from ordgroups.classify import enumerate_canonical
+    from ordgroups.selftest import _law_grid
+
+    laws = _law_grid() + [law for dim in (1, 2, 3) for _, law, _ in enumerate_canonical(dim)]
+    return laws + [CocycleLaw(heis_cocycle(0.5)), CocycleLaw(g3_cocycle(-2.0)),
+                   Product(Tk(1.0), SemidirectRR(2.0)), Product(Additive(1), Ec(-1.0))]
+
+
+@pytest.mark.parametrize("law", _tower_laws(), ids=lambda law: dumps(law.descriptor()))
+def test_each_level_reads_only_the_columns_of_the_levels_below_it(law):
+    # the theorem's chain of normal subgroups with one-dimensional quotients,
+    # on the level list: each column is written once, and a level's exponent
+    # rows and cocycle read only columns that earlier levels wrote
+    written = []
+    for level in law.levels:
+        cols = range(law.dim)[level.cols]
+        assert len(level.exponents) == len(cols) > 0
+        read = {j for row in level.exponents for j, _ in row} | set(range(law.dim)[level.base])
+        assert read <= set(written) and not set(cols) & set(written)
+        written += cols
+    assert sorted(written) == list(range(law.dim))
 
 
 def test_additive_dimension_is_an_integer():

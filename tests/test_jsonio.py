@@ -100,5 +100,48 @@ def test_the_family_table_covers_every_law_class():
     laws = {cls for cls in vars(groups).values()
             if isinstance(cls, type) and issubclass(cls, groups.GroupLaw)}
     # the two abstract bases name no family
-    laws -= {groups.GroupLaw, groups._Extension}
+    laws -= {groups.GroupLaw, groups._Tower}
     assert set(jsonio._FAMILIES.values()) == laws
+
+
+# each a descriptor that reads one of its keys wrongly, and that key
+@pytest.mark.parametrize("desc, key", [
+    # float(True) is 1.0, but a boolean is no parameter
+    ({"family": "semidirect_rr", "params": {"c": True}}, "c"),
+    ({"family": "additive", "params": {"n": True}}, "n"),
+    ({"family": "from_cocycle", "params": {"cocycle": "g3", "k": False}}, "k"),
+    ({"family": "additive", "params": {"n": 1}, "dim": True}, "dim"),
+    # a key the descriptor does not read is no key to drop
+    ({"family": "t_k", "params": {"k": 1, "c": 7}}, "c"),
+    ({"family": "sut3", "params": {"c": 1}}, "c"),
+    ({"family": "from_cocycle", "params": {"cocycle": "heis", "k": 5}}, "k"),
+    ({"family": "from_cocycle", "params": {"cocycle": "g3", "c": 5}}, "c"),
+    ({"family": "e_c", "params": {"c": 1}, "order": [0, 1, 2]}, "order"),
+    ({"family": "product", "params": {"a": {"family": "additive", "params": {"n": 1}},
+                                      "b": {"family": "e_c", "params": {"c": 1, "d": 2}}}}, "d"),
+    # a stated dim is the law's
+    ({"family": "additive", "params": {"n": 2}, "dim": 3}, "dim"),
+    ({"family": "t_k", "params": {"k": 1}, "dim": 2}, "dim"),
+    ({"family": "from_cocycle", "params": {"cocycle": "heis"}, "dim": 2.5}, "dim"),
+], ids=repr)
+def test_a_descriptor_key_read_wrongly_is_an_input_error_naming_it(desc, key):
+    with pytest.raises(InputError, match=f"'{key}'"):
+        law_from_descriptor(desc)
+
+
+def _descriptor_laws():
+    from ordgroups import CocycleLaw, Product, SemidirectRR, g3_cocycle, heis_cocycle
+    from ordgroups.classify import enumerate_canonical
+    from ordgroups.selftest import _law_grid
+
+    laws = _law_grid() + [law for dim in (1, 2, 3) for _, law, _ in enumerate_canonical(dim)]
+    laws += [CocycleLaw(heis_cocycle(-2.0)), CocycleLaw(g3_cocycle(0.5)),
+             Product(Product(SemidirectRR(-0.5), laws[0]), laws[0])]
+    return laws
+
+
+@pytest.mark.parametrize("law", _descriptor_laws(), ids=lambda law: dumps(law.descriptor()))
+def test_every_descriptor_round_trips(law):
+    desc = law.descriptor()
+    assert law_from_descriptor(desc).descriptor() == desc
+    assert law_from_descriptor(json.loads(dumps(desc))).descriptor() == desc
