@@ -67,11 +67,14 @@ def _element(x, dim: int) -> np.ndarray:
     return a
 
 
-def _result(dim: int, *operands) -> np.ndarray:
+def _result(dim: int, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """The uninitialized (..., dim) result of an operation on stacks of
-    elements, coordinate-major: its stack shape is the operands' broadcast one.
-    Each level writes its columns with out=."""
-    shape = np.broadcast_shapes(*(x.shape[:-1] for x in operands))
+    elements, coordinate-major: its stack shape is the operands' broadcast one,
+    which equal stacks have without a broadcast. Each level writes its
+    columns with out=."""
+    shape = a.shape[:-1]
+    if b is not None and b.shape[:-1] != shape:
+        shape = np.broadcast_shapes(shape, b.shape[:-1])
     return np.empty(shape + (dim,), order="F")
 
 
@@ -131,7 +134,8 @@ class _Level(NamedTuple):
     """The law columns a level writes; one exponent row per column, the (law
     column, coefficient) pairs of its nonzero entries; the base columns its
     cocycle reads; and the cocycle: None, functools.partial(formula, p) for a
-    named one (_NAMED), or any 2-cochain, which returns the whole block."""
+    named one (_NAMED), handed the level's scaling as well, or any 2-cochain,
+    which returns the whole block."""
 
     cols: slice
     exponents: tuple[tuple[tuple[int, float], ...], ...]
@@ -167,7 +171,8 @@ class _Tower(GroupLaw):
             if cocycle is None and not any(rows):
                 np.add(m1, m2, out=m)
                 continue
-            f = None if cocycle is None else cocycle(a[..., base], b[..., base])
+            f = None if cocycle is None else _cocycle(cocycle, a[..., base], b[..., base],
+                                                      rows, a, memo)
             for r, row in enumerate(rows):
                 s, col = _scaling(row, a, memo), m[..., r]
                 np.add(m1[..., r], m2[..., r] if s is None else np.multiply(s, m2[..., r], out=col),
@@ -279,17 +284,18 @@ def g3_module() -> GModule:
     return GModule(SemidirectRR(1.0), ((0.0, 1.0),))
 
 
-def _heis(c, g, h):
+def _heis(c, g, h, s=None):
     """The determinant 2-cocycle on the plane: c (x1 y2 - y1 x2)."""
     return (c * (g[..., 0] * h[..., 1] - g[..., 1] * h[..., 0]))[..., None]
 
 
-def _g3(k, g, h):
-    """The nonsplit 2-cocycle on the affine chart (y, z): k y2 z1 e^{z1}."""
-    return (k * h[..., 0] * g[..., 1] * np.exp(g[..., 1]))[..., None]
+def _g3(k, g, h, s=None):
+    """The nonsplit 2-cocycle on the affine chart (y, z): k y2 z1 e^{z1}, where
+    e^{z1} is s, the scaling of its level, when the level hands it over."""
+    return (k * h[..., 0] * g[..., 1] * (np.exp(g[..., 1]) if s is None else s))[..., None]
 
 
-def _sut3(_, g, h):
+def _sut3(_, g, h, s=None):
     """The unitriangular 2-cocycle on the plane: x1 y2, for the parameter 1."""
     return (g[..., 0] * h[..., 1])[..., None]
 
@@ -297,7 +303,8 @@ def _sut3(_, g, h):
 # each named 2-cocycle f = functools.partial(formula, p), by its formula: its
 # bracket part (i, j, b), [e_i, e_j] = b p e_m on the base coordinates, and
 # its value f(g, g^-1) in closed form as a function of (p, g), None where it
-# is exactly 0
+# is exactly 0. A formula takes (g, h) and, from a level, the scaling s of
+# its one module coordinate, e^{C g} (None for C = 0)
 _NAMED = {
     # c (x (-y) - y (-x)) is exactly 0, though its products may overflow
     _heis: ((0, 1, 2.0), None),
@@ -306,6 +313,15 @@ _NAMED = {
     # x (-y)
     _sut3: ((0, 1, 1.0), lambda _, g: (-g[..., 0] * g[..., 1])[..., None]),
 }
+
+
+def _cocycle(f: Callable, g: np.ndarray, h: np.ndarray, rows, a: np.ndarray,
+             memo: dict) -> np.ndarray:
+    """f(g, h) on a level of rows over a: a named cocycle is handed the
+    level's memoized scaling, so g3's e^{z1} is computed once per mul."""
+    if getattr(f, "func", None) in _NAMED:
+        return f(g, h, _scaling(rows[0], a, memo))
+    return f(g, h)
 
 
 def _on_inverses(f: Callable, g: np.ndarray, ginv: np.ndarray) -> np.ndarray | None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextvars
-import functools
 import threading
 from dataclasses import dataclass
 
@@ -39,15 +38,14 @@ class Tolerance:
         worst = np.max(gap, initial=-np.inf)
         if worst <= self.abs_tol:
             return worst, True
-        scale = functools.reduce(np.maximum, map(np.abs, parts))
-        return worst, bool(np.all((gap <= self.abs_tol + self.rel_tol * scale) & (gap < np.inf)))
+        return worst, self._within(worst, gap, _max_abs(parts, gap)[0])
 
     def check(self, u, v) -> tuple[float, bool]:
         """The identity u = v: the largest raw gap |u - v|, and whether every
         coordinate is close."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return self.verdict(np.abs(u - v), (u, v))
+        return self.verdict(_abs_gap(u, v), (u, v))
 
     def close(self, u, v) -> bool:
         return self.check(u, v)[1]
@@ -57,9 +55,37 @@ class Tolerance:
         where u or v is not finite, inf where finite u - v overflows."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        gap = np.abs(u - v)
-        scale = np.maximum(np.abs(u), np.abs(v))
-        return np.max(gap / (1.0 + scale), initial=-np.inf), self.verdict(gap, (scale,))[1]
+        gap = _abs_gap(u, v)
+        scale, spare = _max_abs((u, v), gap)
+        np.add(scale, 1.0, out=spare)
+        resid = np.max(np.divide(gap, spare, out=spare), initial=-np.inf)
+        worst = np.max(gap, initial=-np.inf)
+        return resid, bool(worst <= self.abs_tol) or self._within(worst, gap, scale)
+
+    def _within(self, worst, gap, scale) -> bool:
+        """Whether every gap, the largest being worst > abs_tol, passes the
+        rule against its scale, which becomes the bound in place."""
+        np.multiply(scale, self.rel_tol, out=scale)
+        np.add(scale, self.abs_tol, out=scale)
+        # a gap that is NaN or inf makes worst so, and fails
+        return bool(worst < np.inf and np.all(gap <= scale))
+
+
+def _abs_gap(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|u - v| in one new array of the broadcast shape."""
+    gap = np.subtract(u, v, out=...)
+    return np.abs(gap, out=gap)
+
+
+def _max_abs(parts, like: np.ndarray):
+    """max |part| over the parts, in a new array of like's shape, and the
+    spare array of that shape that held each further |part| (None for one
+    part): with the gap, the three arrays a verdict works in."""
+    scale, spare = np.abs(parts[0], out=np.empty_like(like)), None
+    for part in parts[1:]:
+        spare = np.abs(part, out=np.empty_like(like) if spare is None else spare)
+        np.maximum(scale, spare, out=scale)
+    return scale, spare
 
 
 @dataclass(frozen=True)
@@ -94,21 +120,16 @@ class SampleConfig:
         can draw each of its blocks on its own and get the whole draw's values.
         This is the one sampling hook: every draw goes through it.
 
-        Each block is filled as Generator.uniform(-box, box) fills it, bit for
-        bit: -box + 2 box u for u from Generator.random, in a row-major buffer
-        the thread reuses, written once into the result: out, a given (count,
-        dim) array, or a new coordinate-major one."""
+        Each block is one Generator.uniform(-box, box) draw of its rows,
+        row-major, written once into the columns of the result: out, a given
+        (count, dim) array, or a new coordinate-major one."""
         n = self.count if count is None else count
         rng = self.rng(stream)
         rng.bit_generator.advance(start * dim)
         if out is None:
             out = np.empty((n, dim), order="F")
-        buf = _workspace(min(n, BLOCK_ROWS) * dim).reshape(-1, dim)
         for rows in row_blocks(n):
-            block = buf[:rows.stop - rows.start]
-            rng.random(out=block)
-            block *= 2 * self.box
-            np.add(block, -self.box, out=out[rows])
+            out[rows] = rng.uniform(-self.box, self.box, (rows.stop - rows.start, dim))
         return out
 
     def map_blocks(self, dim: int, streams, fn) -> list:
@@ -123,8 +144,7 @@ class SampleConfig:
 
         def task(rows):
             n = rows.stop - rows.start
-            # past the rows sample fills them through
-            buf = _workspace((len(streams) + 1) * dim * n)[dim * n:].reshape(len(streams), dim, n)
+            buf = _workspace(len(streams) * dim * n).reshape(len(streams), dim, n)
             return fn(rows, *(self.sample(dim, s, n, rows.start, part.T)
                               for s, part in zip(streams, buf)))
 
@@ -146,17 +166,19 @@ DEFAULT_TOL = Tolerance()
 # 768 KiB, so the few temporaries a check holds per block stay in a 4 MiB L2.
 BLOCK_ROWS = 1 << 15
 
-# Each thread reuses one array for a block's draws and sample's fill rows: two
-# cycles of the 8 bulk benchmark commands at 10^6 rows took 23,000-41,000
-# minor page faults, against 67,000-175,000 with new arrays per block and
-# 36,000-39,000 with one thread drawing ahead of the check (glibc 2.36).
+# Each thread reuses one array for its blocks' draws: two cycles of the 8
+# bulk benchmark commands at 10^6 rows took 19,000-45,000 minor page faults,
+# against 365,000-651,000 with new draw arrays per block (glibc 2.36, 2
+# cores). The rest follow glibc's dynamic mmap and trim thresholds, which
+# the largest array freed so far sets: with both fixed (MALLOC_MMAP_THRESHOLD_
+# and MALLOC_TRIM_THRESHOLD_), a repeated command faults under 20 pages.
 _local = threading.local()
 
 
 def _workspace(size: int) -> np.ndarray:
-    """The first size elements of the calling thread's reused float64 array:
-    sample fills each block through its head, row-major, and a map_blocks
-    task keeps its draws past it. A worker's array ends with its map_blocks."""
+    """The first size elements of the calling thread's reused float64 array,
+    which holds a map_blocks task's draws. A worker's array ends with its
+    map_blocks."""
     buf = getattr(_local, "buf", None)
     if buf is None or buf.size < size:
         buf = _local.buf = np.empty(size)

@@ -39,7 +39,7 @@ from ordgroups import (
     sut3_to_heis,
 )
 from ordgroups.actions import scale_factors
-from ordgroups.groups import _NAMED, _matvec
+from ordgroups.groups import _NAMED, _matvec, _result
 from ordgroups.tolerance import DEFAULT_TOL
 
 RNG = np.random.default_rng(7)
@@ -327,6 +327,51 @@ def test_laws_give_the_same_bits_in_either_layout(law):
             if not x.flags.c_contiguous:
                 # coordinate-major in, coordinate-major out
                 assert got_mul.strides[0] == got_inv.strides[0] == got_mul.itemsize
+
+
+@pytest.mark.parametrize("a_shape, b_shape, shape", [
+    ((5, 3), (5, 3), (5, 3)),  # equal stacks, which need no broadcast
+    ((2, 4, 3), (2, 4, 3), (2, 4, 3)),
+    ((3,), (5, 3), (5, 3)),  # one element against a stack, on either side
+    ((5, 3), (3,), (5, 3)),
+    ((4, 1, 3), (5, 3), (4, 5, 3)),
+    ((3,), (3,), (3,)),  # single elements
+    ((3,), None, (3,)),
+    ((5, 3), None, (5, 3)),
+])
+def test_a_result_has_the_operands_broadcast_stack_coordinate_major(a_shape, b_shape, shape):
+    a = np.ones(a_shape)
+    b = None if b_shape is None else np.ones(b_shape)
+    got = [_result(3, a, b), Tk(1.0).inv(a) if b is None else Tk(1.0).mul(a, b)]
+    assert all(out.shape == shape and out.flags.f_contiguous for out in got)
+
+
+def test_stacks_that_do_not_broadcast_are_rejected():
+    with pytest.raises(ValueError):
+        Tk(1.0).mul(np.ones((5, 3)), np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("law", [Tk(1.0), Tk(-3.0), extension_from_cocycle(g3_cocycle(1.0))],
+                         ids=lambda law: dumps(law.descriptor()))
+def test_a_g3_law_computes_e_z1_once_per_mul(monkeypatch, law):
+    cfg = SampleConfig(seed=2, count=50)
+    a, b = cfg.sample(3, 1), cfg.sample(3, 2)
+    k = law.descriptor()["params"]["k"]
+    # x = x1 + e^{z1} x2 + k y2 z1 e^{z1}, the cocycle's product in its order
+    s = np.exp(a[:, 2])
+    want = a[:, 0] + s * b[:, 0] + k * b[:, 1] * a[:, 2] * s
+    calls, real = [], np.exp
+
+    def exp(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    got = law.mul(a, b)
+    assert len(calls) == 1 and np.array_equal(_bits(got[:, 0]), _bits(want))
+    calls.clear()
+    law.inv(a)
+    assert len(calls) == 1
 
 
 # --- the cocycle on (g, g^-1) ----------------------------------------------
