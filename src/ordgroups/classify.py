@@ -9,29 +9,28 @@ The three ProdAff labels name the order type of the product-with-a-line
 group; the sign parameter distinguishes the expanding and contracting
 variants, which are not isomorphic as ordered groups.
 
-The group level reads the law's bracket table (law.brackets()) in one of
-five forms: abelian, every bracket 0; affine, a derived algebra e_k that is
-not central, [e_i, e_k] = chi_i e_k for a character chi; Heisenberg, a
-central derived algebra e_k; derived plane, two coordinates on which the
-third acts by a diagonal 2x2 ad; nonsplit G3, whose ad is not diagonal. Its
-one named case is SUT3, whose chart change is nonlinear.
-
 A lexicographic order is bi-invariant exactly when its coordinate flag is a
 chain of ideals: the span of its k least significant coordinates is an ideal
-for every k. The ordered level decides that from the table alone, and a pair
-it does not admit is a domain error naming the bracket that breaks the flag.
-An admitted table, written in the flag's rank coordinates, is its flag table:
-it has at most four slots, A, B, C and D (_SLOTS). The ordered level picks the
-class from which slots are nonzero, and the separating invariants are their
-signs. Its one named case is SUT3, whose chart change is nonlinear.
+for every k. The ordered level decides that from the law's bracket table
+(law.brackets()) alone, and a pair it does not admit is a domain error naming
+the bracket that breaks the flag. An admitted table in the flag's rank
+coordinates is its flag table, with at most four slots A, B, C and D (_SLOTS).
+The ordered level picks the class from which slots are nonzero, and the
+separating invariants are their signs. Its one named case is the sut3 chart,
+whose chart change is nonlinear.
+
+The group level reads the first admitted flag whose ordered class is finite
+and whose witness is invertible, and follows that witness with its kind's one
+linear map to the group class's law (_group_class): every witness, at either
+level, runs from the input law to the canonical one.
 
 Both levels cover dimensions 1 to 3 and reject a larger law before drawing
 any sample. Every witness is an explicit coordinate map with named source and
 target laws; classification verifies each witness numerically, once, and
 returns it carrying that verification, a WitnessReport, as its only verdict.
 A linear witness's order claim is decided exactly from its matrix; a function
-witness's claim (SUT3 and compositions through it) is checked on samples.
-The separating invariants draw no sample.
+witness's claim (the sut3 chart change and compositions through it) is
+checked on samples. The separating invariants draw no sample.
 """
 
 from __future__ import annotations
@@ -39,7 +38,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -131,7 +132,7 @@ class IsoWitness:
         }
 
 
-def linear_witness(source, target, matrix, order_pair=None, name=None) -> IsoWitness:
+def linear_witness(source, target, matrix, order_pair=None) -> IsoWitness:
     """The map a -> matrix @ a; matrix has shape (target.dim, source.dim)."""
     try:
         m = np.asarray(matrix, dtype=float)
@@ -140,8 +141,7 @@ def linear_witness(source, target, matrix, order_pair=None, name=None) -> IsoWit
     if source.dim != target.dim or m.shape != (target.dim, source.dim):
         raise InputError(f"a {m.shape} witness matrix is no isomorphism from "
                          f"dimension {source.dim} to {target.dim}")
-    return IsoWitness(source=source, target=target, matrix=m,
-                      order_pair=order_pair, map_name=name)
+    return IsoWitness(source=source, target=target, matrix=m, order_pair=order_pair)
 
 
 def function_witness(source, target, forward, inverse, order_pair=None, name=None) -> IsoWitness:
@@ -207,11 +207,7 @@ def verify_witness(
     w: IsoWitness, cfg: SampleConfig = SampleConfig(), tol: Tolerance = DEFAULT_TOL
 ) -> WitnessReport:
     """Homomorphism, round-trip and (when claimed) order-monotonicity residuals."""
-    # a condition number, unlike a determinant, does not change when the
-    # matrix is rescaled; the bound 1/(n eps) is the one numpy's matrix_rank
-    # applies, and a singular or non-finite matrix has an inf or NaN one
-    if w.matrix is not None and not (
-            np.linalg.cond(w.matrix, 1) < 1.0 / (len(w.matrix) * np.finfo(float).eps)):
+    if not _invertible(w.matrix):
         return WitnessReport(float("inf"), float("inf"), False, False, None, cfg.count)
 
     def block(rows, x, y):
@@ -236,6 +232,15 @@ def verify_witness(
             order_ok = _ordered_pairs(source, cfg, w.source.dim).scan(side)[1][0] is None
 
     return WitnessReport(hom, roundtrip, True, group_ok, order_ok, cfg.count)
+
+
+def _invertible(matrix: np.ndarray | None) -> bool:
+    """Whether a witness matrix (None for a function witness) inverts in
+    floating point. A condition number, unlike a determinant, is blind to
+    rescaling; 1/(n eps) is numpy's matrix_rank bound, and a singular or
+    non-finite matrix has an inf or NaN one."""
+    return matrix is None or bool(
+        np.linalg.cond(matrix, 1) < 1.0 / (len(matrix) * np.finfo(float).eps))
 
 
 def _monotone(matrix: np.ndarray, source: LexOrder, target: LexOrder) -> bool:
@@ -287,6 +292,35 @@ def _ordered_class(dim: int, kind: str, s: float, f: float | None) -> CanonicalC
     return _cls(f"T_{sign}", Tk(s), (2, 1, 0))
 
 
+def _group_class(dim: int, kind: str, s: float, f: float | None,
+                 a: float, c: float) -> tuple[CanonicalClass, np.ndarray]:
+    """A kind's canonical group class, and the linear map to its law from
+    _ordered_class(dim, kind, s, f).law. SD2's parameter divides the smaller
+    of the raw slots a = A and c = C by the larger, once."""
+    if not kind:
+        # back to chart order, so the first flag, the identity, gives eye(n)
+        label, order = _ABELIAN[dim]
+        return _cls(label, Additive(dim)), _perm_matrix(order, tuple(range(dim)))
+    if dim == 2:
+        return _cls("Aff", SemidirectRR(1.0)), np.diag([1.0, s])
+    if kind == "B":
+        return _cls("Heis", heisenberg()), np.diag([1.0, 1.0, 1.0 / (2.0 * s)])
+    if kind == "ABC":
+        return _cls("G3", Tk(1.0)), np.diag([s, 1.0, 1.0])
+    m = np.zeros((3, 3))
+    if kind == "AC":
+        # the acting row scaled by the larger character, the module swapped
+        # when that is A, the first module coordinate's
+        sd2 = KCd(a / c if abs(a) <= abs(c) else c / a, 1.0)
+        m[0, 0], rows = (f, (1, 2)) if abs(c) >= abs(a) else (s, (2, 1))
+        m[1, rows[0]] = m[2, rows[1]] = 1.0
+        return _cls("SD2", sd2, c=sd2.c), m
+    # ProdAff: the line the character scales, the character, the central line
+    derived, acting, central = {"A": (1, 0, 2), "C": (2, 0, 1), "D": (2, 1, 0)}[kind]
+    m[0, derived], m[1, acting], m[2, central] = 1.0, s, 1.0
+    return _cls("ProdAff", Product(SemidirectRR(1.0), Additive(1))), m
+
+
 def enumerate_canonical(dim: int) -> list[tuple[CanonicalClass, GroupLaw, LexOrder]]:
     """The ordered canonical catalog: (class, law, order) per class, each kind
     with both signs. K's f is free; the catalog represents it by 2."""
@@ -299,11 +333,6 @@ def enumerate_canonical(dim: int) -> list[tuple[CanonicalClass, GroupLaw, LexOrd
 
 # ---------------------------------------------------------------------------
 # the bracket table
-
-
-def _coefficients(table: dict) -> dict:
-    """The table closed under antisymmetry: b for both (k, i, j) and (k, j, i)."""
-    return {**table, **{(k, j, i): -b for (k, i, j), b in table.items()}}
 
 
 def _breaking_bracket(table: dict, sig: tuple[int, ...]) -> tuple[int, int, int] | None:
@@ -337,8 +366,8 @@ def _flag_table(law: GroupLaw, sig: tuple[int, ...]) -> dict | None:
                           f"than e_{max(i, j, key=sig.index)}, so the flag is not a chain of "
                           f"ideals")
     rank = {c: r for r, c in enumerate(sig)}
-    return {(rank[k], rank[i], rank[j]): b
-            for (k, i, j), b in _coefficients(table).items() if rank[i] < rank[j]}
+    both = {**table, **{(k, j, i): -b for (k, i, j), b in table.items()}}
+    return {(rank[k], rank[i], rank[j]): b for (k, i, j), b in both.items() if rank[i] < rank[j]}
 
 
 def _slots(flag: dict) -> list[float]:
@@ -353,9 +382,24 @@ def _slots(flag: dict) -> list[float]:
 def classify_group(
     law: GroupLaw, cfg: SampleConfig = SampleConfig(), tol: Tolerance = DEFAULT_TOL
 ) -> tuple[CanonicalClass, IsoWitness]:
-    """Canonical group-isomorphism class plus a verified witness map."""
+    """Canonical group-isomorphism class plus a verified witness map from the
+    law to the class's law, read through the first coordinate order whose
+    flag the bracket table admits, whose ordered class is finite and whose
+    witness is invertible. Choosing it draws no sample."""
     _require_dimension(law)
-    cls, wit = _classify_group(law)
+    found = None
+    for sig in permutations(range(law.dim)):
+        try:
+            canon, wit, group = _classify_ordered(law, sig)
+        except DomainError:  # the table breaks the flag, or it has no finite class
+            continue
+        cls, to_group = group()
+        found = cls, compose_witness(linear_witness(canon.law, cls.law, to_group), wit)
+        if _invertible(found[1].matrix):
+            break
+    if found is None:
+        raise DomainError(f"descriptor outside the classified families: {type(law).__name__}")
+    cls, wit = found
     rep = verify_witness(wit, cfg, tol)
     _require_invertible(law, cls, rep)
     return cls, dataclasses.replace(wit, verification=rep)
@@ -378,60 +422,6 @@ def _require_invertible(law: GroupLaw, cls: CanonicalClass, rep: WitnessReport) 
                           "is not invertible in floating point")
 
 
-def _classify_group(law: GroupLaw) -> tuple[CanonicalClass, IsoWitness]:
-    n = law.dim
-    if isinstance(law, SUT3):
-        target = heisenberg()
-        return _cls("Heis", target), function_witness(law, target, sut3_to_heis, heis_to_sut3,
-                                                      name="sut3_to_heis")
-
-    # the table in one of five forms: abelian; affine, [e_i, e_k] = chi_i e_k
-    # for one derived coordinate e_k; Heisenberg, one central derived
-    # coordinate; derived plane, [e_a, e_p] = lam_p e_p on the other two; the
-    # nonsplit G3, [e_2, e_0] = e_0 and [e_2, e_1] = k e_0 + e_1 with k != 0
-    table = law.brackets()
-    if table == {}:
-        target = Additive(n)
-        return _cls(_ABELIAN[n][0], target), linear_witness(law, target, np.eye(n))
-    coeff = _coefficients(table or {})
-    k = coeff.get((0, 2, 1))
-    if len(coeff) == 6 and k and coeff.get((0, 2, 0)) == coeff.get((1, 2, 1)) == 1.0:
-        target = Tk(1.0)
-        return _cls("G3", target), linear_witness(law, target, np.diag([1.0 / k, 1.0, 1.0]))
-    derived = sorted({k for k, _, _ in coeff})
-    matrix = np.zeros((n, n))
-    if len(derived) == 1 and all(derived[0] in (i, j) for _, i, j in table):
-        # rows e_k, the character chi and, in dimension 3, the last coordinate
-        # that completes them
-        k = derived[0]
-        chi = [coeff.get((k, i, k), 0.0) for i in range(n)]
-        matrix[0, k], matrix[1] = 1.0, chi
-        target = SemidirectRR(1.0)
-        if n == 3:
-            matrix[2, max({0, 1, 2} - {k, next(i for i, x in enumerate(chi) if x)})] = 1.0
-            target = Product(target, Additive(1))
-        return _cls("Aff" if n == 2 else "ProdAff", target), linear_witness(law, target, matrix)
-
-    if len(derived) == 1 and len(table) == 1:
-        # canonical to input: e_0, e_1 to the bracket's factors, e_2 to it
-        (k, i, j), b = next(iter(table.items()))
-        matrix[i, 0], matrix[j, 1], matrix[k, 2] = 1.0, 1.0, b
-        target = heisenberg()
-        return _cls("Heis", target), linear_witness(target, law, matrix)
-
-    if len(derived) == 2 and n == 3:
-        a = 3 - sum(derived)
-        if all({i, j} == {a, x} for x, i, j in table):
-            # the acting coordinate scaled by the larger eigenvalue, then the plane
-            lam = {p: coeff[p, a, p] for p in derived}
-            (p, lp), (q, lq) = sorted(lam.items(), key=lambda item: abs(item[1]))
-            matrix[0, a], matrix[1, p], matrix[2, q] = lq, 1.0, 1.0
-            sd2 = KCd(lp / lq, 1.0)
-            return (_cls("SD2", sd2, c=lp / lq),
-                    linear_witness(law, sd2, matrix, name="module_swap" if p > q else None))
-    raise DomainError(f"descriptor outside the classified families: {type(law).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # ordered classification
 
@@ -451,7 +441,7 @@ def classify_ordered(
     """
     _require_dimension(law)
     OrderedGroupSpec(law, order)  # the order's length against the law's dimension
-    cls, wit = _classify_ordered(law, order.significance)
+    cls, wit, _ = _classify_ordered(law, order.significance)
     wit = dataclasses.replace(wit, order_pair=(order, cls.order))
     rep = verify_witness(wit, cfg, tol)
     _require_invertible(law, cls, rep)
@@ -466,10 +456,14 @@ def _perm_matrix(src_sig: tuple[int, ...], dst_sig: tuple[int, ...]) -> np.ndarr
 
 
 def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
+    """The flag reader: the canonical ordered class of law under the order
+    sig, the witness from law to its law, and a call that gives the kind's
+    group class and the map to its law from the ordered class's law."""
     flag = _flag_table(law, sig)
     if isinstance(law, SUT3):
-        canon, tail = _classify_ordered(heisenberg(), sig)
-        return canon, compose_witness(tail, _classify_group(law)[1])
+        canon, tail, group = _classify_ordered(heisenberg(), sig)
+        chart = function_witness(law, tail.source, sut3_to_heis, heis_to_sut3, name="sut3_to_heis")
+        return canon, compose_witness(tail, chart), group
 
     # the nonzero slots name the kind (a law with no table has none) and
     # `lead`, the character whose sign picks the class; the witness sends each
@@ -494,11 +488,16 @@ def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
     else:
         raise DomainError(f"no canonical form for {type(law).__name__} with significance {sig}")
     s = 1.0 if lead > 0 else -1.0
-    canon = _ordered_class(law.dim, kind, s, c / abs(a) if kind == "AC" else None)
+    f = c / abs(a) if kind == "AC" else None
+    if f is not None and not math.isfinite(f):
+        raise DomainError(f"{json.dumps(law.descriptor())} with significance {sig} has no "
+                          f"finite class: its K ratio f = C/|A| = {c!r}/{abs(a)!r} overflows")
+    canon = _ordered_class(law.dim, kind, s, f)
     matrix = _perm_matrix(sig, canon.order.significance)
     for (row, col), x in entries.items():
         matrix[canon.order.significance[row], sig[col]] = x
-    return canon, linear_witness(law, canon.law, matrix)
+    return (canon, linear_witness(law, canon.law, matrix),
+            functools.partial(_group_class, law.dim, kind, s, f, a, c))
 
 
 # ---------------------------------------------------------------------------

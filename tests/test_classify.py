@@ -38,7 +38,12 @@ from ordgroups import (
     separating_invariant,
     verify_witness,
 )
-from ordgroups.classify import _breaking_bracket, _flag_table, _table_invariants
+from ordgroups.classify import (
+    _breaking_bracket,
+    _classify_ordered,
+    _flag_table,
+    _table_invariants,
+)
 from ordgroups.selftest import _law_grid, _paper_witnesses
 from ordgroups.tolerance import DEFAULT_TOL
 
@@ -60,10 +65,11 @@ def _unnamed_cocycle_law():
 def test_central_extension_classifies_to_heisenberg_chart():
     cls, wit = classify_group(Ec(3.0), CFG)
     assert cls.label == "Heis"
-    # canonical-to-input scaling of the center by twice the parameter
-    assert wit.source == heisenberg()
-    assert wit.target == Ec(3.0)
-    assert np.array_equal(wit.matrix, np.diag([1.0, 1.0, 6.0]))
+    # input to canonical: x scaled by the parameter gives the cocycle
+    # x1 y2 - y1 x2 of E_plus, and halving the center gives Heisenberg's
+    assert wit.source == Ec(3.0)
+    assert wit.target == heisenberg()
+    assert np.array_equal(wit.matrix, np.diag([3.0, 1.0, 0.5]))
     assert wit.verification.group_ok
 
 
@@ -78,6 +84,8 @@ def test_abelian_classification():
     cls, wit = classify_group(Additive(3), CFG)
     assert cls.label == "R3"
     assert np.array_equal(wit.matrix, np.eye(3))
+    # every abelian witness is the identity, whatever order its catalog uses
+    assert np.array_equal(classify_group(Additive(2), CFG)[1].matrix, np.eye(2))
     assert classify_group(Additive(1), CFG)[0].label == "R"
     assert classify_group(SemidirectRR(0.0), CFG)[0].label == "R2_abelian"
     assert classify_group(Ec(0.0), CFG)[0].label == "R3"
@@ -126,6 +134,18 @@ def test_split_nonabelian_tk_routes_to_diagonal_family():
     assert cls.label == "SD2"
     assert cls.param_dict["c"] == 1.0
     assert wit.verification.group_ok
+
+
+def test_an_overflowing_k_ratio_is_a_domain_error_the_other_flag_avoids():
+    # f = C/|A| = 1/1e-310 overflows under the order 0,1,2; the order 0,2,1
+    # gives the finite f = -1e-310, which the group level reads instead
+    law = KCd(-1e-310, 1.0)
+    with pytest.raises(DomainError, match=r"K ratio f = C/\|A\| = 1.0/1e-310 overflows"):
+        classify_ordered(law, XYZ, CFG)
+    assert classify_ordered(law, LexOrder((0, 2, 1)), CFG)[0].params == (("f", -1e-310),)
+    cls, wit = classify_group(law, CFG)
+    assert (cls.label, cls.params) == ("SD2", (("c", -1e-310),))
+    assert wit.verification.passed
 
 
 def test_out_of_scope_descriptors_rejected():
@@ -442,9 +462,9 @@ def test_non_finite_witness_matrix_is_not_invertible():
 
 def test_witness_composition_through_the_canonical_chart():
     # two members of the central family compose to a direct isomorphism
-    _, w_c = classify_group(Ec(2.0), CFG)   # canonical -> Ec(2)
-    _, w_d = classify_group(Ec(-5.0), CFG)  # canonical -> Ec(-5)
-    direct = compose_witness(w_d, invert_witness(w_c))  # Ec(2) -> Ec(-5)
+    _, w_c = classify_group(Ec(2.0), CFG)   # Ec(2) -> canonical
+    _, w_d = classify_group(Ec(-5.0), CFG)  # Ec(-5) -> canonical
+    direct = compose_witness(invert_witness(w_d), w_c)  # Ec(2) -> Ec(-5)
     assert direct.source == Ec(2.0) and direct.target == Ec(-5.0)
     rep = verify_witness(direct, CFG)
     assert rep.passed
@@ -672,6 +692,52 @@ def _classified_specs():
     return out
 
 
+def _bits(cls):
+    return cls.label, [(k, v.hex()) for k, v in cls.params]
+
+
+def test_the_group_class_does_not_depend_on_the_flag():
+    # under every admitted flag, the ordered class mapped through its kind's
+    # group map is classify_group's class, to the bit, and the map is a Lie
+    # algebra isomorphism from the ordered class's law to the group class's
+    groups, wrong = {}, []
+    for spec, cls, _ in _classified_specs():
+        law, sig = spec.law, spec.order.significance
+        if law not in groups:
+            groups[law] = classify_group(law, SampleConfig(seed=3, count=200))[0]
+        group, to_group = _classify_ordered(law, sig)[2]()
+        if (_bits(group) != _bits(groups[law])
+                or _lie_defects(linear_witness(cls.law, group.law, to_group))):
+            wrong.append((spec, cls.label, group, groups[law]))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("tiny", [1e-300, -1e-310])
+@pytest.mark.parametrize("x", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("tiny_first", [True, False])
+def test_a_tiny_character_classifies_through_the_flag_the_other_leads(tiny, x, tiny_first):
+    # the character row (c, d) inverts only under the flag whose middle
+    # coordinate has the character x: the first flag when c is tiny (these
+    # 12 laws classify only since the group level walks the flags), the
+    # second when d is
+    c, d = (tiny, x) if tiny_first else (x, tiny)
+    cls, wit = classify_group(GCd(c, d), CFG)
+    assert cls.label == "ProdAff"
+    assert wit.matrix[1].tolist() == [c, d, 0.0]
+    assert wit.verification.passed
+
+
+@pytest.mark.parametrize("c, d", [(1e-300, -3.0), (-3.0, 1e-300), (3.0, 7.0), (7.0, -3.0),
+                                  (0.1, 0.3), (-1e-310, 1.0), (2.0, -2.0)])
+def test_the_sd2_parameter_is_the_smaller_raw_character_over_the_larger(c, d):
+    # one division of the law's own characters, never one through K's f =
+    # C/|A|, which rounds twice: 1e-300/-3 is -3.333333333333333e-301, but
+    # 1/(-3/1e-300) is -3.3333333333333335e-301
+    cls, _ = classify_group(KCd(c, d), CFG)
+    expected = c / d if abs(c) <= abs(d) else d / c
+    assert cls.label == "SD2" and cls.param_dict["c"].hex() == expected.hex()
+
+
 def test_specs_of_one_ordered_class_are_never_separated():
     # the classifier is the oracle: a verified order-preserving witness joins
     # the two specs, so no invariant of ordered groups may tell them apart
@@ -805,14 +871,9 @@ def _count_calls(monkeypatch, name, *modules):
     return calls
 
 
-@pytest.mark.parametrize("law, sig", [
-    (Ec(-4.0), (0, 1, 2)),
-    (GCd(1.0, 2.0), (1, 0, 2)),
-    (Tk(1.0), (2, 1, 0)),
-    (SUT3(), (0, 1, 2)),
-    (SemidirectRR(2.0), (1, 0)),
-])
-def test_classify_ordered_draws_pairs_once_and_verifies_once(monkeypatch, law, sig):
+def _count_draws(monkeypatch):
+    """Count the pair draws and verifications made through the classify
+    module and the sample streams drawn."""
     from ordgroups import classify as classify_mod
 
     pairs = _count_calls(monkeypatch, "_ordered_pairs", classify_mod)
@@ -824,6 +885,18 @@ def test_classify_ordered_draws_pairs_once_and_verifies_once(monkeypatch, law, s
         return rng(self, stream)
 
     monkeypatch.setattr(SampleConfig, "rng", counting_rng)
+    return pairs, verifies, streams
+
+
+@pytest.mark.parametrize("law, sig", [
+    (Ec(-4.0), (0, 1, 2)),
+    (GCd(1.0, 2.0), (1, 0, 2)),
+    (Tk(1.0), (2, 1, 0)),
+    (SUT3(), (0, 1, 2)),
+    (SemidirectRR(2.0), (1, 0)),
+])
+def test_classify_ordered_draws_pairs_once_and_verifies_once(monkeypatch, law, sig):
+    pairs, verifies, streams = _count_draws(monkeypatch)
     _, wit = classify_ordered(law, LexOrder(sig), CFG)
     # a linear witness's order claim is read off its matrix, so it draws no
     # pair stream (11 or 12); the SUT3 chart change is a function and draws once
@@ -837,6 +910,20 @@ def test_classify_ordered_draws_pairs_once_and_verifies_once(monkeypatch, law, s
     # the shared pairs give the report a fresh, full verification would give
     assert wit.verification == verify_witness(wit, CFG)
     assert wit.verification.group_ok and wit.verification.order_ok
+
+
+@pytest.mark.parametrize("law", [Ec(-4.0), KCd(2.0, 6.0), Tk(-2.0), SUT3(), GCd(1e-300, 1.0)])
+def test_classify_group_reads_the_flag_from_the_table_and_verifies_once(monkeypatch, law):
+    pairs, verifies, streams = _count_draws(monkeypatch)
+    _, wit = classify_group(law, CFG)
+    # the flag walk reads the table only: the one verification draws every
+    # sample, with no translating element (stream 13) and, since a group
+    # witness claims no order, no pair stream (11 or 12)
+    assert (wit.matrix is None) is isinstance(law, SUT3)
+    assert len(verifies) == 1 and pairs == []
+    assert streams and not set(streams) & {11, 12, 13}
+    assert wit.verification == verify_witness(wit, CFG)
+    assert wit.verification.passed
 
 
 def test_cli_classify_reports_the_classification_s_own_verification(monkeypatch, capsys):

@@ -634,6 +634,18 @@ def test_overflow_leaves_stderr_empty(capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+def test_an_overflowing_k_ratio_is_a_domain_error(capsys):
+    # a valid descriptor whose K ratio f = C/|A| overflows under this order:
+    # exit 3 naming the law, the order and the ratio, not an input error
+    code = main(["classify", "--law", '{"family":"k_cd","params":{"c":-1e-310,"d":1}}',
+                 "--order", "0,1,2"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        'domain error: {"family": "k_cd", "params": {"c": -1e-310, "d": 1.0}, "dim": 3} with '
+        "significance (0, 1, 2) has no finite class: its K ratio f = C/|A| = 1.0/1e-310 "
+        "overflows\n")
+
+
 def test_not_an_ordered_group_message_prints_plain_floats(capsys):
     code = main(["classify", "--law", _SD, "--order", "0,1"])
     err = capsys.readouterr().err
