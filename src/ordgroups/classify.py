@@ -19,10 +19,11 @@ The ordered level picks the class from which slots are nonzero, and the
 separating invariants are their signs. Its one named case is the sut3 chart,
 whose chart change is nonlinear.
 
-The group level reads the first admitted flag whose ordered class is finite
-and whose witness is invertible, and follows that witness with its kind's one
-linear map to the group class's law (_group_class): every witness, at either
-level, runs from the input law to the canonical one.
+Each group class is its kind's positive ordered class, order forgotten. The
+group level takes the first flag the table admits whose ordered class is
+finite and whose witness is invertible, and follows that witness with its
+kind's sign or flag map (_group_class): every witness, at either level, runs
+from the input law to the canonical one.
 
 Both levels cover dimensions 1 to 3 and reject a larger law before drawing
 any sample. Every witness is an explicit coordinate map with named source and
@@ -52,7 +53,6 @@ from .groups import (
     GCd,
     GroupLaw,
     KCd,
-    Product,
     SemidirectRR,
     SUT3,
     Tk,
@@ -81,7 +81,7 @@ class CanonicalClass:
 
 
 def _cls(label, law, order=None, **params) -> CanonicalClass:
-    items = tuple(sorted((k, float(v)) for k, v in params.items()))
+    items = tuple(sorted((k, float(v)) for k, v in params.items() if v is not None))
     o = LexOrder(order) if isinstance(order, tuple) else order
     return CanonicalClass(label=label, params=items, law=law, order=o)
 
@@ -294,31 +294,29 @@ def _ordered_class(dim: int, kind: str, s: float, f: float | None) -> CanonicalC
 
 def _group_class(dim: int, kind: str, s: float, f: float | None,
                  a: float, c: float) -> tuple[CanonicalClass, np.ndarray]:
-    """A kind's canonical group class, and the linear map to its law from
-    _ordered_class(dim, kind, s, f).law. SD2's parameter divides the smaller
-    of the raw slots a = A and c = C by the larger, once."""
+    """A kind's group class, the positive ordered class of the kind `group`
+    with the order forgotten, and the linear map to its law from
+    _ordered_class(dim, kind, s, f).law: the permutation that sends coordinate
+    cols[i] to i, with row `row` scaled by x. SD2's parameter divides the
+    smaller of the raw slots a = A and c = C by the larger, once."""
+    group, sd2, cols, row, x = kind, None, tuple(range(dim)), 0, s
     if not kind:
         # back to chart order, so the first flag, the identity, gives eye(n)
-        label, order = _ABELIAN[dim]
-        return _cls(label, Additive(dim)), _perm_matrix(order, tuple(range(dim)))
-    if dim == 2:
-        return _cls("Aff", SemidirectRR(1.0)), np.diag([1.0, s])
-    if kind == "B":
-        return _cls("Heis", heisenberg()), np.diag([1.0, 1.0, 1.0 / (2.0 * s)])
-    if kind == "ABC":
-        return _cls("G3", Tk(1.0)), np.diag([s, 1.0, 1.0])
-    m = np.zeros((3, 3))
-    if kind == "AC":
-        # the acting row scaled by the larger character, the module swapped
-        # when that is A, the first module coordinate's
-        sd2 = KCd(a / c if abs(a) <= abs(c) else c / a, 1.0)
-        m[0, 0], rows = (f, (1, 2)) if abs(c) >= abs(a) else (s, (2, 1))
-        m[1, rows[0]] = m[2, rows[1]] = 1.0
-        return _cls("SD2", sd2, c=sd2.c), m
-    # ProdAff: the line the character scales, the character, the central line
-    derived, acting, central = {"A": (1, 0, 2), "C": (2, 0, 1), "D": (2, 1, 0)}[kind]
-    m[0, derived], m[1, acting], m[2, central] = 1.0, s, 1.0
-    return _cls("ProdAff", Product(SemidirectRR(1.0), Additive(1))), m
+        (label, cols), x = _ABELIAN[dim], 1.0
+    elif dim == 2:
+        label, row = "Aff", 1
+    elif kind in ("B", "ABC"):
+        label, row = ("Heis", 2) if kind == "B" else ("G3", 0)
+    elif kind != "AC":
+        # ProdAff: the character's coordinate, the line it scales, the central line
+        label, group, cols = "ProdAff", "A", {"A": (0, 1, 2), "C": (0, 2, 1), "D": (1, 2, 0)}[kind]
+    elif abs(c) <= abs(a):
+        label, sd2 = "SD2", c / a  # K's own coordinates
+    else:
+        label, sd2, cols, x = "SD2", a / c, (0, 2, 1), f  # x scaled by f, the module swapped
+    m = _perm_matrix(cols, tuple(range(dim)))
+    m[row, cols[row]] = x
+    return _cls(label, _ordered_class(dim, group, 1.0, sd2).law, c=sd2), m
 
 
 def enumerate_canonical(dim: int) -> list[tuple[CanonicalClass, GroupLaw, LexOrder]]:
@@ -350,12 +348,11 @@ def _breaking_bracket(table: dict, sig: tuple[int, ...]) -> tuple[int, int, int]
 _SLOTS = ((1, 0, 1), (2, 0, 1), (2, 0, 2), (2, 1, 2))
 
 
-def _flag_table(law: GroupLaw, sig: tuple[int, ...]) -> dict | None:
-    """The law's bracket table in the rank coordinates of sig, rank 0 the most
-    significant: {(k, i, j): b} with i < j for [e_sig[i], e_sig[j]] = b e_sig[k].
-    None when the law declares no table; a DomainError naming the bracket that
-    breaks the flag when the table does not admit sig."""
-    table = law.brackets()
+def _flag_table(law: GroupLaw, table: dict | None, sig: tuple[int, ...]) -> dict | None:
+    """The law's table = law.brackets() in the rank coordinates of sig, rank 0
+    the most significant: {(k, i, j): b} with i < j for [e_sig[i], e_sig[j]] =
+    b e_sig[k]. None when the law declares no table; a DomainError naming the
+    bracket that breaks the flag when the table does not admit sig."""
     if table is None:
         return None
     bad = _breaking_bracket(table, sig)
@@ -385,13 +382,15 @@ def classify_group(
     """Canonical group-isomorphism class plus a verified witness map from the
     law to the class's law, read through the first coordinate order whose
     flag the bracket table admits, whose ordered class is finite and whose
-    witness is invertible. Choosing it draws no sample."""
+    witness is invertible. Choosing it reads the table once and draws no sample."""
     _require_dimension(law)
-    found = None
+    table, found = law.brackets(), None
     for sig in permutations(range(law.dim)):
+        if table is None or _breaking_bracket(table, sig) is not None:
+            continue
         try:
-            canon, wit, group = _classify_ordered(law, sig)
-        except DomainError:  # the table breaks the flag, or it has no finite class
+            canon, wit, group = _classify_ordered(law, table, sig)
+        except DomainError:  # no finite class, or no canonical form, under this flag
             continue
         cls, to_group = group()
         found = cls, compose_witness(linear_witness(canon.law, cls.law, to_group), wit)
@@ -441,7 +440,7 @@ def classify_ordered(
     """
     _require_dimension(law)
     OrderedGroupSpec(law, order)  # the order's length against the law's dimension
-    cls, wit, _ = _classify_ordered(law, order.significance)
+    cls, wit, _ = _classify_ordered(law, law.brackets(), order.significance)
     wit = dataclasses.replace(wit, order_pair=(order, cls.order))
     rep = verify_witness(wit, cfg, tol)
     _require_invertible(law, cls, rep)
@@ -455,13 +454,13 @@ def _perm_matrix(src_sig: tuple[int, ...], dst_sig: tuple[int, ...]) -> np.ndarr
     return m
 
 
-def _classify_ordered(law: GroupLaw, sig: tuple[int, ...]):
-    """The flag reader: the canonical ordered class of law under the order
-    sig, the witness from law to its law, and a call that gives the kind's
-    group class and the map to its law from the ordered class's law."""
-    flag = _flag_table(law, sig)
+def _classify_ordered(law: GroupLaw, table: dict | None, sig: tuple[int, ...]):
+    """The flag reader: the canonical ordered class of law (table = law.brackets())
+    under the order sig, the witness from law to its law, and a call that gives
+    the kind's group class and the map to its law from the ordered class's law."""
+    flag = _flag_table(law, table, sig)
     if isinstance(law, SUT3):
-        canon, tail, group = _classify_ordered(heisenberg(), sig)
+        canon, tail, group = _classify_ordered(heisenberg(), table, sig)  # SUT3's table
         chart = function_witness(law, tail.source, sut3_to_heis, heis_to_sut3, name="sut3_to_heis")
         return canon, compose_witness(tail, chart), group
 
@@ -536,7 +535,7 @@ def _table_invariants(spec: OrderedGroupSpec) -> dict:
     """
     law, sig = spec.law, spec.order.significance
     _require_dimension(law)
-    flag = _flag_table(law, sig)
+    flag = _flag_table(law, law.brackets(), sig)
     if flag is None:
         raise DomainError(f"{type(law).__name__} with significance {sig} has no bracket "
                           f"table whose flag is a chain of ideals")

@@ -162,8 +162,10 @@ class SampleConfig:
 
 DEFAULT_TOL = Tolerance()
 
-# Rows per block of a sampled check. A block of 3 float64 coordinates is
-# 768 KiB, so the few temporaries a check holds per block stay in a 4 MiB L2.
+# Rows per block of a sampled check, set by per-block call overhead (a block of
+# 3 float64 coordinates, 768 KiB, and its temporaries outgrow a 2 MiB L2): on 2
+# cores, a cycle of the 8 bulk benchmark commands at 10^6 rows took 693-830 ms
+# at 2^14 rows against 574-711 ms at 2^15, and was level at 2^16.
 BLOCK_ROWS = 1 << 15
 
 # Each thread reuses one array for its blocks' draws: two cycles of the 8

@@ -66,10 +66,10 @@ def test_central_extension_classifies_to_heisenberg_chart():
     cls, wit = classify_group(Ec(3.0), CFG)
     assert cls.label == "Heis"
     # input to canonical: x scaled by the parameter gives the cocycle
-    # x1 y2 - y1 x2 of E_plus, and halving the center gives Heisenberg's
+    # x1 y2 - y1 x2 of E_plus, whose law Ec(1) is the group class's
     assert wit.source == Ec(3.0)
-    assert wit.target == heisenberg()
-    assert np.array_equal(wit.matrix, np.diag([3.0, 1.0, 0.5]))
+    assert wit.target == Ec(1.0)
+    assert np.array_equal(wit.matrix, np.diag([3.0, 1.0, 1.0]))
     assert wit.verification.group_ok
 
 
@@ -90,6 +90,22 @@ def test_abelian_classification():
     assert classify_group(SemidirectRR(0.0), CFG)[0].label == "R2_abelian"
     assert classify_group(Ec(0.0), CFG)[0].label == "R3"
     assert classify_group(GCd(0.0, 0.0), CFG)[0].label == "R3"
+
+
+@pytest.mark.parametrize("law, label, params", [
+    (Additive(1), "R", ()), (Additive(2), "R2_abelian", ()), (Additive(3), "R3", ()),
+    (SemidirectRR(1.0), "Aff", ()), (Ec(1.0), "Heis", ()), (KCd(1.0, 0.0), "ProdAff", ()),
+    (Tk(1.0), "G3", ()),
+    *((KCd(1.0, c), "SD2", (("c", c),)) for c in (-1.0, -0.5, 1e-300, 0.5, 1.0)),
+])
+def test_a_canonical_law_is_its_own_group_class(law, label, params):
+    # each group class is the positive ordered class of its kind, so its law
+    # classifies to itself by the identity; |C| = |A| takes no module swap
+    cls, wit = classify_group(law, CFG)
+    assert (cls.label, cls.params, cls.law) == (label, params, law)
+    assert (wit.source, wit.target) == (law, law)
+    assert np.array_equal(wit.matrix, np.eye(law.dim))
+    assert wit.verification.passed
 
 
 def test_unitriangular_chart_is_heisenberg():
@@ -705,7 +721,7 @@ def test_the_group_class_does_not_depend_on_the_flag():
         law, sig = spec.law, spec.order.significance
         if law not in groups:
             groups[law] = classify_group(law, SampleConfig(seed=3, count=200))[0]
-        group, to_group = _classify_ordered(law, sig)[2]()
+        group, to_group = _classify_ordered(law, law.brackets(), sig)[2]()
         if (_bits(group) != _bits(groups[law])
                 or _lie_defects(linear_witness(cls.law, group.law, to_group))):
             wrong.append((spec, cls.label, group, groups[law]))
@@ -723,7 +739,7 @@ def test_a_tiny_character_classifies_through_the_flag_the_other_leads(tiny, x, t
     c, d = (tiny, x) if tiny_first else (x, tiny)
     cls, wit = classify_group(GCd(c, d), CFG)
     assert cls.label == "ProdAff"
-    assert wit.matrix[1].tolist() == [c, d, 0.0]
+    assert wit.matrix[0].tolist() == [c, d, 0.0]
     assert wit.verification.passed
 
 
@@ -760,7 +776,7 @@ def test_flag_tables_fill_four_slots_and_name_catalog_classes():
                for dim in (1, 2, 3) for cls, _, _ in enumerate_canonical(dim)}
     wrong = []
     for spec, cls, _ in _classified_specs():
-        flag = _flag_table(spec.law, spec.order.significance)
+        flag = _flag_table(spec.law, spec.law.brackets(), spec.order.significance)
         a, d = flag.get((1, 0, 1), 0.0), flag.get((2, 1, 2), 0.0)
         if not set(flag) <= slots[spec.law.dim] or a * d != 0.0:
             wrong.append((spec, flag))
@@ -924,6 +940,18 @@ def test_classify_group_reads_the_flag_from_the_table_and_verifies_once(monkeypa
     assert streams and not set(streams) & {11, 12, 13}
     assert wit.verification == verify_witness(wit, CFG)
     assert wit.verification.passed
+
+
+def test_the_flag_walk_reads_the_table_once_and_builds_no_rejection(monkeypatch):
+    # Tk(1)'s one admitted flag is the sixth order the walk tries: the five
+    # before it are skipped on the one table, and no DomainError is built
+    from ordgroups import groups
+
+    tables = _count_calls(monkeypatch, "brackets", groups._Tower)
+    errors = _count_calls(monkeypatch, "__init__", DomainError)
+    cls, wit = classify_group(Tk(1.0), CFG)
+    assert cls.label == "G3" and wit.verification.passed
+    assert len(tables) == 1 and errors == []
 
 
 def test_cli_classify_reports_the_classification_s_own_verification(monkeypatch, capsys):
